@@ -809,6 +809,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             .binarize_into(start, end, events, &mut self.bin_scratch, &mut obs);
         let detector = Detector::new(model);
         let mut scan_profile = ScanProfile::default();
+        // The transition check runs once, for the verdict, and is timed in
+        // place; `trans_ns` stays zero when it did not run.
+        let mut trans_ns: u128 = 0;
+        let mut transition_checked = false;
         let result = match detector.correlation_check(&obs) {
             None => {
                 let mut candidates = std::mem::take(&mut self.cand_scratch);
@@ -836,7 +840,13 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             }
             Some(group) => {
                 let cases = match self.prev.as_ref() {
-                    Some(prev) => detector.transition_check(prev, group, &obs),
+                    Some(prev) => {
+                        let t_trans = Instant::now();
+                        let cases = detector.transition_check(prev, group, &obs);
+                        trans_ns = t_trans.elapsed().as_nanos();
+                        transition_checked = true;
+                        cases
+                    }
                     None => Vec::new(),
                 };
                 if cases.is_empty() {
@@ -846,33 +856,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
                 }
             }
         };
-        let t1 = Instant::now();
-
-        // Cost attribution: a `Normal`/`TransitionViolation` outcome passed
-        // through the transition check; a correlation violation never got
-        // there. The split is approximate (the two checks share one call)
-        // but the correlation check dominates by orders of magnitude.
-        let corr_ns: u128;
-        let mut trans_ns: u128 = 0;
-        let mut transition_checked = false;
-        match &result {
-            CheckResult::CorrelationViolation { .. } => {
-                corr_ns = t0.elapsed().as_nanos();
-            }
-            _ => {
-                // Re-measure the transition part alone for attribution.
-                let t_trans = Instant::now();
-                if let (Some(prev), CheckResult::Normal { group })
-                | (Some(prev), CheckResult::TransitionViolation { group, .. }) =
-                    (self.prev.as_ref(), &result)
-                {
-                    let _ = detector.transition_check(prev, *group, &obs);
-                    transition_checked = true;
-                }
-                trans_ns = t_trans.elapsed().as_nanos();
-                corr_ns = (t1 - t0).as_nanos();
-            }
-        }
+        // Cost attribution: binarization, the correlation check and any
+        // candidate scan count as correlation; a window that reached the
+        // transition check has that part split out.
+        let corr_ns = t0.elapsed().as_nanos().saturating_sub(trans_ns);
         self.cost.correlation_ns += corr_ns;
         self.cost.transition_ns += trans_ns;
         self.cost.windows += 1;

@@ -5,12 +5,11 @@
 
 use std::thread::JoinHandle;
 
-use bytes::Bytes;
 use crossbeam::channel::Sender;
 
 use dice_types::{DeviceId, Event};
 
-use crate::message::encode_event;
+use crate::message::{encode_event, EventFrame};
 
 /// Spawns an aggregator thread that encodes and forwards `events` (already
 /// time-ordered) and then hangs up by dropping its sender.
@@ -20,7 +19,7 @@ use crate::message::encode_event;
 pub fn spawn_aggregator(
     name: impl Into<String>,
     events: Vec<Event>,
-    tx: Sender<Bytes>,
+    tx: Sender<EventFrame>,
 ) -> JoinHandle<()> {
     let name = name.into();
     // Audited: aggregator threads model independent device streams; the

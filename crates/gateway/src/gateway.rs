@@ -8,18 +8,14 @@
 //! this is the deployment shape of Figure 3.1, with threads and channels
 //! standing in for the CoAP fabric.
 //
-// lint-src: allow-file(hash-container) — the alarm-dedup map is a point
-// lookup keyed by device id; alarms are emitted in merged-stream order.
-//
 // lint-src: allow-file(wall-clock) — window close-to-verdict timing feeds
 // the dice_gateway_window_ns observability sketch only; nothing downstream
 // branches on it.
 
 use std::borrow::Borrow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
@@ -28,7 +24,7 @@ use dice_core::{DecisionTrace, DiceEngine, DiceModel, EngineOptions, FaultReport
 use dice_telemetry::{saturating_ns, Recorder, Telemetry};
 use dice_types::{DeviceId, Event, Timestamp};
 
-use crate::message::{decode_event, FrameError};
+use crate::message::{decode_event, EventFrame, FrameError};
 
 /// An alarm pushed by the gateway when a fault is identified.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,7 +212,7 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
     /// the home down.
     pub fn run(
         &self,
-        inputs: Vec<Receiver<Bytes>>,
+        inputs: Vec<Receiver<EventFrame>>,
         alarms: &Sender<Alarm>,
         from: Timestamp,
         to: Timestamp,
@@ -230,7 +226,7 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
     /// time-series sampling from it).
     pub fn run_with_observer(
         &self,
-        inputs: Vec<Receiver<Bytes>>,
+        inputs: Vec<Receiver<EventFrame>>,
         alarms: &Sender<Alarm>,
         from: Timestamp,
         to: Timestamp,
@@ -262,7 +258,7 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
         };
 
         // K-way merge state: one pending event per live stream.
-        let mut streams: Vec<Option<Receiver<Bytes>>> = inputs.into_iter().map(Some).collect();
+        let mut streams: Vec<Option<Receiver<EventFrame>>> = inputs.into_iter().map(Some).collect();
         let mut pending: Vec<Option<Event>> = vec![None; streams.len()];
         let shard_depths: Vec<_> = recorder
             .map(|rec| {
@@ -286,41 +282,39 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
         let mut window_start = from.align_down(window);
         let mut window_events: Vec<Event> = Vec::new();
         let mut engine = self.engine.lock();
-        let mut last_alarmed: std::collections::HashMap<DeviceId, Timestamp> =
-            std::collections::HashMap::new();
-        let deliver =
-            |report: FaultReport,
-             stats: &mut GatewayStats,
-             last_alarmed: &mut std::collections::HashMap<DeviceId, Timestamp>| {
-                let now = report.identified_at;
-                let fresh = report.devices.iter().any(|d| {
-                    last_alarmed
-                        .get(d)
-                        .is_none_or(|&at| now - at > self.alarm_cooldown)
-                });
-                if fresh || report.devices.is_empty() {
-                    for &d in &report.devices {
-                        last_alarmed.insert(d, now);
-                    }
-                    stats.alarms += 1;
-                    if let Some(rec) = recorder {
-                        rec.metrics.gateway.alarms_total.inc();
-                    }
-                    if let Some(home) = &home_alarms {
-                        home.inc();
-                    }
-                    if let (Some(writer), Some(header)) = (&self.trace_snapshots, &trace_header) {
-                        if !report.evidence.is_empty() {
-                            writer
-                                .lock()
-                                .write_snapshot(header, &report.evidence, recorder);
-                        }
-                    }
-                    let _ = alarms.send(Alarm { report });
-                } else if let Some(rec) = recorder {
-                    rec.metrics.gateway.alarms_suppressed_total.inc();
+        let mut last_alarmed: BTreeMap<DeviceId, Timestamp> = BTreeMap::new();
+        let deliver = |report: FaultReport,
+                       stats: &mut GatewayStats,
+                       last_alarmed: &mut BTreeMap<DeviceId, Timestamp>| {
+            let now = report.identified_at;
+            let fresh = report.devices.iter().any(|d| {
+                last_alarmed
+                    .get(d)
+                    .is_none_or(|&at| now - at > self.alarm_cooldown)
+            });
+            if fresh || report.devices.is_empty() {
+                for &d in &report.devices {
+                    last_alarmed.insert(d, now);
                 }
-            };
+                stats.alarms += 1;
+                if let Some(rec) = recorder {
+                    rec.metrics.gateway.alarms_total.inc();
+                }
+                if let Some(home) = &home_alarms {
+                    home.inc();
+                }
+                if let (Some(writer), Some(header)) = (&self.trace_snapshots, &trace_header) {
+                    if !report.evidence.is_empty() {
+                        writer
+                            .lock()
+                            .write_snapshot(header, &report.evidence, recorder);
+                    }
+                }
+                let _ = alarms.send(Alarm { report });
+            } else if let Some(rec) = recorder {
+                rec.metrics.gateway.alarms_suppressed_total.inc();
+            }
+        };
 
         'merge: loop {
             // Sample fan-in pressure before draining: the high-water mark of
@@ -714,7 +708,7 @@ mod tests {
     fn undecodable_frames_are_counted_not_fatal() {
         let (_, sensors, model) = training_home();
         let (tx, rx) = unbounded();
-        tx.send(Bytes::from_static(&[0xFF])).unwrap(); // garbage
+        tx.send(EventFrame::from_slice(&[0xFF])).unwrap(); // garbage
         for event in live_events(&sensors, 4, false) {
             tx.send(crate::message::encode_event(&event)).unwrap();
         }

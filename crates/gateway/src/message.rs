@@ -5,8 +5,12 @@
 //! cross it in a compact binary frame so the gateway path exercises real
 //! serialization (and so a socket transport could be dropped in without
 //! touching either end).
+//!
+//! A frame travels as an [`EventFrame`]: the encoded bytes held inline in a
+//! `Copy` value, so the aggregator-to-gateway hand-off moves 22 bytes
+//! through the channel and never touches the allocator.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 
 use dice_types::{
     ActuatorEvent, ActuatorId, Event, SensorId, SensorReading, SensorValue, Timestamp,
@@ -41,20 +45,66 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// One event frame, its bytes held inline.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct EventFrame {
+    len: u8,
+    bytes: [u8; EventFrame::MAX_LEN],
+}
+
+impl EventFrame {
+    /// Bytes in the longest frame, a numeric reading.
+    pub const MAX_LEN: usize = 1 + 4 + 8 + 8;
+
+    /// Wraps raw frame bytes, well-formed or not; decoding validates them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than [`EventFrame::MAX_LEN`].
+    pub fn from_slice(bytes: &[u8]) -> Self {
+        assert!(
+            bytes.len() <= Self::MAX_LEN,
+            "an event frame holds at most {} bytes, got {}",
+            Self::MAX_LEN,
+            bytes.len()
+        );
+        let mut frame = EventFrame {
+            len: bytes.len() as u8,
+            bytes: [0; Self::MAX_LEN],
+        };
+        frame.bytes[..bytes.len()].copy_from_slice(bytes);
+        frame
+    }
+
+    /// The frame bytes.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for EventFrame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("EventFrame").field(&self.as_slice()).finish()
+    }
+}
+
 /// Encodes one event into a frame.
 ///
 /// Layout: `tag:u8, device_id:u32, at_secs:i64, payload` where the payload
 /// is one byte for binary/actuator frames and an `f64` for numeric frames.
-pub fn encode_event(event: &Event) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + 4 + 8 + 8);
-    encode_event_into(event, &mut buf);
-    buf.freeze()
+pub fn encode_event(event: &Event) -> EventFrame {
+    let mut bytes = [0; EventFrame::MAX_LEN];
+    let mut rest: &mut [u8] = &mut bytes;
+    encode_event_into(event, &mut rest);
+    let len = (EventFrame::MAX_LEN - rest.len()) as u8;
+    EventFrame { len, bytes }
 }
 
 /// Appends one event's frame bytes to `buf` without allocating a new
 /// buffer, for callers (like the fleet ingestion path) that pack many
-/// frames into one contiguous batch.
-pub fn encode_event_into(event: &Event, buf: &mut BytesMut) {
+/// frames into one contiguous batch. [`encode_event`] writes through the
+/// same function into a stack slice, so the two cannot disagree.
+pub fn encode_event_into(event: &Event, buf: &mut impl BufMut) {
     match event {
         Event::Sensor(r) => match r.value {
             SensorValue::Binary(b) => {
@@ -84,8 +134,8 @@ pub fn encode_event_into(event: &Event, buf: &mut BytesMut) {
 /// # Errors
 ///
 /// Returns a [`FrameError`] for truncated or malformed frames.
-pub fn decode_event(frame: Bytes) -> Result<Event, FrameError> {
-    decode_event_slice(&frame).map(|(event, _)| event)
+pub fn decode_event(frame: EventFrame) -> Result<Event, FrameError> {
+    decode_event_slice(frame.as_slice()).map(|(event, _)| event)
 }
 
 /// Decodes one event frame from the front of `bytes`, returning the event
@@ -144,9 +194,13 @@ pub fn decode_event_slice(bytes: &[u8]) -> Result<(Event, usize), FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn round_trip(event: Event) {
         let frame = encode_event(&event);
+        let mut packed = BytesMut::new();
+        encode_event_into(&event, &mut packed);
+        assert_eq!(frame.as_slice(), &packed[..], "one layout, two encoders");
         let back = decode_event(frame).unwrap();
         assert_eq!(back, event);
     }
@@ -216,9 +270,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 21 bytes")]
+    fn oversized_raw_frames_are_refused() {
+        let _ = EventFrame::from_slice(&[0; EventFrame::MAX_LEN + 1]);
+    }
+
+    #[test]
     fn truncated_frames_are_rejected() {
         assert_eq!(
-            decode_event(Bytes::from_static(&[0x01, 0, 0])),
+            decode_event(EventFrame::from_slice(&[0x01, 0, 0])),
             Err(FrameError::Truncated)
         );
         let mut buf = BytesMut::new();
@@ -226,7 +286,10 @@ mod tests {
         buf.put_u32(1);
         buf.put_i64(0);
         // missing f64 payload
-        assert_eq!(decode_event(buf.freeze()), Err(FrameError::Truncated));
+        assert_eq!(
+            decode_event(EventFrame::from_slice(&buf)),
+            Err(FrameError::Truncated)
+        );
     }
 
     #[test]
@@ -237,7 +300,7 @@ mod tests {
         buf.put_i64(0);
         buf.put_u8(0);
         assert_eq!(
-            decode_event(buf.freeze()),
+            decode_event(EventFrame::from_slice(&buf)),
             Err(FrameError::UnknownTag(0x7F))
         );
 
@@ -246,6 +309,9 @@ mod tests {
         buf.put_u32(1);
         buf.put_i64(0);
         buf.put_u8(9);
-        assert_eq!(decode_event(buf.freeze()), Err(FrameError::BadBool(9)));
+        assert_eq!(
+            decode_event(EventFrame::from_slice(&buf)),
+            Err(FrameError::BadBool(9))
+        );
     }
 }

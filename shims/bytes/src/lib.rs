@@ -16,14 +16,6 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Wraps a static byte slice.
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes {
-            data: Arc::from(data),
-            pos: 0,
-        }
-    }
-
     /// The unread remainder as a slice.
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.pos..]
@@ -214,6 +206,17 @@ impl BufMut for BytesMut {
     }
 }
 
+/// Writes into a fixed slice, advancing it past the written bytes (the
+/// real crate's semantics).
+impl BufMut for &mut [u8] {
+    fn put_slice(&mut self, src: &[u8]) {
+        assert!(self.len() >= src.len(), "buffer overflow");
+        let (head, tail) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = tail;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::{Buf, BufMut, Bytes, BytesMut};
@@ -245,9 +248,25 @@ mod tests {
     }
 
     #[test]
+    fn slice_writes_advance_and_overflow_panics() {
+        let mut storage = [0u8; 5];
+        let mut rest: &mut [u8] = &mut storage;
+        rest.put_u8(7);
+        rest.put_u16(0x0102);
+        assert_eq!(rest.len(), 2);
+        assert_eq!(storage, [7, 1, 2, 0, 0]);
+        let overflow = std::panic::catch_unwind(|| {
+            let mut small = [0u8; 3];
+            let mut rest: &mut [u8] = &mut small;
+            rest.put_u32(1);
+        });
+        assert!(overflow.is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "buffer underflow")]
     fn underflow_panics() {
-        let mut b = Bytes::from_static(&[1]);
+        let mut b = Bytes::from(vec![1]);
         let _ = b.get_u32();
     }
 }

@@ -1,4 +1,5 @@
-//! Offline shim for `crossbeam`: MPMC-shaped channels over `std::sync::mpsc`.
+//! Offline shim for `crossbeam`: MPMC-shaped channels with a single
+//! consumer.
 //!
 //! Only the `channel` module surface the DICE workspace uses is provided:
 //! [`channel::unbounded`], [`channel::bounded`], cloneable senders, and
@@ -7,11 +8,21 @@
 //! for channel-depth telemetry). Receivers are single-consumer (the gateway
 //! fan-in owns each receiver exclusively, so MPMC receive semantics are not
 //! needed).
+//!
+//! `unbounded` channels wrap `std::sync::mpsc`. `bounded` channels are one
+//! lock-guarded queue that the receiver drains whole: a receive that finds
+//! its local buffer empty moves every queued message into that buffer in
+//! one lock acquisition, and later receives pop from the buffer without
+//! touching shared state. Senders signal the receiver only while it is
+//! parked, and senders blocked on a full queue are woken by the drain that
+//! empties it.
 
 pub mod channel {
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{mpsc, Arc};
+    use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,31 +66,49 @@ pub mod channel {
 
     impl std::error::Error for RecvError {}
 
-    enum SenderKind<T> {
-        Unbounded(mpsc::Sender<T>),
-        Bounded(mpsc::SyncSender<T>),
+    /// An unbounded channel's sending side: the mpsc sender plus a depth
+    /// counter shared with the receiver.
+    struct ListSender<T> {
+        tx: mpsc::Sender<T>,
+        depth: Arc<AtomicUsize>,
     }
 
-    impl<T> Clone for SenderKind<T> {
-        fn clone(&self) -> Self {
-            match self {
-                SenderKind::Unbounded(tx) => SenderKind::Unbounded(tx.clone()),
-                SenderKind::Bounded(tx) => SenderKind::Bounded(tx.clone()),
-            }
-        }
+    enum SenderFlavor<T> {
+        List(ListSender<T>),
+        Array(Arc<Bounded<T>>),
     }
 
     /// The sending half of a channel.
     pub struct Sender<T> {
-        kind: SenderKind<T>,
-        depth: Arc<AtomicUsize>,
+        flavor: SenderFlavor<T>,
     }
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            Sender {
-                kind: self.kind.clone(),
-                depth: Arc::clone(&self.depth),
+            let flavor = match &self.flavor {
+                SenderFlavor::List(list) => SenderFlavor::List(ListSender {
+                    tx: list.tx.clone(),
+                    depth: Arc::clone(&list.depth),
+                }),
+                SenderFlavor::Array(chan) => {
+                    chan.lock().senders += 1;
+                    SenderFlavor::Array(Arc::clone(chan))
+                }
+            };
+            Sender { flavor }
+        }
+    }
+
+    impl<T> Drop for Sender<T> {
+        fn drop(&mut self) {
+            if let SenderFlavor::Array(chan) = &self.flavor {
+                let mut state = chan.lock();
+                state.senders -= 1;
+                let wake = state.senders == 0 && state.take_parked_receiver();
+                drop(state);
+                if wake {
+                    chan.receiver_ready.notify_one();
+                }
             }
         }
     }
@@ -97,18 +126,20 @@ pub mod channel {
         ///
         /// Returns the value back if the receiver has disconnected.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            // Count the message before it becomes visible: a receiver may
-            // otherwise consume (and decrement for) it ahead of a late
-            // post-send increment, underflowing the depth counter.
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            let sent = match &self.kind {
-                SenderKind::Unbounded(tx) => tx.send(value).map_err(|e| SendError(e.0)),
-                SenderKind::Bounded(tx) => tx.send(value).map_err(|e| SendError(e.0)),
-            };
-            if sent.is_err() {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
+            match &self.flavor {
+                SenderFlavor::List(list) => {
+                    // Count the message before it becomes visible: a
+                    // receiver may otherwise consume (and decrement for) it
+                    // ahead of a late post-send increment, underflowing the
+                    // depth counter.
+                    list.depth.fetch_add(1, Ordering::Relaxed);
+                    list.tx.send(value).map_err(|e| {
+                        list.depth.fetch_sub(1, Ordering::Relaxed);
+                        SendError(e.0)
+                    })
+                }
+                SenderFlavor::Array(chan) => chan.send(value),
             }
-            sent
         }
 
         /// Sends `value` without ever blocking.
@@ -119,39 +150,52 @@ pub mod channel {
         /// channel is at capacity (an unbounded channel is never full) or
         /// as [`TrySendError::Disconnected`] when every receiver is gone.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            // Pre-increment for the same reason as `send`.
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            let sent = match &self.kind {
-                SenderKind::Unbounded(tx) => {
-                    tx.send(value).map_err(|e| TrySendError::Disconnected(e.0))
+            match &self.flavor {
+                SenderFlavor::List(list) => {
+                    // Pre-increment for the same reason as `send`.
+                    list.depth.fetch_add(1, Ordering::Relaxed);
+                    list.tx.send(value).map_err(|e| {
+                        list.depth.fetch_sub(1, Ordering::Relaxed);
+                        TrySendError::Disconnected(e.0)
+                    })
                 }
-                SenderKind::Bounded(tx) => tx.try_send(value).map_err(|e| match e {
-                    mpsc::TrySendError::Full(v) => TrySendError::Full(v),
-                    mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
-                }),
-            };
-            if sent.is_err() {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
+                SenderFlavor::Array(chan) => chan.try_send(value),
             }
-            sent
         }
+    }
 
-        /// Messages currently queued in the channel (approximate under
-        /// concurrent sends/receives, exact when quiescent).
-        pub fn len(&self) -> usize {
-            self.depth.load(Ordering::Relaxed)
-        }
-
-        /// Whether no messages are queued.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
+    enum ReceiverFlavor<T> {
+        List {
+            rx: mpsc::Receiver<T>,
+            depth: Arc<AtomicUsize>,
+        },
+        Array {
+            chan: Arc<Bounded<T>>,
+            /// Messages taken from the shared queue by the last drain and
+            /// not yet returned, oldest first.
+            local: RefCell<VecDeque<T>>,
+        },
     }
 
     /// The receiving half of a channel.
     pub struct Receiver<T> {
-        rx: mpsc::Receiver<T>,
-        depth: Arc<AtomicUsize>,
+        flavor: ReceiverFlavor<T>,
+    }
+
+    impl<T> Drop for Receiver<T> {
+        fn drop(&mut self) {
+            if let ReceiverFlavor::Array { chan, .. } = &self.flavor {
+                let mut state = chan.lock();
+                state.receiver_alive = false;
+                let wake = state.blocked_senders > 0;
+                let orphaned = std::mem::take(&mut state.queue);
+                drop(state);
+                if wake {
+                    chan.space_ready.notify_all();
+                }
+                drop(orphaned);
+            }
+        }
     }
 
     impl<T> fmt::Debug for Receiver<T> {
@@ -168,30 +212,45 @@ pub mod channel {
         /// Returns [`RecvError`] when the channel is empty and every sender
         /// has disconnected.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let value = self.rx.recv().map_err(|_| RecvError)?;
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-            Ok(value)
+            match &self.flavor {
+                ReceiverFlavor::List { rx, depth } => {
+                    let value = rx.recv().map_err(|_| RecvError)?;
+                    depth.fetch_sub(1, Ordering::Relaxed);
+                    Ok(value)
+                }
+                ReceiverFlavor::Array { chan, local } => {
+                    chan.recv(&mut local.borrow_mut(), true).ok_or(RecvError)
+                }
+            }
         }
 
         /// Receives a value if one is immediately available.
         pub fn try_recv(&self) -> Option<T> {
-            let value = self.rx.try_recv().ok()?;
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-            Some(value)
+            match &self.flavor {
+                ReceiverFlavor::List { rx, depth } => {
+                    let value = rx.try_recv().ok()?;
+                    depth.fetch_sub(1, Ordering::Relaxed);
+                    Some(value)
+                }
+                ReceiverFlavor::Array { chan, local } => chan.recv(&mut local.borrow_mut(), false),
+            }
         }
 
         /// A blocking iterator that drains the channel until disconnection.
         pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-            self.rx.iter().map(|value| {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                value
-            })
+            std::iter::from_fn(|| self.recv().ok())
         }
 
-        /// Messages currently queued in the channel (approximate under
+        /// Messages sent but not yet received, including those a bounded
+        /// receiver has drained into its local buffer (approximate under
         /// concurrent sends/receives, exact when quiescent).
         pub fn len(&self) -> usize {
-            self.depth.load(Ordering::Relaxed)
+            match &self.flavor {
+                ReceiverFlavor::List { depth, .. } => depth.load(Ordering::Relaxed),
+                ReceiverFlavor::Array { chan, local } => {
+                    local.borrow().len() + chan.queued.load(Ordering::Relaxed)
+                }
+            }
         }
 
         /// Whether no messages are queued.
@@ -202,17 +261,14 @@ pub mod channel {
 
     /// Draining iterator returned by [`Receiver::into_iter`].
     pub struct IntoIter<T> {
-        rx: mpsc::IntoIter<T>,
-        depth: Arc<AtomicUsize>,
+        rx: Receiver<T>,
     }
 
     impl<T> Iterator for IntoIter<T> {
         type Item = T;
 
         fn next(&mut self) -> Option<T> {
-            let value = self.rx.next()?;
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-            Some(value)
+            self.rx.recv().ok()
         }
     }
 
@@ -221,10 +277,123 @@ pub mod channel {
         type IntoIter = IntoIter<T>;
 
         fn into_iter(self) -> Self::IntoIter {
-            IntoIter {
-                rx: self.rx.into_iter(),
-                depth: self.depth,
+            IntoIter { rx: self }
+        }
+    }
+
+    /// The shared side of a bounded channel.
+    struct Bounded<T> {
+        state: Mutex<BoundedState<T>>,
+        /// Wakes the parked receiver: a message arrived or the last sender
+        /// left.
+        receiver_ready: Condvar,
+        /// Wakes senders blocked on a full queue: the receiver drained it
+        /// or left.
+        space_ready: Condvar,
+        capacity: usize,
+        /// Length of the shared queue, stored under the lock on every
+        /// change so [`Receiver::len`] reads it without locking.
+        queued: AtomicUsize,
+    }
+
+    struct BoundedState<T> {
+        queue: VecDeque<T>,
+        senders: usize,
+        receiver_alive: bool,
+        /// The receiver is waiting on `receiver_ready` and nobody has
+        /// signalled it yet.
+        receiver_parked: bool,
+        /// Senders waiting on `space_ready`.
+        blocked_senders: usize,
+    }
+
+    impl<T> BoundedState<T> {
+        /// Claims the duty to wake a parked receiver, so that of several
+        /// senders arriving before it runs only the first signals.
+        fn take_parked_receiver(&mut self) -> bool {
+            std::mem::replace(&mut self.receiver_parked, false)
+        }
+    }
+
+    impl<T> Bounded<T> {
+        /// Locks the state, recovering it from a poisoned lock: every
+        /// update made under the lock is a single step that leaves the
+        /// state valid, and no caller code runs while it is held.
+        fn lock(&self) -> MutexGuard<'_, BoundedState<T>> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Queues `value` in a locked state with room for it, then signals
+        /// a parked receiver.
+        fn push(&self, mut state: MutexGuard<'_, BoundedState<T>>, value: T) {
+            state.queue.push_back(value);
+            self.queued.store(state.queue.len(), Ordering::Relaxed);
+            let wake = state.take_parked_receiver();
+            drop(state);
+            if wake {
+                self.receiver_ready.notify_one();
             }
+        }
+
+        fn send(&self, value: T) -> Result<(), SendError<T>> {
+            let mut state = self.lock();
+            loop {
+                if !state.receiver_alive {
+                    return Err(SendError(value));
+                }
+                if state.queue.len() < self.capacity {
+                    self.push(state, value);
+                    return Ok(());
+                }
+                state.blocked_senders += 1;
+                state = self
+                    .space_ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                state.blocked_senders -= 1;
+            }
+        }
+
+        fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            let state = self.lock();
+            if !state.receiver_alive {
+                Err(TrySendError::Disconnected(value))
+            } else if state.queue.len() >= self.capacity {
+                Err(TrySendError::Full(value))
+            } else {
+                self.push(state, value);
+                Ok(())
+            }
+        }
+
+        /// Pops the oldest message, refilling an empty `local` buffer by
+        /// draining the whole shared queue. With `block`, parks until a
+        /// message arrives; returns `None` once the queue is empty and, when
+        /// blocking, every sender has left.
+        fn recv(&self, local: &mut VecDeque<T>, block: bool) -> Option<T> {
+            if local.is_empty() {
+                let mut state = self.lock();
+                while state.queue.is_empty() {
+                    if !block || state.senders == 0 {
+                        return None;
+                    }
+                    state.receiver_parked = true;
+                    state = self
+                        .receiver_ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                // Swapping keeps both buffers' capacity: a warm channel
+                // allocates nothing.
+                std::mem::swap(&mut state.queue, local);
+                self.queued.store(0, Ordering::Relaxed);
+                let wake = state.blocked_senders > 0;
+                drop(state);
+                if wake {
+                    self.space_ready.notify_all();
+                }
+            }
+            local.pop_front()
         }
     }
 
@@ -234,30 +403,53 @@ pub mod channel {
         let depth = Arc::new(AtomicUsize::new(0));
         (
             Sender {
-                kind: SenderKind::Unbounded(tx),
-                depth: Arc::clone(&depth),
+                flavor: SenderFlavor::List(ListSender {
+                    tx,
+                    depth: Arc::clone(&depth),
+                }),
             },
-            Receiver { rx, depth },
+            Receiver {
+                flavor: ReceiverFlavor::List { rx, depth },
+            },
         )
     }
 
-    /// Creates a channel that holds at most `capacity` in-flight values;
-    /// senders block when it is full.
+    /// Creates a channel whose shared queue holds at most `capacity`
+    /// values; senders block while it is full. The receiver's last drain
+    /// may hold up to `capacity` more. A zero capacity behaves as one (there
+    /// is no rendezvous mode).
     pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(capacity);
-        let depth = Arc::new(AtomicUsize::new(0));
+        let chan = Arc::new(Bounded {
+            state: Mutex::new(BoundedState {
+                queue: VecDeque::new(),
+                senders: 1,
+                receiver_alive: true,
+                receiver_parked: false,
+                blocked_senders: 0,
+            }),
+            receiver_ready: Condvar::new(),
+            space_ready: Condvar::new(),
+            capacity: capacity.max(1),
+            queued: AtomicUsize::new(0),
+        });
         (
             Sender {
-                kind: SenderKind::Bounded(tx),
-                depth: Arc::clone(&depth),
+                flavor: SenderFlavor::Array(Arc::clone(&chan)),
             },
-            Receiver { rx, depth },
+            Receiver {
+                flavor: ReceiverFlavor::Array {
+                    chan,
+                    local: RefCell::new(VecDeque::new()),
+                },
+            },
         )
     }
 
     #[cfg(test)]
     mod tests {
-        use super::{bounded, unbounded};
+        use super::{bounded, unbounded, Bounded, SendError, Sender, SenderFlavor, TrySendError};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
 
         #[test]
         fn unbounded_round_trip_and_drain() {
@@ -291,12 +483,19 @@ pub mod channel {
             let (tx, rx) = unbounded::<u8>();
             drop(tx);
             assert!(rx.recv().is_err());
+            let (tx, rx) = bounded::<u8>(4);
+            drop(rx);
+            assert!(tx.send(1).is_err());
+            let (tx, rx) = bounded::<u8>(4);
+            tx.send(1).unwrap();
+            drop(tx);
+            assert_eq!(rx.recv(), Ok(1));
+            assert!(rx.recv().is_err());
         }
 
         #[test]
         fn try_send_reports_full_and_disconnected() {
-            use super::TrySendError;
-            let (tx, rx) = super::bounded(1);
+            let (tx, rx) = bounded(1);
             assert!(tx.try_send(1).is_ok());
             assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
             assert_eq!(rx.recv(), Ok(1));
@@ -305,7 +504,7 @@ pub mod channel {
             // The queued value is lost with the receiver; further sends
             // report disconnection.
             assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
-            let (tx, rx) = super::unbounded::<u8>();
+            let (tx, rx) = unbounded::<u8>();
             assert!(tx.try_send(9).is_ok());
             assert_eq!(rx.recv(), Ok(9));
             drop(rx);
@@ -319,7 +518,6 @@ pub mod channel {
             tx.send(1).unwrap();
             tx.send(2).unwrap();
             tx.send(3).unwrap();
-            assert_eq!(tx.len(), 3);
             assert_eq!(rx.len(), 3);
             assert_eq!(rx.recv(), Ok(1));
             assert_eq!(rx.len(), 2);
@@ -328,6 +526,136 @@ pub mod channel {
             drop(tx);
             let rest: Vec<i32> = rx.into_iter().collect();
             assert_eq!(rest, vec![3]);
+        }
+
+        #[test]
+        fn bounded_order_is_fifo_across_drains_with_cloned_senders() {
+            let (tx, rx) = bounded(3);
+            let tx2 = tx.clone();
+            tx.send(1).unwrap();
+            tx2.send(2).unwrap();
+            tx.send(3).unwrap();
+            // The first receive drains all three into the local buffer;
+            // later sends queue behind them.
+            assert_eq!(rx.recv(), Ok(1));
+            tx2.send(4).unwrap();
+            tx.send(5).unwrap();
+            assert_eq!(rx.recv(), Ok(2));
+            tx2.send(6).unwrap();
+            drop((tx, tx2));
+            let rest: Vec<i32> = rx.iter().collect();
+            assert_eq!(rest, vec![3, 4, 5, 6]);
+        }
+
+        /// The shared state of a bounded channel, seen from its sender.
+        fn shared<T>(tx: &Sender<T>) -> &Bounded<T> {
+            match &tx.flavor {
+                SenderFlavor::Array(chan) => chan,
+                SenderFlavor::List(_) => panic!("not a bounded channel"),
+            }
+        }
+
+        #[test]
+        fn bounded_sender_blocked_on_full_queue_resumes_after_a_drain() {
+            let (tx, rx) = bounded(2);
+            tx.send(0).unwrap();
+            tx.send(1).unwrap();
+            let probe = tx.clone();
+            let sent = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&sent);
+            let handle = std::thread::spawn(move || {
+                tx.send(2).unwrap();
+                flag.store(true, Ordering::SeqCst);
+            });
+            while shared(&probe).lock().blocked_senders == 0 {
+                std::thread::yield_now();
+            }
+            assert!(!sent.load(Ordering::SeqCst), "send must block while full");
+            assert_eq!(rx.recv(), Ok(0));
+            handle.join().unwrap();
+            assert!(sent.load(Ordering::SeqCst));
+            drop(probe);
+            let rest: Vec<i32> = rx.iter().collect();
+            assert_eq!(rest, vec![1, 2]);
+        }
+
+        #[test]
+        fn dropping_the_receiver_unblocks_a_sender_with_an_error() {
+            let (tx, rx) = bounded(1);
+            tx.send(0).unwrap();
+            let probe = tx.clone();
+            let handle = std::thread::spawn(move || tx.send(1));
+            while shared(&probe).lock().blocked_senders == 0 {
+                std::thread::yield_now();
+            }
+            drop(rx);
+            assert_eq!(handle.join().unwrap(), Err(SendError(1)));
+        }
+
+        #[test]
+        fn bounded_len_counts_the_local_buffer() {
+            let (tx, rx) = bounded(4);
+            for i in 0..4 {
+                tx.send(i).unwrap();
+            }
+            assert_eq!(rx.recv(), Ok(0));
+            // Three messages wait in the receiver's local buffer and the
+            // shared queue is empty; they still count.
+            assert_eq!(rx.len(), 3);
+            tx.send(4).unwrap();
+            assert_eq!(rx.len(), 4);
+            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(rx.len(), 3);
+        }
+
+        #[test]
+        fn bounded_try_recv_serves_the_local_buffer_first() {
+            let (tx, rx) = bounded(2);
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            assert_eq!(rx.try_recv(), Some(1)); // drains 1 and 2
+            tx.send(3).unwrap();
+            assert_eq!(rx.try_recv(), Some(2)); // from the local buffer
+            assert_eq!(rx.try_recv(), Some(3)); // drains the shared queue
+            assert_eq!(rx.try_recv(), None);
+            drop(tx);
+            assert_eq!(rx.try_recv(), None);
+        }
+
+        #[test]
+        fn bounded_receiver_wakes_when_the_last_sender_leaves() {
+            let (tx, rx) = bounded::<u8>(1);
+            let handle = std::thread::spawn(move || rx.recv());
+            while !shared(&tx).lock().receiver_parked {
+                std::thread::yield_now();
+            }
+            drop(tx);
+            assert!(handle.join().unwrap().is_err());
+        }
+
+        #[test]
+        fn bounded_many_senders_deliver_everything_in_per_sender_order() {
+            let (tx, rx) = bounded(3);
+            let handles: Vec<_> = (0..4u32)
+                .map(|s| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..500u32 {
+                            tx.send((s, i)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let mut next = [0u32; 4];
+            for (s, i) in rx.iter() {
+                assert_eq!(i, next[s as usize], "sender {s} out of order");
+                next[s as usize] += 1;
+            }
+            for handle in handles {
+                handle.join().unwrap();
+            }
+            assert_eq!(next, [500; 4]);
         }
     }
 }

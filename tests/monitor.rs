@@ -10,8 +10,9 @@ use dice_eval::experiments::run_command;
 use dice_types::{DeviceRegistry, EventLog, Room, SensorKind, SensorReading, TimeDelta, Timestamp};
 
 /// Trains a 3-sensor model and persists it plus a 60-minute live CSV (one
-/// sensor failed-stop halfway) under a fresh temp directory.
-fn materialize() -> (String, String) {
+/// sensor failed-stop halfway) under a temp directory of the calling test's
+/// own, so tests running in parallel never write each other's files.
+fn materialize(test: &str) -> (String, String) {
     let mut registry = DeviceRegistry::new();
     let s0 = registry.add_sensor(SensorKind::Motion, "s0", Room::Kitchen);
     let s1 = registry.add_sensor(SensorKind::Motion, "s1", Room::Kitchen);
@@ -43,7 +44,7 @@ fn materialize() -> (String, String) {
         }
     }
 
-    let dir = std::env::temp_dir().join(format!("dice-test-monitor-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("dice-test-monitor-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let model_path = dir.join("model.dice");
     let file = std::fs::File::create(&model_path).expect("model file");
@@ -59,7 +60,7 @@ fn materialize() -> (String, String) {
 
 #[test]
 fn monitor_once_render_is_byte_stable() {
-    let (model, csv) = materialize();
+    let (model, csv) = materialize("byte-stable");
     let args = ["--once", "--health", model.as_str(), csv.as_str()];
     let first = run_command("monitor", &args).expect("monitor runs");
     let second = run_command("monitor", &args).expect("monitor runs again");
@@ -96,7 +97,7 @@ fn monitor_once_render_is_byte_stable() {
 
 #[test]
 fn monitor_live_mode_matches_once_totals() {
-    let (model, csv) = materialize();
+    let (model, csv) = materialize("live-vs-once");
     let once =
         run_command("monitor", &["--once", model.as_str(), csv.as_str()]).expect("once mode runs");
     let live = run_command("monitor", &[model.as_str(), csv.as_str()]).expect("live mode runs");

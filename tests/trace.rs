@@ -194,7 +194,8 @@ fn tracing_is_free_when_off_and_allocation_free_when_on() {
     // 3. End to end: trace an s1 fail-stop through a JSONL sink, then parse
     //    the file back and render the explanation — it must name the device
     //    the engine flagged.
-    let path = std::env::temp_dir().join("dice_trace_test_e2e.jsonl");
+    let path =
+        std::env::temp_dir().join(format!("dice_trace_test_e2e-{}.jsonl", std::process::id()));
     let reports = {
         let file = std::fs::File::create(&path).unwrap();
         let mut engine = DiceEngine::with_options(
