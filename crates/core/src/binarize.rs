@@ -69,7 +69,7 @@ impl Thresholds {
 /// [`MeanAccumulator`], so trainers over disjoint chunks of the period can
 /// be [`ThresholdTrainer::merge`]d into bit-for-bit the same thresholds as
 /// one serial pass — the pass-one half of the parallel trainer
-/// (see [`crate::train_par`]).
+/// (see [`crate::ParallelTrainer`]).
 #[derive(Debug, Clone)]
 pub struct ThresholdTrainer {
     means: Vec<MeanAccumulator>,

@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dice_telemetry::{saturating_ns, Counter, EngineMetrics, LocalHistogram, Telemetry};
+use dice_telemetry::{saturating_ns, Counter, EngineMetrics, LocalSketch, Telemetry};
 use dice_types::{DeviceId, Event, GroupId, TimeDelta, Timestamp};
 
 use crate::binarize::{BinarizeScratch, WindowObservation};
@@ -271,7 +271,7 @@ pub struct EngineOptions {
     /// If set, a device in the current probable set whose combined weight
     /// reaches this threshold is alarmed immediately.
     pub early_fire_threshold: Option<f64>,
-    /// Telemetry sink for per-window counters, latency histograms, and
+    /// Telemetry sink for per-window counters, latency sketches, and
     /// fault-report events. Defaults to [`Telemetry::global`] (a no-op sink
     /// unless `Telemetry::install_global` ran), so engines constructed
     /// anywhere in the stack report to the process-wide recorder when one
@@ -383,23 +383,19 @@ pub struct DiceEngine<M: Borrow<DiceModel>> {
 }
 
 /// Engine-local telemetry buffers for the metrics touched on every window
-/// (the three latency histograms plus the windows / main-group-hit
-/// counters): the hot path does plain integer bumps, published every
-/// [`TelBatch::FLUSH_EVERY`] windows, at stream boundaries, and on drop.
-/// Rare-path metrics (violations, scan stats, reports) stay immediate.
+/// (the three check-latency sketches, whole-window detection time, and the
+/// windows / main-group-hit counters): the hot path does plain integer
+/// bumps, published every [`TelBatch::FLUSH_EVERY`] windows, at stream
+/// boundaries, and on drop. Rare-path metrics (violations, scan stats,
+/// reports) stay immediate.
 #[derive(Debug)]
 struct TelBatch {
-    corr_ns: LocalHistogram,
-    trans_ns: LocalHistogram,
-    ident_ns: LocalHistogram,
-    /// Per-check latency quantile sketch, buffered like the histograms —
-    /// four direct sketch records per window measured as ~5% of replay
-    /// time on hosts with slow atomic read-modify-writes.
-    check_ns: dice_telemetry::LocalSketch,
-    /// Whole-window detection latency quantile sketch, buffered.
-    detection_ns: dice_telemetry::LocalSketch,
-    windows_total: Arc<dice_telemetry::Counter>,
-    main_group_hits_total: Arc<dice_telemetry::Counter>,
+    corr_ns: LocalSketch,
+    trans_ns: LocalSketch,
+    ident_ns: LocalSketch,
+    detection_ns: LocalSketch,
+    windows_total: Arc<Counter>,
+    main_group_hits_total: Arc<Counter>,
     windows_n: u64,
     main_hits_n: u64,
     since_flush: u32,
@@ -410,11 +406,10 @@ impl TelBatch {
 
     fn new(metrics: &EngineMetrics) -> Self {
         TelBatch {
-            corr_ns: LocalHistogram::new(Arc::clone(&metrics.correlation_check_ns)),
-            trans_ns: LocalHistogram::new(Arc::clone(&metrics.transition_check_ns)),
-            ident_ns: LocalHistogram::new(Arc::clone(&metrics.identification_ns)),
-            check_ns: dice_telemetry::LocalSketch::new(Arc::clone(&metrics.check_ns)),
-            detection_ns: dice_telemetry::LocalSketch::new(Arc::clone(&metrics.detection_ns)),
+            corr_ns: LocalSketch::new(Arc::clone(&metrics.correlation_check_ns)),
+            trans_ns: LocalSketch::new(Arc::clone(&metrics.transition_check_ns)),
+            ident_ns: LocalSketch::new(Arc::clone(&metrics.identification_ns)),
+            detection_ns: LocalSketch::new(Arc::clone(&metrics.detection_ns)),
             windows_total: Arc::clone(&metrics.windows_total),
             main_group_hits_total: Arc::clone(&metrics.main_group_hits_total),
             windows_n: 0,
@@ -427,7 +422,6 @@ impl TelBatch {
         self.corr_ns.flush();
         self.trans_ns.flush();
         self.ident_ns.flush();
-        self.check_ns.flush();
         self.detection_ns.flush();
         if self.windows_n > 0 {
             self.windows_total.add(self.windows_n);
@@ -446,11 +440,10 @@ impl Clone for TelBatch {
     /// buffered samples belong to the engine that measured them.
     fn clone(&self) -> Self {
         TelBatch {
-            corr_ns: LocalHistogram::new(Arc::clone(self.corr_ns.shared())),
-            trans_ns: LocalHistogram::new(Arc::clone(self.trans_ns.shared())),
-            ident_ns: LocalHistogram::new(Arc::clone(self.ident_ns.shared())),
-            check_ns: dice_telemetry::LocalSketch::new(Arc::clone(self.check_ns.shared())),
-            detection_ns: dice_telemetry::LocalSketch::new(Arc::clone(self.detection_ns.shared())),
+            corr_ns: LocalSketch::new(Arc::clone(self.corr_ns.shared())),
+            trans_ns: LocalSketch::new(Arc::clone(self.trans_ns.shared())),
+            ident_ns: LocalSketch::new(Arc::clone(self.ident_ns.shared())),
+            detection_ns: LocalSketch::new(Arc::clone(self.detection_ns.shared())),
             windows_total: Arc::clone(&self.windows_total),
             main_group_hits_total: Arc::clone(&self.main_group_hits_total),
             windows_n: 0,
@@ -772,11 +765,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
 
     /// [`DiceEngine::process_window`] with the candidate scan already
     /// resolved: the caller ran this window's state set through a batched
-    /// scan (see [`RoutedScanIndex::candidates_batch_into`]
-    /// (crate::RoutedScanIndex::candidates_batch_into)) and hands the result
-    /// in, so the engine skips its own per-window scan. Everything else —
-    /// binarization, the checks, identification — is bit-identical to the
-    /// unbatched path.
+    /// scan (see [`crate::RoutedScanIndex::candidates_batch_into`]) and
+    /// hands the result in, so the engine skips its own per-window scan.
+    /// Everything else — binarization, the checks, identification — is
+    /// bit-identical to the unbatched path.
     ///
     /// The prescan is consulted only when the window fails the correlation
     /// check; for an exact-match window it is ignored, so a caller may
@@ -909,13 +901,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             if let Some(batch) = self.tel_batch.as_mut() {
                 batch.windows_n += 1;
                 batch.corr_ns.record(saturating_ns(corr_ns));
-                batch.check_ns.record(saturating_ns(corr_ns));
                 if transition_checked {
                     batch.trans_ns.record(saturating_ns(trans_ns));
-                    batch.check_ns.record(saturating_ns(trans_ns));
                 }
                 batch.ident_ns.record(saturating_ns(ident_ns));
-                batch.check_ns.record(saturating_ns(ident_ns));
                 batch
                     .detection_ns
                     .record(saturating_ns(corr_ns + trans_ns + ident_ns));
@@ -1718,12 +1707,18 @@ mod tests {
             snapshot.gauge("dice_engine_scan_backend"),
             Some(engine.scan_backend().gauge_value())
         );
-        // The latency histograms see the same windows CostProfile does.
-        let (corr_count, corr_sum) = snapshot
-            .histogram("dice_engine_correlation_check_ns")
-            .unwrap();
-        assert_eq!(corr_count, engine.cost_profile().windows);
-        assert_eq!(u128::from(corr_sum), engine.cost_profile().correlation_ns);
+        // The check-latency sketches see the same windows and nanoseconds
+        // CostProfile does.
+        let cost = engine.cost_profile();
+        let (corr_count, corr_sum) = snapshot.sketch("dice_engine_correlation_check_ns").unwrap();
+        assert_eq!(corr_count, cost.windows);
+        assert_eq!(u128::from(corr_sum), cost.correlation_ns);
+        let (trans_count, trans_sum) = snapshot.sketch("dice_engine_transition_check_ns").unwrap();
+        assert!(trans_count > 0 && trans_count <= cost.windows);
+        assert_eq!(u128::from(trans_sum), cost.transition_ns);
+        let (ident_count, ident_sum) = snapshot.sketch("dice_engine_identification_ns").unwrap();
+        assert_eq!(ident_count, cost.windows);
+        assert_eq!(u128::from(ident_sum), cost.identification_ns);
         // Each report surfaced as a ring event.
         let recorder = telemetry.recorder().unwrap();
         let events = recorder.events.snapshot();

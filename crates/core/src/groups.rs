@@ -279,7 +279,7 @@ impl GroupTable {
     /// `other`'s id order. Because chunk-local tables assign ids by first
     /// occurrence within the chunk, merging chunk tables in time order
     /// reproduces exactly the serial first-seen-in-time-order id assignment
-    /// (the parallel trainer's determinism hinge; see [`crate::train_par`]).
+    /// (the parallel trainer's determinism hinge; see [`crate::merge_partials`]).
     ///
     /// # Panics
     ///

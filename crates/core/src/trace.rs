@@ -264,7 +264,7 @@ fn rebuild_bitset(bits: usize, words: &[u64]) -> Option<BitSet> {
 
 /// A bounded ring of recent [`DecisionTrace`]s with overwrite-oldest
 /// semantics and drop counting, built on the shared
-/// [`SlotRing`](dice_telemetry::SlotRing).
+/// [`SlotRing`].
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: SlotRing<DecisionTrace>,

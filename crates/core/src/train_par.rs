@@ -662,7 +662,7 @@ mod tests {
             Some(model.training_windows())
         );
         assert_eq!(snapshot.counter("dice_train_chunks_total"), Some(4));
-        let (merges, _) = snapshot.histogram("dice_train_merge_ns").unwrap();
+        let (merges, _) = snapshot.sketch("dice_train_merge_ns").unwrap();
         assert_eq!(merges, 1);
         let recorder = telemetry.recorder().unwrap();
         assert!(recorder.metrics.train.workers.get() >= 1);

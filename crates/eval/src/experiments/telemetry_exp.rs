@@ -3,7 +3,7 @@
 //! CI's telemetry-smoke job runs `dice-repro --telemetry out.json ...` and
 //! then `dice-repro telemetry-check out.json`: the check fails unless the
 //! file is a schema-versioned snapshot containing every metric in the
-//! catalog, with internally consistent histograms.
+//! catalog, with well-formed sketch and family rows.
 
 use dice_telemetry::{json_parse, validate_snapshot_json, Value};
 

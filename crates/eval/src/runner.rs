@@ -23,7 +23,7 @@ use rayon::prelude::*;
 use crate::metrics::{DetectionCounts, IdentificationCounts, LatencyStats};
 
 /// Runs `body` as one evaluation trial, recording its wall-clock duration
-/// into the process-global telemetry (trial count, per-trial histogram, and
+/// into the process-global telemetry (trial count, per-trial sketch, and
 /// worker busy time). A no-op wrapper when no recorder is installed.
 fn timed_trial<T>(body: impl FnOnce() -> T) -> T {
     let telemetry = Telemetry::global();

@@ -9,40 +9,8 @@
 use std::sync::Arc;
 
 use crate::family::Family;
-use crate::registry::{Counter, Gauge, Histogram, Registry};
+use crate::registry::{Counter, Gauge, Registry};
 use crate::sketch::QuantileSketch;
-
-/// Latency bucket bounds in nanoseconds: powers of four from 1 µs to 4 s.
-pub const LATENCY_BOUNDS_NS: [u64; 12] = [
-    1_000,
-    4_000,
-    16_000,
-    64_000,
-    256_000,
-    1_000_000,
-    4_000_000,
-    16_000_000,
-    64_000_000,
-    256_000_000,
-    1_000_000_000,
-    4_000_000_000,
-];
-
-/// Trial-duration bucket bounds in nanoseconds: 1 ms to ~4 min.
-pub const TRIAL_BOUNDS_NS: [u64; 9] = [
-    1_000_000,
-    4_000_000,
-    16_000_000,
-    64_000_000,
-    256_000_000,
-    1_000_000_000,
-    4_000_000_000,
-    16_000_000_000,
-    256_000_000_000,
-];
-
-/// Identification-convergence bucket bounds, in windows.
-pub const WINDOW_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Cardinality cap for per-shard metric labels. Shards below the cap get
 /// their own `shard="s<n>"` child; anything beyond shares one overflow
@@ -97,21 +65,18 @@ pub struct EngineMetrics {
     /// Fault reports that converged below `numThre`.
     pub reports_conclusive_total: Arc<Counter>,
     /// Wall-clock time of binarization + the correlation check, per window.
-    pub correlation_check_ns: Arc<Histogram>,
+    pub correlation_check_ns: Arc<QuantileSketch>,
     /// Wall-clock time of the transition check, per checked window.
-    pub transition_check_ns: Arc<Histogram>,
+    pub transition_check_ns: Arc<QuantileSketch>,
     /// Wall-clock time of the identification step, per window.
-    pub identification_ns: Arc<Histogram>,
+    pub identification_ns: Arc<QuantileSketch>,
     /// Windows from detection to an emitted report.
-    pub identification_windows: Arc<Histogram>,
+    pub identification_windows: Arc<QuantileSketch>,
     /// Layout fingerprint of the most recently constructed engine's model,
     /// folded to the non-negative `i64` range. Snapshots carry it so
     /// `dice-lint` can check a telemetry export against the model and trace
     /// files it was recorded with.
     pub model_layout_fingerprint: Arc<Gauge>,
-    /// Quantile sketch over individual check durations (correlation,
-    /// transition, and identification samples pooled).
-    pub check_ns: Arc<QuantileSketch>,
     /// Quantile sketch over whole-window detection time (all checks).
     pub detection_ns: Arc<QuantileSketch>,
 }
@@ -173,38 +138,29 @@ impl EngineMetrics {
                 "dice_engine_reports_conclusive_total",
                 "Fault reports that converged below numThre",
             ),
-            correlation_check_ns: r.histogram(
+            correlation_check_ns: r.sketch(
                 "dice_engine_correlation_check_ns",
                 "Binarization + correlation check time per window",
                 "ns",
-                &LATENCY_BOUNDS_NS,
             ),
-            transition_check_ns: r.histogram(
+            transition_check_ns: r.sketch(
                 "dice_engine_transition_check_ns",
                 "Transition check time per checked window",
                 "ns",
-                &LATENCY_BOUNDS_NS,
             ),
-            identification_ns: r.histogram(
+            identification_ns: r.sketch(
                 "dice_engine_identification_ns",
                 "Identification time per window",
                 "ns",
-                &LATENCY_BOUNDS_NS,
             ),
-            identification_windows: r.histogram(
+            identification_windows: r.sketch(
                 "dice_engine_identification_windows",
                 "Windows from detection to report",
                 "windows",
-                &WINDOW_BOUNDS,
             ),
             model_layout_fingerprint: r.gauge(
                 "dice_engine_model_layout_fingerprint",
                 "Layout fingerprint of the active model (0 before any engine ran)",
-            ),
-            check_ns: r.sketch(
-                "dice_engine_check_ns",
-                "Per-check latency quantiles (correlation, transition, identification pooled)",
-                "ns",
             ),
             detection_ns: r.sketch(
                 "dice_engine_detection_ns",
@@ -478,7 +434,7 @@ pub struct EvalMetrics {
     /// Datasets trained.
     pub datasets_total: Arc<Counter>,
     /// Wall-clock duration of one trial.
-    pub trial_ns: Arc<Histogram>,
+    pub trial_ns: Arc<QuantileSketch>,
     /// Sum of per-trial durations (worker busy time).
     pub worker_busy_ns: Arc<Counter>,
     /// Wall-clock time inside parallel evaluation sections.
@@ -492,11 +448,10 @@ impl EvalMetrics {
         EvalMetrics {
             trials_total: r.counter("dice_eval_trials_total", "Evaluation trials executed"),
             datasets_total: r.counter("dice_eval_datasets_total", "Datasets trained"),
-            trial_ns: r.histogram(
+            trial_ns: r.sketch(
                 "dice_eval_trial_ns",
                 "Wall-clock duration of one trial",
                 "ns",
-                &TRIAL_BOUNDS_NS,
             ),
             worker_busy_ns: r.counter(
                 "dice_eval_worker_busy_ns",
@@ -532,7 +487,7 @@ pub struct TrainMetrics {
     /// Chunks extracted by parallel training runs.
     pub chunks_total: Arc<Counter>,
     /// Wall-clock time of one deterministic partial-model merge.
-    pub merge_ns: Arc<Histogram>,
+    pub merge_ns: Arc<QuantileSketch>,
     /// Sum of per-chunk extraction durations (worker busy time).
     pub worker_busy_ns: Arc<Counter>,
     /// Wall-clock time inside parallel training sections.
@@ -552,11 +507,10 @@ impl TrainMetrics {
                 "dice_train_chunks_total",
                 "Chunks extracted by parallel training runs",
             ),
-            merge_ns: r.histogram(
+            merge_ns: r.sketch(
                 "dice_train_merge_ns",
                 "Deterministic partial-model merge time",
                 "ns",
-                &LATENCY_BOUNDS_NS,
             ),
             worker_busy_ns: r.counter(
                 "dice_train_worker_busy_ns",
@@ -594,7 +548,7 @@ pub struct TraceMetrics {
     /// Bytes of JSONL trace evidence written by sinks.
     pub snapshot_bytes_total: Arc<Counter>,
     /// Wall-clock time to render one `explain` narrative.
-    pub explain_render_ns: Arc<Histogram>,
+    pub explain_render_ns: Arc<QuantileSketch>,
 }
 
 impl TraceMetrics {
@@ -612,11 +566,10 @@ impl TraceMetrics {
                 "dice_trace_snapshot_bytes_total",
                 "Bytes of JSONL trace evidence written",
             ),
-            explain_render_ns: r.histogram(
+            explain_render_ns: r.sketch(
                 "dice_trace_explain_render_ns",
                 "Time to render one explain narrative",
                 "ns",
-                &LATENCY_BOUNDS_NS,
             ),
         }
     }

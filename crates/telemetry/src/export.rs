@@ -11,8 +11,9 @@ use crate::ring::{EventRing, TelemetryEvent};
 
 /// The JSON snapshot schema version. Bump when keys change shape.
 /// Schema 2 added the `sketches` and `families` sections; schema 3 added
-/// `sketch_families`.
-pub const SNAPSHOT_SCHEMA: u32 = 3;
+/// `sketch_families`; schema 4 dropped the fixed-bucket section, every
+/// distribution now being a sketch.
+pub const SNAPSHOT_SCHEMA: u32 = 4;
 
 /// Whether `name` is a valid Prometheus metric name
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
@@ -60,7 +61,6 @@ pub const SNAPSHOT_KIND: &str = "dice-telemetry-snapshot";
 pub struct Snapshot {
     counters: Vec<CounterRow>,
     gauges: Vec<GaugeRow>,
-    histograms: Vec<HistogramRow>,
     sketches: Vec<SketchRow>,
     families: Vec<FamilyRow>,
     sketch_families: Vec<SketchFamilyRow>,
@@ -80,18 +80,6 @@ struct GaugeRow {
     name: &'static str,
     help: &'static str,
     value: i64,
-}
-
-#[derive(Debug, Clone)]
-struct HistogramRow {
-    name: &'static str,
-    help: &'static str,
-    unit: &'static str,
-    bounds: Vec<u64>,
-    /// Cumulative counts per bound, then the total (the `+Inf` bucket).
-    cumulative: Vec<u64>,
-    sum: u64,
-    count: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -151,7 +139,6 @@ impl Snapshot {
     pub fn collect(registry: &Registry, events: &EventRing) -> Self {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
         let mut sketches = Vec::new();
         let mut families = Vec::new();
         let mut sketch_families = Vec::new();
@@ -171,25 +158,6 @@ impl Snapshot {
                         name: entry.name,
                         help: entry.help,
                         value: gauge.get(),
-                    });
-                }
-                MetricKind::Histogram => {
-                    let histogram = entry.as_histogram().expect("kind checked");
-                    let buckets = histogram.bucket_counts();
-                    let mut cumulative = Vec::with_capacity(buckets.len());
-                    let mut running = 0u64;
-                    for count in &buckets {
-                        running += count;
-                        cumulative.push(running);
-                    }
-                    histograms.push(HistogramRow {
-                        name: entry.name,
-                        help: entry.help,
-                        unit: entry.unit,
-                        bounds: histogram.bounds().to_vec(),
-                        cumulative,
-                        sum: histogram.sum(),
-                        count: running,
                     });
                 }
                 MetricKind::Sketch => {
@@ -263,7 +231,6 @@ impl Snapshot {
         Snapshot {
             counters,
             gauges,
-            histograms,
             sketches,
             families,
             sketch_families,
@@ -283,14 +250,6 @@ impl Snapshot {
     /// The value of a gauge by name, if present.
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
-    }
-
-    /// The (count, sum) of a histogram by name, if present.
-    pub fn histogram(&self, name: &str) -> Option<(u64, u64)> {
-        self.histograms
-            .iter()
-            .find(|h| h.name == name)
-            .map(|h| (h.count, h.sum))
     }
 
     /// The (count, sum) of a quantile sketch by name, if present.
@@ -369,39 +328,6 @@ impl Snapshot {
         for (i, row) in self.gauges.iter().enumerate() {
             let comma = if i + 1 < self.gauges.len() { "," } else { "" };
             let _ = writeln!(out, "    \"{}\": {}{comma}", row.name, row.value);
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"histograms\": {\n");
-        for (i, row) in self.histograms.iter().enumerate() {
-            let _ = writeln!(out, "    \"{}\": {{", row.name);
-            let _ = writeln!(out, "      \"unit\": \"{}\",", json::escape(row.unit));
-            let _ = writeln!(out, "      \"count\": {},", row.count);
-            let _ = writeln!(out, "      \"sum\": {},", row.sum);
-            out.push_str("      \"buckets\": [");
-            for (j, (&bound, &cum)) in row.bounds.iter().zip(&row.cumulative).enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{{\"le\": {bound}, \"count\": {cum}}}");
-            }
-            if row.cumulative.len() > row.bounds.len() {
-                // Overflow bucket: le is null, meaning +Inf.
-                if !row.bounds.is_empty() {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"le\": null, \"count\": {}}}",
-                    row.cumulative[row.cumulative.len() - 1]
-                );
-            }
-            out.push_str("]\n");
-            let comma = if i + 1 < self.histograms.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "    }}{comma}");
         }
         out.push_str("  },\n");
         out.push_str("  \"sketches\": {\n");
@@ -509,8 +435,8 @@ impl Snapshot {
 
     /// Renders the registry in the Prometheus text exposition format.
     ///
-    /// Histograms follow the `_bucket{le=...}` / `_sum` / `_count`
-    /// convention with cumulative buckets ending at `le="+Inf"`.
+    /// Sketches render as summaries: `{quantile="0.5"|"0.95"|"0.99"}`
+    /// estimates (omitted while empty) plus the `_sum` / `_count` pair.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
         for row in &self.counters {
@@ -522,16 +448,6 @@ impl Snapshot {
             let _ = writeln!(out, "# HELP {} {}", row.name, row.help);
             let _ = writeln!(out, "# TYPE {} gauge", row.name);
             let _ = writeln!(out, "{} {}", row.name, row.value);
-        }
-        for row in &self.histograms {
-            let _ = writeln!(out, "# HELP {} {}", row.name, row.help);
-            let _ = writeln!(out, "# TYPE {} histogram", row.name);
-            for (&bound, &cum) in row.bounds.iter().zip(&row.cumulative) {
-                let _ = writeln!(out, "{}_bucket{{le=\"{bound}\"}} {cum}", row.name);
-            }
-            let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", row.name, row.count);
-            let _ = writeln!(out, "{}_sum {}", row.name, row.sum);
-            let _ = writeln!(out, "{}_count {}", row.name, row.count);
         }
         for row in &self.sketches {
             let _ = writeln!(out, "# HELP {} {}", row.name, row.help);
@@ -583,9 +499,9 @@ impl Snapshot {
 }
 
 /// Validates a JSON snapshot document against the documented schema:
-/// schema version, kind discriminator, the four sections, and presence of
-/// every metric in the [`DiceMetrics`] catalog with internally consistent
-/// histogram buckets.
+/// schema version, kind discriminator, the metric sections, and presence of
+/// every metric in the [`DiceMetrics`] catalog with well-formed sketch and
+/// family rows.
 ///
 /// # Errors
 ///
@@ -611,7 +527,6 @@ pub fn validate_snapshot_json(document: &str) -> Result<(), String> {
 
     let counters = section(root, "counters")?;
     let gauges = section(root, "gauges")?;
-    let histograms = section(root, "histograms")?;
     let sketches = section(root, "sketches")?;
     let families = section(root, "families")?;
     let sketch_families = section(root, "sketch_families")?;
@@ -629,7 +544,6 @@ pub fn validate_snapshot_json(document: &str) -> Result<(), String> {
         let (map, label) = match entry.kind() {
             MetricKind::Counter => (counters, "counters"),
             MetricKind::Gauge => (gauges, "gauges"),
-            MetricKind::Histogram => (histograms, "histograms"),
             MetricKind::Sketch => (sketches, "sketches"),
             MetricKind::CounterFamily | MetricKind::GaugeFamily => (families, "families"),
             MetricKind::SketchFamily => (sketch_families, "sketch_families"),
@@ -710,39 +624,6 @@ pub fn validate_snapshot_json(document: &str) -> Result<(), String> {
         }
     }
 
-    for (name, histogram) in histograms {
-        let count = histogram
-            .get("count")
-            .and_then(Value::as_num)
-            .ok_or_else(|| format!("histogram {name:?} missing count"))?;
-        let buckets = histogram
-            .get("buckets")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("histogram {name:?} missing buckets"))?;
-        let mut previous = 0.0;
-        for bucket in buckets {
-            let cum = bucket
-                .get("count")
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("histogram {name:?} bucket missing count"))?;
-            if cum < previous {
-                return Err(format!("histogram {name:?} buckets are not cumulative"));
-            }
-            previous = cum;
-        }
-        if let Some(last) = buckets.last() {
-            let total = last.get("count").and_then(Value::as_num).unwrap_or(-1.0);
-            if (total - count).abs() > 0.5 {
-                return Err(format!(
-                    "histogram {name:?} +Inf bucket {total} != count {count}"
-                ));
-            }
-        }
-        histogram
-            .get("unit")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("histogram {name:?} missing unit"))?;
-    }
     Ok(())
 }
 
@@ -840,19 +721,16 @@ mod tests {
                 .as_num(),
             Some(9.0)
         );
-        let h = parsed
-            .get("histograms")
+        let corr = parsed
+            .get("sketches")
             .unwrap()
             .get("dice_engine_correlation_check_ns")
             .unwrap();
-        assert_eq!(h.get("count").unwrap().as_num(), Some(2.0));
-        // Overflow sample lands in the +Inf (le: null) bucket.
-        let buckets = h.get("buckets").unwrap().as_arr().unwrap();
-        assert_eq!(buckets.last().unwrap().get("le"), Some(&Value::Null));
-        assert_eq!(
-            buckets.last().unwrap().get("count").unwrap().as_num(),
-            Some(2.0)
-        );
+        assert_eq!(corr.get("count").unwrap().as_num(), Some(2.0));
+        assert_eq!(corr.get("sum").unwrap().as_num(), Some(9_000_005_000.0));
+        // The 9 s outlier is the p99, within the sketch's error bound.
+        let p99 = corr.get("p99").unwrap().as_num().unwrap();
+        assert!((9e9..=9e9 * (1.0 + crate::SKETCH_RELATIVE_ERROR)).contains(&p99));
         let event = &parsed.get("events").unwrap().as_arr().unwrap()[0];
         assert_eq!(
             event.get("message").unwrap().as_str(),
@@ -892,7 +770,7 @@ mod tests {
         assert!(text.contains("dice_engine_windows_total 42"));
         assert!(text.contains("# TYPE dice_gateway_channel_depth gauge"));
         assert!(text.contains("dice_gateway_channel_depth 9"));
-        assert!(text.contains("dice_engine_correlation_check_ns_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("# TYPE dice_engine_correlation_check_ns summary"));
         assert!(text.contains("dice_engine_correlation_check_ns_count 2"));
         assert!(text.contains("dice_engine_correlation_check_ns_sum 9000005000"));
         assert!(text.contains("# TYPE dice_engine_detection_ns summary"));
@@ -952,23 +830,45 @@ mod tests {
         assert!(validate_snapshot_json("{}").is_err());
         let wrong_schema = format!(
             "{{\"schema\": 999, \"kind\": \"{SNAPSHOT_KIND}\", \"counters\": {{}}, \
-             \"gauges\": {{}}, \"histograms\": {{}}, \"events\": [], \"dropped_events\": 0}}"
+             \"gauges\": {{}}, \"events\": [], \"dropped_events\": 0}}"
         );
         let err = validate_snapshot_json(&wrong_schema).unwrap_err();
         assert!(err.contains("schema version"), "{err}");
         let missing_metric = format!(
             "{{\"schema\": {SNAPSHOT_SCHEMA}, \"kind\": \"{SNAPSHOT_KIND}\", \"counters\": {{}}, \
-             \"gauges\": {{}}, \"histograms\": {{}}, \"sketches\": {{}}, \"families\": {{}}, \
+             \"gauges\": {{}}, \"sketches\": {{}}, \"families\": {{}}, \
              \"sketch_families\": {{}}, \"events\": [], \"dropped_events\": 0}}"
         );
         let err = validate_snapshot_json(&missing_metric).unwrap_err();
         assert!(err.contains("missing from"), "{err}");
         let no_sketches = format!(
             "{{\"schema\": {SNAPSHOT_SCHEMA}, \"kind\": \"{SNAPSHOT_KIND}\", \"counters\": {{}}, \
-             \"gauges\": {{}}, \"histograms\": {{}}, \"events\": [], \"dropped_events\": 0}}"
+             \"gauges\": {{}}, \"events\": [], \"dropped_events\": 0}}"
         );
         let err = validate_snapshot_json(&no_sketches).unwrap_err();
         assert!(err.contains("sketches"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_schema_3_documents() {
+        // A well-formed schema-3 export: every current section plus the
+        // retired fixed-bucket one. Only the version tells them apart.
+        let (registry, events) = sample();
+        let current = Snapshot::collect(&registry, &events).to_json();
+        validate_snapshot_json(&current).unwrap();
+        let schema_3 = current
+            .replacen(
+                &format!("\"schema\": {SNAPSHOT_SCHEMA}"),
+                "\"schema\": 3",
+                1,
+            )
+            .replacen(
+                "\"sketches\": {",
+                "\"histograms\": {},\n  \"sketches\": {",
+                1,
+            );
+        let err = validate_snapshot_json(&schema_3).unwrap_err();
+        assert!(err.contains("schema version 3"), "{err}");
     }
 
     #[test]
@@ -977,9 +877,7 @@ mod tests {
         let snapshot = Snapshot::collect(&registry, &events);
         assert_eq!(snapshot.counter("dice_engine_windows_total"), Some(42));
         assert_eq!(snapshot.gauge("dice_gateway_channel_depth"), Some(9));
-        let (count, sum) = snapshot
-            .histogram("dice_engine_correlation_check_ns")
-            .unwrap();
+        let (count, sum) = snapshot.sketch("dice_engine_correlation_check_ns").unwrap();
         assert_eq!(count, 2);
         assert_eq!(sum, 9_000_005_000);
         assert_eq!(snapshot.counter("nope"), None);

@@ -31,14 +31,12 @@ mod json;
 mod registry;
 mod ring;
 mod sketch;
-mod span;
 mod timeseries;
 mod trace;
 
 pub use catalog::{
     catalog_metric_names, shard_label, DiceMetrics, EngineMetrics, EvalMetrics, FleetMetrics,
-    GatewayMetrics, HealthMetrics, TimeseriesMetrics, TraceMetrics, TrainMetrics,
-    LATENCY_BOUNDS_NS, MAX_SHARD_LABELS, TRIAL_BOUNDS_NS, WINDOW_BOUNDS,
+    GatewayMetrics, HealthMetrics, TimeseriesMetrics, TraceMetrics, TrainMetrics, MAX_SHARD_LABELS,
 };
 pub use export::{
     escape_label_value, is_valid_label_name, is_valid_metric_name, snapshot_gauge_json,
@@ -50,14 +48,18 @@ pub use health::{
     RuleOutcome,
 };
 pub use json::{escape as json_escape, parse as json_parse, ParseError, Value};
-pub use registry::{Counter, Gauge, Histogram, LocalHistogram, MetricEntry, MetricKind, Registry};
+pub use registry::{Counter, Gauge, MetricEntry, MetricKind, Registry};
 pub use ring::{EventRing, TelemetryEvent};
 pub use sketch::{LocalSketch, QuantileSketch, SKETCH_RELATIVE_ERROR};
-pub use span::{saturating_ns, SpanTimer};
 pub use timeseries::{SeriesSample, TimeSeriesRecorder};
 pub use trace::SlotRing;
 
 use std::sync::{Arc, OnceLock};
+
+/// Clamps a `u128` nanosecond duration into `u64` (584 years of headroom).
+pub fn saturating_ns(ns: u128) -> u64 {
+    u64::try_from(ns).unwrap_or(u64::MAX)
+}
 
 /// How many recent events a recorder retains.
 pub const DEFAULT_EVENT_CAPACITY: usize = 256;
@@ -143,14 +145,6 @@ impl Telemetry {
         self.inner.as_deref()
     }
 
-    /// Starts a span timer against `pick(metrics)`; inert when disabled.
-    pub fn span(&self, pick: impl FnOnce(&DiceMetrics) -> &Arc<Histogram>) -> SpanTimer {
-        match &self.inner {
-            Some(recorder) => SpanTimer::start(Some(pick(&recorder.metrics))),
-            None => SpanTimer::noop(),
-        }
-    }
-
     /// A point-in-time snapshot, or `None` for the no-op sink.
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.inner.as_ref().map(|r| r.snapshot())
@@ -183,8 +177,6 @@ mod tests {
         assert!(!telemetry.is_enabled());
         assert!(telemetry.recorder().is_none());
         assert!(telemetry.snapshot().is_none());
-        let timer = telemetry.span(|m| &m.engine.correlation_check_ns);
-        assert!(!timer.is_active());
     }
 
     #[test]
@@ -204,12 +196,27 @@ mod tests {
     }
 
     #[test]
-    fn span_feeds_catalog_histogram() {
+    fn catalog_latencies_are_sketches() {
         let telemetry = Telemetry::recording();
-        telemetry.span(|m| &m.engine.identification_ns).finish();
+        let recorder = telemetry.recorder().unwrap();
+        recorder.metrics.engine.identification_ns.record(1_000);
+        recorder.metrics.engine.identification_windows.record(3);
         let snapshot = telemetry.snapshot().unwrap();
-        let (count, _) = snapshot.histogram("dice_engine_identification_ns").unwrap();
-        assert_eq!(count, 1);
+        assert_eq!(
+            snapshot.sketch("dice_engine_identification_ns"),
+            Some((1, 1_000))
+        );
+        // Values below 16 are exact, so window counts keep full precision.
+        assert_eq!(
+            snapshot.sketch_percentiles("dice_engine_identification_windows"),
+            Some((3, 3, 3))
+        );
+    }
+
+    #[test]
+    fn saturating_ns_clamps() {
+        assert_eq!(saturating_ns(42), 42);
+        assert_eq!(saturating_ns(u128::from(u64::MAX) + 1), u64::MAX);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The lock-free metrics registry and its three primitives.
+//! The lock-free metrics registry and its counter and gauge primitives.
 //!
 //! Hot-path operations ([`Counter::inc`], [`Gauge::set_max`],
-//! [`Histogram::record`]) are single relaxed atomic read-modify-writes on
+//! [`QuantileSketch::record`]) are relaxed atomic read-modify-writes on
 //! handles resolved once at registration time; the registry's mutex guards
 //! only registration and snapshotting, never a recording call.
 
@@ -65,173 +65,6 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram.
-///
-/// Bucket `i` counts samples `<= bounds[i]` (non-cumulative internally); one
-/// extra overflow bucket counts samples above every bound. The sample count
-/// is derived from the buckets at snapshot time, so a record is exactly two
-/// relaxed atomic adds (bucket + sum) after a short linear bound search.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: &'static [u64],
-    buckets: Box<[AtomicU64]>,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &'static [u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            bounds,
-            buckets,
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[self.bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// The bucket index `value` falls into (overflow bucket last).
-    #[inline]
-    pub fn bucket_index(&self, value: u64) -> usize {
-        // Bounds ascend, so the first bound >= value is a partition point;
-        // binary search beats the linear scan on the 16-bound latency
-        // ladders the catalog registers.
-        self.bounds.partition_point(|&bound| bound < value)
-    }
-
-    /// Merges a batch of pre-bucketed counts (overflow bucket last, as laid
-    /// out by [`Histogram::bucket_index`]) plus their sample sum — the flush
-    /// half of [`LocalHistogram`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` does not have one entry per bucket.
-    pub fn merge(&self, counts: &[u64], sum: u64) {
-        assert_eq!(counts.len(), self.buckets.len(), "bucket count mismatch");
-        for (bucket, &n) in self.buckets.iter().zip(counts) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        if sum > 0 {
-            self.sum.fetch_add(sum, Ordering::Relaxed);
-        }
-    }
-
-    /// The bucket upper bounds (exclusive of the overflow bucket).
-    pub fn bounds(&self) -> &'static [u64] {
-        self.bounds
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Per-bucket (non-cumulative) counts, overflow bucket last.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Mean sample value, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / count as f64
-        }
-    }
-}
-
-/// An unsynchronized accumulation buffer over a shared [`Histogram`].
-///
-/// Hot loops that record every iteration (the engine records three check
-/// latencies per window) buffer into plain integers here and publish in one
-/// [`LocalHistogram::flush`], turning two atomic read-modify-writes per
-/// sample into two per batch. Buffered samples are invisible to snapshots
-/// until flushed; dropping the buffer flushes it.
-#[derive(Debug)]
-pub struct LocalHistogram {
-    shared: Arc<Histogram>,
-    /// The shared histogram's bounds, cached so a record never chases the
-    /// `Arc` — the buffer's whole point is keeping the hot path in
-    /// engine-local memory.
-    bounds: &'static [u64],
-    counts: Box<[u64]>,
-    sum: u64,
-    pending: u64,
-}
-
-impl LocalHistogram {
-    /// Wraps `shared` with an empty local buffer.
-    pub fn new(shared: Arc<Histogram>) -> Self {
-        let bounds = shared.bounds();
-        let counts = vec![0; bounds.len() + 1].into_boxed_slice();
-        LocalHistogram {
-            shared,
-            bounds,
-            counts,
-            sum: 0,
-            pending: 0,
-        }
-    }
-
-    /// Buffers one sample locally — no atomics, no shared-memory reads.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        let bucket = self.bounds.partition_point(|&bound| bound < value);
-        self.counts[bucket] += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.pending += 1;
-    }
-
-    /// Samples buffered since the last flush.
-    pub fn pending(&self) -> u64 {
-        self.pending
-    }
-
-    /// The shared histogram this buffer publishes into.
-    pub fn shared(&self) -> &Arc<Histogram> {
-        &self.shared
-    }
-
-    /// Publishes the buffered samples to the shared histogram.
-    pub fn flush(&mut self) {
-        if self.pending == 0 {
-            return;
-        }
-        self.shared.merge(&self.counts, self.sum);
-        self.counts.fill(0);
-        self.sum = 0;
-        self.pending = 0;
-    }
-}
-
-impl Drop for LocalHistogram {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 /// What a registered metric is, for exposition formatting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
@@ -239,8 +72,6 @@ pub enum MetricKind {
     Counter,
     /// A bidirectional gauge.
     Gauge,
-    /// A fixed-bucket histogram.
-    Histogram,
     /// A log2-bucketed quantile sketch.
     Sketch,
     /// A labeled family of counters.
@@ -259,7 +90,6 @@ pub enum MetricKind {
 pub(crate) enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
     Sketch(Arc<QuantileSketch>),
     CounterFamily(Arc<Family<Counter>>),
     GaugeFamily(Arc<Family<Gauge>>),
@@ -289,7 +119,6 @@ impl MetricEntry {
         match self.metric {
             Metric::Counter(_) => MetricKind::Counter,
             Metric::Gauge(_) => MetricKind::Gauge,
-            Metric::Histogram(_) => MetricKind::Histogram,
             Metric::Sketch(_) => MetricKind::Sketch,
             Metric::CounterFamily(_) => MetricKind::CounterFamily,
             Metric::GaugeFamily(_) => MetricKind::GaugeFamily,
@@ -309,14 +138,6 @@ impl MetricEntry {
     pub fn as_gauge(&self) -> Option<&Gauge> {
         match &self.metric {
             Metric::Gauge(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The histogram behind this entry, if it is one.
-    pub fn as_histogram(&self) -> Option<&Histogram> {
-        match &self.metric {
-            Metric::Histogram(h) => Some(h),
             _ => None,
         }
     }
@@ -419,24 +240,6 @@ impl Registry {
         let gauge = Arc::new(Gauge::default());
         self.insert(name, help, "", Metric::Gauge(Arc::clone(&gauge)));
         gauge
-    }
-
-    /// Registers a histogram over `bounds` and returns its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered, `bounds` is empty, or
-    /// `bounds` is not strictly ascending.
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        unit: &'static str,
-        bounds: &'static [u64],
-    ) -> Arc<Histogram> {
-        let histogram = Arc::new(Histogram::new(bounds));
-        self.insert(name, help, unit, Metric::Histogram(Arc::clone(&histogram)));
-        histogram
     }
 
     /// Registers a quantile sketch and returns its handle.
@@ -544,48 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_bound() {
-        static BOUNDS: [u64; 3] = [10, 100, 1000];
-        let registry = Registry::new();
-        let h = registry.histogram("h_ns", "latency", "ns", &BOUNDS);
-        for v in [1, 10, 11, 100, 5000] {
-            h.record(v);
-        }
-        // <=10: {1, 10}; <=100: {11, 100}; <=1000: {}; overflow: {5000}.
-        assert_eq!(h.bucket_counts(), vec![2, 2, 0, 1]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1 + 10 + 11 + 100 + 5000);
-        assert!((h.mean() - 1024.4).abs() < 1e-9);
-    }
-
-    #[test]
     fn snapshot_entries_sort_by_name() {
         let registry = Registry::new();
         let _ = registry.counter("z_total", "");
         let _ = registry.counter("a_total", "");
         let names: Vec<_> = registry.entries().iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["a_total", "z_total"]);
-    }
-
-    #[test]
-    fn local_histogram_batches_and_flushes_on_drop() {
-        static BOUNDS: [u64; 2] = [10, 100];
-        let registry = Registry::new();
-        let shared = registry.histogram("h_ns", "latency", "ns", &BOUNDS);
-        let mut local = LocalHistogram::new(Arc::clone(&shared));
-        local.record(5);
-        local.record(50);
-        local.record(500);
-        assert_eq!(local.pending(), 3);
-        assert_eq!(shared.count(), 0, "buffered samples stay invisible");
-        local.flush();
-        assert_eq!(local.pending(), 0);
-        assert_eq!(shared.bucket_counts(), vec![1, 1, 1]);
-        assert_eq!(shared.sum(), 555);
-        local.record(7);
-        drop(local);
-        assert_eq!(shared.count(), 4, "drop publishes the tail");
-        assert_eq!(shared.sum(), 562);
     }
 
     #[test]
@@ -627,12 +394,5 @@ mod tests {
         let registry = Registry::new();
         let _ = registry.counter("dup_total", "");
         let _ = registry.gauge("dup_total", "");
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn unsorted_bounds_are_rejected() {
-        static BAD: [u64; 2] = [10, 10];
-        let _ = Histogram::new(&BAD);
     }
 }

@@ -1,19 +1,16 @@
-//! A log2-bucketed quantile sketch for latency tails.
+//! A log2-bucketed quantile sketch: the one distribution type.
 //!
-//! The fixed-bound [`Histogram`](crate::Histogram) answers "how many samples
-//! fell under each ladder rung" but cannot estimate tail quantiles tighter
-//! than its 12-rung ladder. [`QuantileSketch`] keeps an HDR-style layout —
-//! every octave above 16 is split into 16 linear sub-buckets — so p50/p95/p99
-//! estimates carry a documented relative-error bound of
-//! [`SKETCH_RELATIVE_ERROR`] (6.25%) over the full `u64` range, with values
-//! below 16 represented exactly. Recording is two relaxed atomic adds, the
-//! same hot-path cost as the fixed-bucket histogram; reads that only need
-//! the total count pay a full bucket scan instead, keeping the writer side
-//! minimal (readers are snapshots and sweeps, not hot loops). Loops that
-//! record every window should buffer through a [`LocalSketch`] — even
-//! relaxed atomic read-modify-writes cost tens of nanoseconds on some
-//! hosts, and check latencies cluster into a handful of buckets, so a
-//! batched flush collapses thousands of samples into a few adds.
+//! [`QuantileSketch`] keeps an HDR-style layout — every octave above 16 is
+//! split into 16 linear sub-buckets — so p50/p95/p99 estimates carry a
+//! documented relative-error bound of [`SKETCH_RELATIVE_ERROR`] (6.25%)
+//! over the full `u64` range, with values below 16 represented exactly.
+//! Recording is two relaxed atomic adds; reads that only need the total
+//! count pay a full bucket scan instead, keeping the writer side minimal
+//! (readers are snapshots and sweeps, not hot loops). Loops that record
+//! every window should buffer through a [`LocalSketch`] — even relaxed
+//! atomic read-modify-writes cost tens of nanoseconds on some hosts, and
+//! check latencies cluster into a handful of buckets, so a batched flush
+//! collapses thousands of samples into a few adds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -151,18 +148,21 @@ impl QuantileSketch {
     }
 }
 
-/// An unsynchronized accumulation buffer over a shared [`QuantileSketch`],
-/// the sketch counterpart of [`LocalHistogram`](crate::LocalHistogram).
+/// An unsynchronized accumulation buffer over a shared [`QuantileSketch`].
 ///
 /// [`LocalSketch::record`] is a bucket lookup plus two plain integer adds;
 /// [`LocalSketch::flush`] publishes one atomic add per *touched* bucket
 /// (latency samples cluster, so a thousand-window batch typically touches a
 /// few dozen of the 976 buckets) plus one for the sum. Buffered samples are
 /// invisible to snapshots until flushed; dropping the buffer flushes it.
+///
+/// Pending counts are `u32` — half the memory of the shared buckets, which
+/// matters when every engine of a large fleet owns a few of these — and a
+/// bucket that reaches `u32::MAX` triggers a flush on the spot.
 #[derive(Debug)]
 pub struct LocalSketch {
     shared: Arc<QuantileSketch>,
-    counts: Box<[u64]>,
+    counts: Box<[u32]>,
     /// Indices of buckets with a pending count, so a flush never scans the
     /// full bucket array.
     touched: Vec<u16>,
@@ -174,29 +174,34 @@ impl LocalSketch {
     pub fn new(shared: Arc<QuantileSketch>) -> Self {
         LocalSketch {
             shared,
-            counts: vec![0u64; NUM_BUCKETS].into_boxed_slice(),
+            counts: vec![0u32; NUM_BUCKETS].into_boxed_slice(),
             touched: Vec::new(),
             sum: 0,
         }
     }
 
-    /// Buffers one sample without touching shared state.
+    /// Buffers one sample without touching shared state (unless its
+    /// bucket's pending count saturates, which flushes).
     #[inline]
     pub fn record(&mut self, value: u64) {
         let index = bucket_index(value);
-        if self.counts[index] == 0 {
+        let count = &mut self.counts[index];
+        if *count == 0 {
             #[allow(clippy::cast_possible_truncation)]
             self.touched.push(index as u16);
         }
-        self.counts[index] += 1;
+        *count += 1;
         self.sum = self.sum.saturating_add(value);
+        if *count == u32::MAX {
+            self.flush();
+        }
     }
 
     /// Publishes every buffered sample to the shared sketch.
     pub fn flush(&mut self) {
         for &index in &self.touched {
             let index = usize::from(index);
-            self.shared.buckets[index].fetch_add(self.counts[index], Ordering::Relaxed);
+            self.shared.buckets[index].fetch_add(u64::from(self.counts[index]), Ordering::Relaxed);
             self.counts[index] = 0;
         }
         self.touched.clear();
@@ -321,6 +326,50 @@ mod tests {
         drop(local);
         assert_eq!(shared.count(), 4);
         assert_eq!(shared.sum(), 1_000_017);
+    }
+
+    #[test]
+    fn saturated_local_count_flushes() {
+        let shared = Arc::new(QuantileSketch::new());
+        let mut local = LocalSketch::new(Arc::clone(&shared));
+        local.record(9);
+        // Stand in for u32::MAX - 2 more records of the same value.
+        local.counts[9] = u32::MAX - 1;
+        local.sum = 9 * u64::from(u32::MAX - 1);
+        assert_eq!(shared.count(), 0, "below saturation nothing publishes");
+        local.record(9);
+        assert_eq!(shared.count(), u64::from(u32::MAX), "saturation flushed");
+        assert_eq!(shared.sum(), 9 * u64::from(u32::MAX));
+        assert!(local.counts.iter().all(|&c| c == 0));
+        assert!(local.touched.is_empty());
+        // The buffer keeps working after the forced flush.
+        local.record(9);
+        local.flush();
+        assert_eq!(shared.count(), u64::from(u32::MAX) + 1);
+    }
+
+    #[test]
+    fn buffered_samples_match_direct_records_bucket_for_bucket() {
+        let direct = QuantileSketch::new();
+        let shared = Arc::new(QuantileSketch::new());
+        let mut local = LocalSketch::new(Arc::clone(&shared));
+        let values = (0..5000u64).map(|i| (i * i * 7919 + i) % 3_000_000);
+        for (i, v) in values.chain([0, 15, 16, u64::MAX]).enumerate() {
+            direct.record(v);
+            local.record(v);
+            if i % 777 == 0 {
+                local.flush();
+            }
+        }
+        local.flush();
+        let load = |s: &QuantileSketch| -> Vec<u64> {
+            s.buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect()
+        };
+        assert_eq!(load(&shared), load(&direct));
+        assert_eq!(shared.count(), 5004);
     }
 
     #[test]

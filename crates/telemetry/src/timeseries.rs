@@ -5,8 +5,8 @@
 //! replay-driven sampling (sim time) is deterministic and tests never sleep.
 //! Each sweep stores one [`SeriesSample`] of *interval deltas* into a
 //! bounded [`SlotRing`]: counters become per-interval increments (rates),
-//! gauges keep their last value, and histograms/sketches contribute their
-//! interval `(count, sum)` deltas. Labeled families are folded into one
+//! gauges keep their last value, and sketches contribute their interval
+//! `(count, sum)` deltas. Labeled families are folded into one
 //! series per family (children summed for counters, max for gauges).
 //!
 //! The first call to [`TimeSeriesRecorder::sample_at`] only establishes the
@@ -65,7 +65,7 @@ impl SeriesSample {
     }
 
     /// The `(count, sum)` delta over this interval, if `name` is a
-    /// histogram or sketch the sweep saw.
+    /// sketch (or sketch family) the sweep saw.
     pub fn distribution(&self, name: &str) -> Option<(u64, u64)> {
         lookup(&self.distributions, name)
     }
@@ -215,15 +215,6 @@ impl TimeSeriesRecorder {
                 Metric::GaugeFamily(family) => {
                     let max = family.fold_values(0i64, |acc, g| acc.max(g.get()));
                     scratch.gauges.push((entry.name, max));
-                }
-                Metric::Histogram(histogram) => {
-                    let (count, sum) = (histogram.count(), histogram.sum());
-                    let delta = (
-                        count.saturating_sub(entry.prev.0),
-                        sum.saturating_sub(entry.prev.1),
-                    );
-                    entry.prev = (count, sum);
-                    scratch.distributions.push((entry.name, delta));
                 }
                 Metric::Sketch(sketch) => {
                     let (count, sum) = (sketch.count(), sketch.sum());

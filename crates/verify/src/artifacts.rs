@@ -3,7 +3,7 @@
 //! A DICE deployment scatters derived state across several files: the
 //! trained model binary, the gateway's config file, `dice-trace` JSONL
 //! decision logs, and telemetry snapshots. Each was produced against one
-//! concrete [`BitLayout`](dice_core::BitLayout) / [`DiceConfig`] /
+//! concrete [`BitLayout`] / [`DiceConfig`] /
 //! threshold set, and nothing at runtime stops an operator from replaying
 //! a trace against a retrained model or pointing the gateway at a config
 //! that differs from the one the model was trained under. The resulting

@@ -101,7 +101,7 @@ fn telemetry_is_deterministic_exportable_and_cheap() {
     assert!(snapshot.counter("dice_eval_trials_total").unwrap() >= cfg.trials);
     assert!(snapshot.counter("dice_eval_datasets_total").unwrap() >= 1);
     assert!(snapshot.counter("dice_engine_windows_total").unwrap() > 0);
-    let (trial_count, trial_sum) = snapshot.histogram("dice_eval_trial_ns").unwrap();
+    let (trial_count, trial_sum) = snapshot.sketch("dice_eval_trial_ns").unwrap();
     assert!(trial_count >= cfg.trials && trial_sum > 0);
 
     // 3. Exporters: the JSON snapshot satisfies its own schema and the
@@ -111,8 +111,13 @@ fn telemetry_is_deterministic_exportable_and_cheap() {
     let prom = snapshot.to_prometheus();
     assert!(prom.contains("# TYPE dice_engine_windows_total counter"));
     assert!(prom.contains("# TYPE dice_gateway_channel_depth gauge"));
-    assert!(prom.contains("# TYPE dice_eval_trial_ns histogram"));
-    assert!(prom.contains("dice_engine_correlation_check_ns_bucket{le=\"+Inf\"}"));
+    assert!(prom.contains("# TYPE dice_eval_trial_ns summary"));
+    assert!(prom.contains("dice_engine_correlation_check_ns_count"));
+    // Every distribution is a sketch: no fixed-bucket type or section left.
+    assert!(!prom
+        .lines()
+        .any(|l| l.starts_with("# TYPE ") && l.ends_with(" histogram")));
+    assert!(!json.contains("\"histograms\""));
     // The engine replays above fed the detection-latency sketch; its
     // summary rows appear in the same exposition.
     assert!(prom.contains("# TYPE dice_engine_detection_ns summary"));
