@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dice_bench::{bench_simulator, bench_trained};
 use dice_core::{
     BitSet, ContextExtractor, Detector, DiceConfig, GroupTable, Identifier, ParallelTrainer,
-    PrevWindow, ScanIndex, SlicedScanIndex,
+    PrevWindow, SlicedScanIndex,
 };
 use dice_types::{
     ActuatorEvent, ActuatorKind, DeviceRegistry, EventLog, GroupId, Room, SensorId, SensorKind,
@@ -76,12 +76,13 @@ fn hh102_scale_table(num_bits: usize, groups: usize) -> GroupTable {
 
 fn bench_scan_index(c: &mut Criterion) {
     // hh102 scale: 33 binary + 79 numeric sensors = 270 state bits; the
-    // naive whole-table scan vs the packed ScanIndex, 10^2..10^4 groups.
+    // naive whole-table scan vs the model's SlicedScanIndex (row-major at
+    // 10^2 groups, bit-sliced at 10^3..10^4).
     const NUM_BITS: usize = 33 + 3 * 79;
     let mut group = c.benchmark_group("scan_index_hh102");
     for &groups in &[100usize, 1000, 10_000] {
         let table = hh102_scale_table(NUM_BITS, groups);
-        let index = ScanIndex::build(&table);
+        let index = SlicedScanIndex::build(&table);
         let query = hh102_scale_state(NUM_BITS, 5, 60, 11);
         group.bench_with_input(BenchmarkId::new("naive", groups), &groups, |b, _| {
             b.iter(|| table.candidates(std::hint::black_box(&query), 3));
@@ -104,32 +105,19 @@ fn bench_scan_index(c: &mut Criterion) {
                 });
             },
         );
-        // The bit-sliced index on the same table: one query at a time, then
-        // a 16-query batch amortizing the plane sweep (per-iteration time
+        // A 16-query batch amortizing the plane sweep (per-iteration time
         // covers all 16 queries).
-        let sliced = SlicedScanIndex::build(&table);
-        group.bench_with_input(BenchmarkId::new("bitsliced", groups), &groups, |b, _| {
-            let mut scratch = Vec::new();
-            b.iter(|| {
-                sliced.candidates_into(std::hint::black_box(&query), 3, &mut scratch);
-                scratch.len()
-            });
-        });
         let batch_queries: Vec<BitSet> = (0..16)
             .map(|k| hh102_scale_state(NUM_BITS, 5 + k, 60, 11 + k))
             .collect();
         let query_refs: Vec<&BitSet> = batch_queries.iter().collect();
         group.bench_with_input(
-            BenchmarkId::new("bitsliced_batch16", groups),
+            BenchmarkId::new("indexed_batch16", groups),
             &groups,
             |b, _| {
                 let mut scratch = Vec::new();
                 b.iter(|| {
-                    sliced.candidates_batch_into(
-                        std::hint::black_box(&query_refs),
-                        3,
-                        &mut scratch,
-                    );
+                    index.candidates_batch_into(std::hint::black_box(&query_refs), 3, &mut scratch);
                     scratch.len()
                 });
             },

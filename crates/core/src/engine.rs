@@ -24,7 +24,7 @@ use crate::detect::{CheckKind, CheckResult, Detector, PrevWindow, TransitionCase
 use crate::groups::Candidate;
 use crate::identify::{Identifier, IntersectionTracker};
 use crate::model::DiceModel;
-use crate::scan::ScanProfile;
+use crate::scan_sliced::ScanProfile;
 use crate::trace::{
     DecisionTrace, FlightRecorder, LineageStamp, SharedTraceSink, TraceOptions, TracePhase,
     TraceTransition, TraceVerdict,
@@ -765,7 +765,7 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
 
     /// [`DiceEngine::process_window`] with the candidate scan already
     /// resolved: the caller ran this window's state set through a batched
-    /// scan (see [`crate::RoutedScanIndex::candidates_batch_into`]) and
+    /// scan (see [`crate::SlicedScanIndex::candidates_batch_into`]) and
     /// hands the result in, so the engine skips its own per-window scan.
     /// Everything else — binarization, the checks, identification — is
     /// bit-identical to the unbatched path.
@@ -1696,7 +1696,7 @@ mod tests {
             Some(reports.len() as u64)
         );
         // Scan stats: every correlation violation scanned rows (this small
-        // model routes row-major, so block counters stay zero), and the
+        // model scans row-major, so block counters stay zero), and the
         // snapshot names the dispatched backend.
         assert!(snapshot.counter("dice_engine_scan_rows_total").unwrap() > 0);
         assert_eq!(snapshot.counter("dice_engine_scan_blocks_total"), Some(0));

@@ -78,9 +78,16 @@ mod layout;
 mod model;
 mod model_io;
 mod partition;
-mod scan;
-mod scan_routed;
 mod scan_sliced;
+// Tests of `SlicedScanIndex`'s row-major small-table mode and of its switch
+// to bit-sliced planes, named after the `ScanIndex` / `RoutedScanIndex` types
+// whose behaviour the one index took over.
+#[cfg(test)]
+#[path = "scan_row_major_tests.rs"]
+mod scan;
+#[cfg(test)]
+#[path = "scan_mode_tests.rs"]
+mod scan_routed;
 mod stats;
 pub mod trace;
 mod train_par;
@@ -106,10 +113,9 @@ pub use model_io::{
     read_model, read_model_unverified, write_model, ModelIoError, MODEL_FORMAT_VERSION, MODEL_MAGIC,
 };
 pub use partition::{Partition, PartitionedEngine, PartitionedModel};
-pub use scan::{ScanIndex, ScanProfile};
-pub use scan_routed::{RoutedScanIndex, SCAN_CROSSOVER_GROUPS};
 pub use scan_sliced::{
-    ScanBackend, SlicedScanIndex, BLOCK_LANES, MAX_SLICED_DISTANCE, SCAN_BACKEND_ENV,
+    ScanBackend, ScanProfile, SlicedScanIndex, BLOCK_LANES, MAX_SLICED_DISTANCE, SCAN_BACKEND_ENV,
+    SCAN_CROSSOVER_GROUPS,
 };
 pub use stats::{ExactSum, MeanAccumulator, RunningMean, WindowStats};
 pub use trace::{

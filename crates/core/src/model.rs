@@ -8,7 +8,7 @@ use crate::binarize::Binarizer;
 use crate::config::DiceConfig;
 use crate::groups::GroupTable;
 use crate::layout::BitLayout;
-use crate::scan_routed::RoutedScanIndex;
+use crate::scan_sliced::SlicedScanIndex;
 use crate::transition::TransitionModel;
 
 /// Everything DICE precomputes (Figure 3.2, left half): the binarizer with
@@ -26,11 +26,11 @@ pub struct DiceModel {
     transitions: TransitionModel,
     num_actuators: usize,
     training_windows: u64,
-    /// Routed scan mirror of `groups` for the hot candidate scan —
-    /// row-major below the crossover, bit-sliced above it; derived state,
-    /// rebuilt from the table on construction and after deserialization.
+    /// Scan mirror of `groups` for the hot candidate scan — row-major below
+    /// the crossover, bit-sliced at or above it; derived state, rebuilt from
+    /// the table on construction and after deserialization.
     #[serde(skip)]
-    scan: RoutedScanIndex,
+    scan: SlicedScanIndex,
 }
 
 impl DiceModel {
@@ -45,7 +45,7 @@ impl DiceModel {
         num_actuators: usize,
         training_windows: u64,
     ) -> Self {
-        let scan = RoutedScanIndex::build(&groups);
+        let scan = SlicedScanIndex::build(&groups);
         DiceModel {
             config,
             binarizer,
@@ -82,9 +82,9 @@ impl DiceModel {
         &self.transitions
     }
 
-    /// The routed candidate-scan index over the group table (see
-    /// [`RoutedScanIndex`] for the size crossover).
-    pub fn scan(&self) -> &RoutedScanIndex {
+    /// The candidate-scan index over the group table (see
+    /// [`SlicedScanIndex`] for its two size modes).
+    pub fn scan(&self) -> &SlicedScanIndex {
         &self.scan
     }
 
@@ -140,7 +140,7 @@ impl DiceModel {
     /// group map and the packed scan index.
     pub fn rebuild_index(&mut self) {
         self.groups.rebuild_index_public();
-        self.scan = RoutedScanIndex::build(&self.groups);
+        self.scan = SlicedScanIndex::build(&self.groups);
     }
 
     /// Fraction of training windows that fell in `group`, an empirical prior
@@ -168,7 +168,7 @@ impl DiceModel {
         Binarizer,
         GroupTable,
         TransitionModel,
-        RoutedScanIndex,
+        SlicedScanIndex,
     ) {
         (
             self.config,
@@ -192,7 +192,7 @@ impl DiceModel {
         transitions: TransitionModel,
         num_actuators: usize,
         training_windows: u64,
-        scan: RoutedScanIndex,
+        scan: SlicedScanIndex,
     ) -> Self {
         debug_assert_eq!(
             scan.len(),

@@ -1,19 +1,26 @@
-//! A bit-sliced, popcount-bucketed candidate-scan index with SIMD kernels.
+//! The candidate-scan index: popcount-bucketed rows, bit-sliced SIMD planes
+//! for large tables and a row-major walk for small ones.
 //!
-//! [`ScanIndex`](crate::ScanIndex) walks the group table row-major: one
-//! XOR+popcount chain per group, with a per-row popcount-prefilter branch.
-//! [`SlicedScanIndex`] turns both axes of that loop inside out:
+//! The correlation check is DICE's per-window hot path: every window without
+//! an exact group match is compared against *all* groups by Hamming distance
+//! (Figure 3.5). [`SlicedScanIndex`] is a structure-of-arrays mirror of the
+//! [`GroupTable`] built for that scan:
 //!
 //! * **Popcount-bucket cascade.** Rows are sorted by `(popcount, group id)`,
 //!   so the `|pc(q) − pc(g)| > maxDist` lower bound becomes two binary
 //!   searches that select one *contiguous* slot range instead of a
 //!   per-row branch. Everything outside the range is skipped wholesale.
-//! * **Bit-sliced planes.** Within blocks of [`BLOCK_LANES`] rows, the table
-//!   is transposed column-major: plane `i` of a block holds bit `i` of all
-//!   256 rows as four `u64` lane words. One 256-bit XOR against the
-//!   broadcast query bit compares the same bit position of 256 groups at
-//!   once, and per-lane distances accumulate in `K` vertical carry-save
-//!   counter planes (`2^K − 1 ≥ maxDist`), with a sticky saturation plane.
+//! * **Row-major mode.** Every row is also packed row-major in slot order.
+//!   Tables below [`SCAN_CROSSOVER_GROUPS`] groups build nothing else: their
+//!   candidate scans walk the bucket range one XOR+popcount chain per row,
+//!   as do the nearest cascade and thresholds above [`MAX_SLICED_DISTANCE`].
+//! * **Bit-sliced planes.** At or above the crossover, within blocks of
+//!   [`BLOCK_LANES`] rows, the table is also transposed column-major: plane
+//!   `i` of a block holds bit `i` of all 256 rows as four `u64` lane words.
+//!   One 256-bit XOR against the broadcast query bit compares the same bit
+//!   position of 256 groups at once, and per-lane distances accumulate in
+//!   `K` vertical carry-save counter planes (`2^K − 1 ≥ maxDist`), with a
+//!   sticky saturation plane.
 //! * **Early abandon.** Once every lane of a block has saturated past
 //!   `maxDist` (checked every [`EARLY_CHECK_BITS`] planes) the remaining
 //!   planes of that block are skipped — with small thresholds most blocks
@@ -28,7 +35,9 @@
 //! [`ScanProfile`] statistics are bit-identical across backends — the
 //! cross-backend proptests in `tests/properties.rs` assert exactly that.
 //! Results match the naive [`GroupTable::candidates`] /
-//! [`GroupTable::nearest`] scans byte for byte.
+//! [`GroupTable::nearest`] scans byte for byte, in both modes. The index is
+//! derived state, rebuilt whenever the model's group table changes — see
+//! [`DiceModel::rebuild_index`](crate::DiceModel::rebuild_index).
 
 // The AVX2/SSE2 kernels are the one place in dice-core that needs `unsafe`:
 // `#[target_feature]` functions may only be invoked once the matching CPU
@@ -39,11 +48,24 @@
 
 use crate::bitset::BitSet;
 use crate::groups::{Candidate, GroupTable};
-use crate::scan::ScanProfile;
 
 use dice_types::GroupId;
 
 const WORD_BITS: usize = 64;
+
+/// Group-table sizes below this build no bit planes and scan row-major;
+/// larger tables build the bit-sliced planes too.
+///
+/// One 256-lane block is the bit-sliced path's minimum per-query work, so
+/// tables smaller than a block scan faster row-major. 160 was tuned on the
+/// `bench-json` synthetic workload (270-bit hh102 states, distance ≤ 3)
+/// against a row-major walk that tested every row's popcount: the
+/// crossover lay between 100 groups (row-major ~1.9× faster) and 200
+/// groups (bit-sliced ~1.1× faster). Walking only the popcount bucket
+/// range moves it higher — `crossover_probe` in this module's tests times
+/// both modes of one table. The value is recorded in `BENCH_core.json`
+/// (`candidate_scan.crossover_groups`).
+pub const SCAN_CROSSOVER_GROUPS: usize = 160;
 
 /// Rows per bit-sliced block: one 256-bit SIMD lane's worth.
 pub const BLOCK_LANES: usize = 256;
@@ -150,12 +172,43 @@ impl ScanBackend {
     }
 }
 
-/// A bit-sliced, popcount-bucketed mirror of a [`GroupTable`].
+/// What one candidate scan did: how many group rows it covered, how many it
+/// never compared, and how many bit-sliced blocks it ran.
 ///
-/// Drop-in for [`ScanIndex`](crate::ScanIndex) on the engine's hot path —
-/// same `candidates_into` / `nearest_into` contract, same naive-scan
-/// equivalence — plus the batched entry points. Derived state: rebuilt
-/// whenever the model's group table changes.
+/// Returned by every [`SlicedScanIndex`] query so the engine can report
+/// prefilter effectiveness as telemetry; `pruned / rows` is the prune rate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanProfile {
+    /// Group rows considered (the whole index, for a full scan).
+    pub rows: u32,
+    /// Rows never XOR-compared against the query: outside the popcount
+    /// bucket range for candidate scans, outside the visited popcount band
+    /// for nearest scans.
+    pub pruned: u32,
+    /// Bit-sliced blocks visited (always 0 below [`SCAN_CROSSOVER_GROUPS`]).
+    pub blocks: u32,
+    /// Blocks abandoned early once every lane saturated past the threshold.
+    pub early_stops: u32,
+}
+
+impl ScanProfile {
+    /// Adds another profile's counts into this one (element-wise), for
+    /// callers that merge the work of several scans into one report.
+    pub fn absorb(&mut self, other: ScanProfile) {
+        self.rows += other.rows;
+        self.pruned += other.pruned;
+        self.blocks += other.blocks;
+        self.early_stops += other.early_stops;
+    }
+}
+
+/// The popcount-bucketed candidate-scan mirror of a [`GroupTable`]: the one
+/// index a [`DiceModel`](crate::DiceModel) builds and the engine queries.
+///
+/// Tables below [`SCAN_CROSSOVER_GROUPS`] groups scan row-major; larger ones
+/// also build bit-sliced planes. Either way every query returns exactly what
+/// the naive [`GroupTable::candidates`] / [`GroupTable::nearest`] scans
+/// return. Derived state: rebuilt whenever the model's group table changes.
 ///
 /// # Example
 ///
@@ -181,11 +234,12 @@ pub struct SlicedScanIndex {
     slot_to_group: Vec<u32>,
     /// Popcount per slot, ascending — the bucket-cascade search key.
     popcounts: Vec<u32>,
-    /// Row-major packed rows in slot order, for the nearest cascade and the
-    /// `max_distance > MAX_SLICED_DISTANCE` fallback.
+    /// Row-major packed rows in slot order, for small tables, the nearest
+    /// cascade and the `max_distance > MAX_SLICED_DISTANCE` fallback.
     row_words: Vec<u64>,
     /// Column-major bit planes: block `b`, plane `i`, lane word `k` lives at
-    /// `planes[(b * num_bits + i) * LANE_WORDS + k]`.
+    /// `planes[(b * num_bits + i) * LANE_WORDS + k]`. Empty below
+    /// [`SCAN_CROSSOVER_GROUPS`] groups.
     planes: Vec<u64>,
 }
 
@@ -195,61 +249,14 @@ impl SlicedScanIndex {
         Self::with_backend(table, ScanBackend::detect())
     }
 
-    /// Builds the index with an explicit backend (tests / CI forcing).
+    /// Builds the index with an explicit backend (tests / CI forcing); the
+    /// backend only affects tables large enough to build bit planes.
     ///
     /// # Panics
     ///
     /// Panics if `backend` is not supported on this CPU.
     pub fn with_backend(table: &GroupTable, backend: ScanBackend) -> Self {
-        assert!(
-            backend.is_supported(),
-            "scan backend {} not supported on this CPU",
-            backend.name()
-        );
-        let num_bits = table.num_bits();
-        let words_per_row = num_bits.div_ceil(WORD_BITS);
-        let n = table.len();
-
-        // Slot order: ascending (popcount, group id).
-        let mut order: Vec<(u32, u32)> = table
-            .iter()
-            .map(|(id, state)| (state.count_ones(), id.index() as u32))
-            .collect();
-        order.sort_unstable();
-
-        let mut slot_to_group = Vec::with_capacity(n);
-        let mut popcounts = Vec::with_capacity(n);
-        let mut row_words = Vec::with_capacity(n * words_per_row);
-        let num_blocks = n.div_ceil(BLOCK_LANES);
-        let mut planes = vec![0u64; num_blocks * num_bits * LANE_WORDS];
-        for (slot, &(pc, group)) in order.iter().enumerate() {
-            slot_to_group.push(group);
-            popcounts.push(pc);
-            let state = table.state(GroupId::new(group));
-            // Clamp to the table width: a corrupt table (verifier test fodder)
-            // may hold wider rows; building must not panic on it.
-            let words = state.as_words();
-            for k in 0..words_per_row {
-                row_words.push(words.get(k).copied().unwrap_or(0));
-            }
-            let block = slot / BLOCK_LANES;
-            let lane = slot % BLOCK_LANES;
-            let lane_word = (block * num_bits) * LANE_WORDS + lane / WORD_BITS;
-            let lane_bit = 1u64 << (lane % WORD_BITS);
-            for i in state.ones().take_while(|&i| i < num_bits) {
-                planes[lane_word + i * LANE_WORDS] |= lane_bit;
-            }
-        }
-
-        SlicedScanIndex {
-            num_bits,
-            words_per_row,
-            backend,
-            slot_to_group,
-            popcounts,
-            row_words,
-            planes,
-        }
+        build(table, backend, table.len() >= SCAN_CROSSOVER_GROUPS)
     }
 
     /// Number of indexed groups.
@@ -267,7 +274,9 @@ impl SlicedScanIndex {
         self.num_bits
     }
 
-    /// The kernel this index dispatches to.
+    /// The kernel this process's bit-sliced scans dispatch to. Reported for
+    /// small tables too, so the `dice_engine_scan_backend` gauge describes the
+    /// hardware path consistently across model sizes.
     pub fn backend(&self) -> ScanBackend {
         self.backend
     }
@@ -326,9 +335,9 @@ impl SlicedScanIndex {
         if start >= end {
             return;
         }
-        if max_distance > MAX_SLICED_DISTANCE {
-            // Counter planes would outgrow the packed rows; scan the bucket
-            // range row-major instead.
+        if max_distance > MAX_SLICED_DISTANCE || self.planes.is_empty() {
+            // A small table has no planes, and past six counter planes they
+            // would outgrow the packed rows: scan the bucket range row-major.
             let query = state.as_words();
             for slot in start..end {
                 let row = &self.row_words[slot * self.words_per_row..][..self.words_per_row];
@@ -560,7 +569,7 @@ impl SlicedScanIndex {
         if n == 0 || queries.is_empty() {
             return profile;
         }
-        if max_distance > MAX_SLICED_DISTANCE {
+        if max_distance > MAX_SLICED_DISTANCE || self.planes.is_empty() {
             for (query, slots) in queries.iter().zip(out.iter_mut()) {
                 self.candidates_append(query, max_distance, slots, &mut profile);
                 slots.sort_unstable_by_key(|c| (c.distance, c.group));
@@ -624,11 +633,7 @@ impl SlicedScanIndex {
         out.truncate(queries.len());
         let mut profile = ScanProfile::default();
         for (query, slots) in queries.iter().zip(out.iter_mut()) {
-            let p = self.nearest_into(query, slots);
-            profile.rows += p.rows;
-            profile.pruned += p.pruned;
-            profile.blocks += p.blocks;
-            profile.early_stops += p.early_stops;
+            profile.absorb(self.nearest_into(query, slots));
         }
         profile
     }
@@ -646,6 +651,62 @@ impl SlicedScanIndex {
         let mut out = Vec::new();
         let _ = self.nearest_into(state, &mut out);
         out
+    }
+}
+
+/// Builds the index; `planes` selects the bit-sliced mode (the row-major
+/// rows are built either way).
+fn build(table: &GroupTable, backend: ScanBackend, planes: bool) -> SlicedScanIndex {
+    assert!(
+        backend.is_supported(),
+        "scan backend {} not supported on this CPU",
+        backend.name()
+    );
+    let num_bits = table.num_bits();
+    let words_per_row = num_bits.div_ceil(WORD_BITS);
+    let n = table.len();
+
+    // Slot order: ascending (popcount, group id).
+    let mut order: Vec<(u32, u32)> = table
+        .iter()
+        .map(|(id, state)| (state.count_ones(), id.index() as u32))
+        .collect();
+    order.sort_unstable();
+
+    let mut slot_to_group = Vec::with_capacity(n);
+    let mut popcounts = Vec::with_capacity(n);
+    let mut row_words = Vec::with_capacity(n * words_per_row);
+    let num_blocks = if planes { n.div_ceil(BLOCK_LANES) } else { 0 };
+    let mut plane_words = vec![0u64; num_blocks * num_bits * LANE_WORDS];
+    for (slot, &(pc, group)) in order.iter().enumerate() {
+        slot_to_group.push(group);
+        popcounts.push(pc);
+        let state = table.state(GroupId::new(group));
+        // Clamp to the table width: a corrupt table (verifier test fodder)
+        // may hold wider rows; building must not panic on it.
+        let words = state.as_words();
+        for k in 0..words_per_row {
+            row_words.push(words.get(k).copied().unwrap_or(0));
+        }
+        if planes {
+            let block = slot / BLOCK_LANES;
+            let lane = slot % BLOCK_LANES;
+            let lane_word = (block * num_bits) * LANE_WORDS + lane / WORD_BITS;
+            let lane_bit = 1u64 << (lane % WORD_BITS);
+            for i in state.ones().take_while(|&i| i < num_bits) {
+                plane_words[lane_word + i * LANE_WORDS] |= lane_bit;
+            }
+        }
+    }
+
+    SlicedScanIndex {
+        num_bits,
+        words_per_row,
+        backend,
+        slot_to_group,
+        popcounts,
+        row_words,
+        planes: plane_words,
     }
 }
 
@@ -914,24 +975,93 @@ mod tests {
         let table = random_table(num_bits, 300, 0x5eed); // partial second block
         let mut rng = XorShift(42);
         let queries: Vec<BitSet> = (0..8).map(|_| random_query(num_bits, &mut rng)).collect();
+        let refs: Vec<&BitSet> = queries.iter().collect();
         for backend in backends_under_test() {
-            let index = SlicedScanIndex::with_backend(&table, backend);
-            for query in &queries {
-                for max in [0, 1, 3, 7, 64, 130] {
-                    assert_eq!(
-                        index.candidates(query, max),
-                        table.candidates(query, max),
-                        "backend={} max={max}",
-                        backend.name()
-                    );
+            for planes in [false, true] {
+                let index = build(&table, backend, planes);
+                assert_eq!(index.len(), 300);
+                assert!(!index.is_empty());
+                assert_eq!(index.num_bits(), num_bits);
+                let mode = format!("backend={} planes={planes}", backend.name());
+                for query in &queries {
+                    for max in [0, 1, 3, 7, 64, 130] {
+                        assert_eq!(
+                            index.candidates(query, max),
+                            table.candidates(query, max),
+                            "{mode} max={max}"
+                        );
+                    }
+                    assert_eq!(index.nearest(query), table.nearest(query), "{mode}");
                 }
-                assert_eq!(
-                    index.nearest(query),
-                    table.nearest(query),
-                    "backend={}",
-                    backend.name()
-                );
+                let mut batch = Vec::new();
+                let _ = index.candidates_batch_into(&refs, 3, &mut batch);
+                for (query, got) in queries.iter().zip(&batch) {
+                    assert_eq!(got, &table.candidates(query, 3), "{mode}");
+                }
+                let _ = index.nearest_batch_into(&refs, &mut batch);
+                for (query, got) in queries.iter().zip(&batch) {
+                    assert_eq!(got, &table.nearest(query), "{mode}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn multiword_rows_scan_correctly() {
+        let mut table = GroupTable::new(130);
+        table.observe(&BitSet::from_indices(130, [0, 64, 129]));
+        table.observe(&BitSet::from_indices(130, [1, 65]));
+        let query = BitSet::from_indices(130, [0, 64]);
+        for planes in [false, true] {
+            let index = build(&table, ScanBackend::Scalar, planes);
+            assert_eq!(index.candidates(&query, 130), table.candidates(&query, 130));
+            assert_eq!(index.candidates(&query, 3), table.candidates(&query, 3));
+            assert_eq!(index.nearest(&query), table.nearest(&query));
+        }
+    }
+
+    #[test]
+    fn small_tables_scan_row_major_and_large_tables_bit_sliced() {
+        let query = BitSet::from_indices(64, (0..64).filter(|b| b % 5 == 0));
+        let mut out = Vec::new();
+        for groups in [SCAN_CROSSOVER_GROUPS / 4, SCAN_CROSSOVER_GROUPS - 1] {
+            let small = SlicedScanIndex::build(&random_table(64, groups, 3));
+            assert!(
+                small.planes.is_empty(),
+                "{groups} groups must build no planes"
+            );
+            assert_eq!(small.candidates_into(&query, 64, &mut out).blocks, 0);
+        }
+        for groups in [SCAN_CROSSOVER_GROUPS, SCAN_CROSSOVER_GROUPS + 8] {
+            let large = SlicedScanIndex::build(&random_table(64, groups, 3));
+            assert_eq!(large.len(), groups);
+            for max in [3, MAX_SLICED_DISTANCE] {
+                assert!(large.candidates_into(&query, max, &mut out).blocks > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn row_major_mode_reports_the_process_backend() {
+        let index = SlicedScanIndex::build(&random_table(16, 4, 3));
+        assert!(index.planes.is_empty());
+        assert_eq!(index.backend(), ScanBackend::detect());
+    }
+
+    #[test]
+    fn batch_reuses_slots_without_stale_entries() {
+        let table = random_table(32, 8, 3);
+        let q1 = BitSet::from_indices(32, [0, 5]);
+        let q2 = BitSet::from_indices(32, [1]);
+        for planes in [false, true] {
+            let index = build(&table, ScanBackend::Scalar, planes);
+            let mut batch = Vec::new();
+            let _ = index.candidates_batch_into(&[&q1, &q2], 32, &mut batch);
+            assert_eq!(batch.len(), 2);
+            // A smaller follow-up batch must truncate the slot vector.
+            let _ = index.candidates_batch_into(&[&q2], 0, &mut batch);
+            assert_eq!(batch.len(), 1);
+            assert_eq!(batch[0], table.candidates(&q2, 0));
         }
     }
 
@@ -968,12 +1098,8 @@ mod tests {
                 let mut sum = ScanProfile::default();
                 for (query, got) in queries.iter().zip(&batch) {
                     let mut single = Vec::new();
-                    let p = index.candidates_into(query, max, &mut single);
+                    sum.absorb(index.candidates_into(query, max, &mut single));
                     assert_eq!(got, &single, "backend={} max={max}", backend.name());
-                    sum.rows += p.rows;
-                    sum.pruned += p.pruned;
-                    sum.blocks += p.blocks;
-                    sum.early_stops += p.early_stops;
                 }
                 assert_eq!(batch_profile, sum, "backend={} max={max}", backend.name());
             }
@@ -990,21 +1116,32 @@ mod tests {
         let mut table = GroupTable::new(8);
         table.observe(&BitSet::from_indices(8, []));
         table.observe(&BitSet::from_indices(8, [0, 1, 2, 3, 4, 5, 6, 7]));
-        let index = SlicedScanIndex::with_backend(&table, ScanBackend::Scalar);
         let query = BitSet::from_indices(8, [0, 1]);
-        let mut out = Vec::new();
-        // Popcounts 0 and 8 vs query popcount 2 at threshold 1: both rows
-        // fall outside the bucket range, no block is ever touched.
-        let profile = index.candidates_into(&query, 1, &mut out);
-        assert_eq!(profile.rows, 2);
-        assert_eq!(profile.pruned, 2);
-        assert_eq!(profile.blocks, 0);
-        assert!(out.is_empty());
-        // Threshold 2 admits the popcount-0 row: one block scanned.
-        let profile = index.candidates_into(&query, 2, &mut out);
-        assert_eq!(profile.pruned, 1);
-        assert_eq!(profile.blocks, 1);
-        assert_eq!(out.len(), 1);
+        for planes in [false, true] {
+            let index = build(&table, ScanBackend::Scalar, planes);
+            let mut out = Vec::new();
+            // Popcounts 0 and 8 vs query popcount 2 at threshold 1: both rows
+            // fall outside the bucket range, no row or block is ever touched.
+            let profile = index.candidates_into(&query, 1, &mut out);
+            assert_eq!(profile.rows, 2);
+            assert_eq!(profile.pruned, 2);
+            assert_eq!(profile.blocks, 0);
+            assert!(out.is_empty());
+            // Threshold 2 admits the popcount-0 row (distance 2) but not the
+            // full row (distance 6): one block scanned in the bit-sliced
+            // mode, none row-major.
+            let profile = index.candidates_into(&query, 2, &mut out);
+            assert_eq!(profile.pruned, 1);
+            assert_eq!(profile.blocks, u32::from(planes));
+            assert_eq!(out, table.candidates(&query, 2));
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].group, GroupId::new(0));
+            // The nearest cascade stops after the popcount-0 bucket: the
+            // full row lies outside the visited band.
+            let profile = index.nearest_into(&query, &mut out);
+            assert_eq!((profile.rows, profile.pruned, profile.blocks), (2, 1, 0));
+            assert_eq!(out, table.nearest(&query));
+        }
     }
 
     #[test]
@@ -1023,16 +1160,20 @@ mod tests {
     #[test]
     fn scratch_buffers_are_reused_without_reallocation() {
         let table = random_table(40, 64, 11);
-        let index = SlicedScanIndex::with_backend(&table, ScanBackend::Scalar);
-        let mut out = Vec::with_capacity(table.len());
-        let cap = out.capacity();
-        let mut rng = XorShift(5);
-        for _ in 0..4 {
-            let query = random_query(40, &mut rng);
-            let _ = index.candidates_into(&query, 40, &mut out);
-            assert_eq!(out.capacity(), cap, "candidates_into must not grow");
-            let _ = index.nearest_into(&query, &mut out);
-            assert_eq!(out.capacity(), cap, "nearest_into must not grow");
+        for planes in [false, true] {
+            let index = build(&table, ScanBackend::Scalar, planes);
+            let mut out = Vec::with_capacity(table.len());
+            let cap = out.capacity();
+            let mut rng = XorShift(5);
+            for _ in 0..4 {
+                let query = random_query(40, &mut rng);
+                for max in [3, 40] {
+                    let _ = index.candidates_into(&query, max, &mut out);
+                    assert_eq!(out.capacity(), cap, "candidates_into must not grow");
+                }
+                let _ = index.nearest_into(&query, &mut out);
+                assert_eq!(out.capacity(), cap, "nearest_into must not grow");
+            }
         }
     }
 
@@ -1071,6 +1212,52 @@ mod tests {
         }
         assert!(ScanBackend::Scalar.is_supported());
         assert!(ScanBackend::available().contains(&ScanBackend::Scalar));
+    }
+
+    /// Times both modes of the same table across the crossover bracket on
+    /// the `bench-json` synthetic workload (270-bit hh102 states whose
+    /// popcounts spread over ~[0, 120], mid-activity queries, distance 3),
+    /// for re-tuning [`SCAN_CROSSOVER_GROUPS`]: `cargo test --release -p
+    /// dice-core --lib -- --ignored crossover_probe --nocapture`.
+    #[test]
+    #[ignore = "measurement probe"]
+    fn crossover_probe() {
+        let num_bits = 33 + 3 * 79;
+        // Distinct ids in the low 20 bits, then a run of `run_len` bits.
+        let state = |i: usize, run_len: usize, phase: usize| {
+            let span = num_bits - 20;
+            let start = (i * 7 + phase) % span;
+            let ids = (0..20).filter(move |j| (i >> j) & 1 == 1);
+            let run = (0..run_len.min(span)).map(move |k| 20 + (start + k) % span);
+            BitSet::from_indices(num_bits, ids.chain(run))
+        };
+        let queries: Vec<BitSet> = (0..32).map(|q| state(q, 57 + q % 7, 11)).collect();
+        let time_ns = |index: &SlicedScanIndex| {
+            let mut out = Vec::new();
+            let mut reps = 1u32;
+            loop {
+                let start = std::time::Instant::now();
+                for _ in 0..reps {
+                    for query in &queries {
+                        let _ = index.candidates_into(std::hint::black_box(query), 3, &mut out);
+                    }
+                }
+                let elapsed = start.elapsed();
+                if elapsed.as_millis() >= 25 {
+                    return elapsed.as_nanos() as f64 / f64::from(reps) / queries.len() as f64;
+                }
+                reps *= 2;
+            }
+        };
+        for groups in [50, 100, 150, 200, 300, 400, 600, 800, 1200] {
+            let mut table = GroupTable::new(num_bits);
+            for i in 0..groups {
+                table.observe(&state(i, 3 * (i % 40), 0));
+            }
+            let rows = time_ns(&build(&table, ScanBackend::detect(), false));
+            let sliced = time_ns(&build(&table, ScanBackend::detect(), true));
+            println!("{groups:>5} groups: row-major {rows:.0} ns, bit-sliced {sliced:.0} ns");
+        }
     }
 
     #[test]

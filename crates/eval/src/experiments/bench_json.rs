@@ -1,8 +1,8 @@
 //! The `bench-json` command: a tracked benchmark baseline.
 //!
 //! Measures the candidate-scan hot path — the naive [`GroupTable`] scan
-//! against the packed [`ScanIndex`] and the bit-sliced [`SlicedScanIndex`]
-//! (single-query and batched, with the dispatched SIMD backend recorded) —
+//! against the model's [`SlicedScanIndex`] (single-query and batched, with
+//! the dispatched SIMD backend recorded) —
 //! at hh102 width (33 binary + 79 numeric sensors = 270 state bits) across
 //! group-table sizes, plus end-to-end engine throughput on the testbed, and
 //! writes the results as JSON. CI runs this from the repo root to refresh
@@ -15,8 +15,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dice_core::{
-    BitSet, DiceConfig, DiceEngine, EngineOptions, GroupTable, ParallelTrainer, RoutedScanIndex,
-    ScanBackend, ScanIndex, SlicedScanIndex, SCAN_CROSSOVER_GROUPS,
+    BitSet, DiceConfig, DiceEngine, EngineOptions, GroupTable, ParallelTrainer, ScanBackend,
+    SlicedScanIndex, SCAN_CROSSOVER_GROUPS,
 };
 use dice_sim::testbed;
 use dice_telemetry::{Telemetry, TimeSeriesRecorder};
@@ -39,10 +39,8 @@ const MAX_DISTANCE: u32 = 3;
 struct ScanRow {
     groups: usize,
     naive_ns: f64,
-    indexed_ns: f64,
-    bitsliced_ns: f64,
+    index_ns: f64,
     batch_ns: f64,
-    routed_ns: f64,
     backend: &'static str,
 }
 
@@ -55,20 +53,12 @@ impl ScanRow {
         }
     }
 
-    fn speedup(&self) -> f64 {
-        Self::ratio(self.naive_ns, self.indexed_ns)
-    }
-
-    fn speedup_bitsliced(&self) -> f64 {
-        Self::ratio(self.naive_ns, self.bitsliced_ns)
+    fn speedup_index(&self) -> f64 {
+        Self::ratio(self.naive_ns, self.index_ns)
     }
 
     fn speedup_batch(&self) -> f64 {
         Self::ratio(self.naive_ns, self.batch_ns)
-    }
-
-    fn speedup_routed(&self) -> f64 {
-        Self::ratio(self.naive_ns, self.routed_ns)
     }
 }
 
@@ -127,8 +117,8 @@ fn time_ns(mut f: impl FnMut() -> usize) -> f64 {
     }
 }
 
-/// Benchmarks naive vs packed vs bit-sliced (single and batched) candidate
-/// scans for each table size.
+/// Benchmarks the naive scan against the model's scan index (single and
+/// batched) for each table size.
 fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
     let queries = synthetic_queries(num_bits, 32);
     let query_refs: Vec<&BitSet> = queries.iter().collect();
@@ -137,9 +127,7 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
         .iter()
         .map(|&groups| {
             let table = synthetic_table(num_bits, groups);
-            let index = ScanIndex::build(&table);
-            let sliced = SlicedScanIndex::build(&table);
-            let routed = RoutedScanIndex::build(&table);
+            let index = SlicedScanIndex::build(&table);
             let mut scratch = Vec::new();
             let mut batch_scratch: Vec<Vec<_>> = Vec::new();
             let naive_sweep = time_ns(|| {
@@ -152,7 +140,7 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
                     })
                     .sum()
             });
-            let indexed_sweep = time_ns(|| {
+            let index_sweep = time_ns(|| {
                 queries
                     .iter()
                     .map(|q| {
@@ -161,30 +149,8 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
                     })
                     .sum()
             });
-            let bitsliced_sweep = time_ns(|| {
-                queries
-                    .iter()
-                    .map(|q| {
-                        sliced.candidates_into(std::hint::black_box(q), MAX_DISTANCE, &mut scratch);
-                        scratch.len()
-                    })
-                    .sum()
-            });
-            let routed_sweep = time_ns(|| {
-                queries
-                    .iter()
-                    .map(|q| {
-                        let _ = routed.candidates_into(
-                            std::hint::black_box(q),
-                            MAX_DISTANCE,
-                            &mut scratch,
-                        );
-                        scratch.len()
-                    })
-                    .sum()
-            });
             let batch_sweep = time_ns(|| {
-                sliced.candidates_batch_into(
+                index.candidates_batch_into(
                     std::hint::black_box(&query_refs),
                     MAX_DISTANCE,
                     &mut batch_scratch,
@@ -194,10 +160,8 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
             ScanRow {
                 groups,
                 naive_ns: naive_sweep / queries.len() as f64,
-                indexed_ns: indexed_sweep / queries.len() as f64,
-                bitsliced_ns: bitsliced_sweep / queries.len() as f64,
+                index_ns: index_sweep / queries.len() as f64,
                 batch_ns: batch_sweep / queries.len() as f64,
-                routed_ns: routed_sweep / queries.len() as f64,
                 backend,
             }
         })
@@ -664,17 +628,13 @@ fn render_json(
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "      {{\"groups\": {}, \"naive_ns_per_scan\": {:.0}, \"scan_index_ns_per_scan\": {:.0}, \"speedup\": {:.2}, \"bitsliced_ns_per_scan\": {:.0}, \"speedup_bitsliced\": {:.2}, \"batch_ns_per_query\": {:.0}, \"speedup_batch\": {:.2}, \"routed_ns_per_scan\": {:.0}, \"speedup_routed\": {:.2}, \"backend\": \"{}\"}}{comma}",
+            "      {{\"groups\": {}, \"naive_ns_per_scan\": {:.0}, \"index_ns_per_scan\": {:.0}, \"speedup_index\": {:.2}, \"batch_ns_per_query\": {:.0}, \"speedup_batch\": {:.2}, \"backend\": \"{}\"}}{comma}",
             row.groups,
             row.naive_ns,
-            row.indexed_ns,
-            row.speedup(),
-            row.bitsliced_ns,
-            row.speedup_bitsliced(),
+            row.index_ns,
+            row.speedup_index(),
             row.batch_ns,
             row.speedup_batch(),
-            row.routed_ns,
-            row.speedup_routed(),
             row.backend
         );
     }
@@ -786,23 +746,19 @@ pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     for row in &rows {
         let _ = writeln!(
             out,
-            "  {:>6} groups: naive {:>9.0} ns/scan, indexed {:>9.0} ns/scan ({:.2}x), bitsliced[{}] {:>7.0} ns/scan ({:.2}x), batch {:>7.0} ns/query ({:.2}x), routed {:>7.0} ns/scan ({:.2}x)",
+            "  {:>6} groups: naive {:>9.0} ns/scan, index[{}] {:>7.0} ns/scan ({:.2}x), batch {:>7.0} ns/query ({:.2}x)",
             row.groups,
             row.naive_ns,
-            row.indexed_ns,
-            row.speedup(),
             row.backend,
-            row.bitsliced_ns,
-            row.speedup_bitsliced(),
+            row.index_ns,
+            row.speedup_index(),
             row.batch_ns,
-            row.speedup_batch(),
-            row.routed_ns,
-            row.speedup_routed()
+            row.speedup_batch()
         );
     }
     let _ = writeln!(
         out,
-        "routed crossover: row-major below {SCAN_CROSSOVER_GROUPS} groups, bit-sliced above"
+        "scan crossover: row-major below {SCAN_CROSSOVER_GROUPS} groups, bit-sliced at or above"
     );
     let _ = writeln!(
         out,
@@ -872,27 +828,17 @@ mod tests {
     #[test]
     fn naive_and_indexed_scans_agree_on_synthetic_tables() {
         let table = synthetic_table(HH102_BITS, 200);
-        let index = ScanIndex::build(&table);
-        let sliced = SlicedScanIndex::build(&table);
-        let routed = RoutedScanIndex::build(&table);
+        let index = SlicedScanIndex::build(&table);
         let queries = synthetic_queries(HH102_BITS, 8);
         for query in &queries {
             assert_eq!(
                 table.candidates(query, MAX_DISTANCE),
                 index.candidates(query, MAX_DISTANCE)
             );
-            assert_eq!(
-                table.candidates(query, MAX_DISTANCE),
-                sliced.candidates(query, MAX_DISTANCE)
-            );
-            assert_eq!(
-                table.candidates(query, MAX_DISTANCE),
-                routed.candidates(query, MAX_DISTANCE)
-            );
         }
         let refs: Vec<&BitSet> = queries.iter().collect();
         let mut batch = Vec::new();
-        let _ = sliced.candidates_batch_into(&refs, MAX_DISTANCE, &mut batch);
+        let _ = index.candidates_batch_into(&refs, MAX_DISTANCE, &mut batch);
         for (query, got) in queries.iter().zip(&batch) {
             assert_eq!(got, &table.candidates(query, MAX_DISTANCE));
         }
@@ -903,10 +849,8 @@ mod tests {
         let rows = vec![ScanRow {
             groups: 100,
             naive_ns: 1000.0,
-            indexed_ns: 250.0,
-            bitsliced_ns: 50.0,
+            index_ns: 50.0,
             batch_ns: 40.0,
-            routed_ns: 200.0,
             backend: "avx2",
         }];
         let throughput = Throughput {
@@ -970,9 +914,8 @@ mod tests {
             &fleet,
         );
         assert!(json.contains("\"candidate_scan\""));
-        assert!(json.contains("\"speedup\": 4.00"));
-        assert!(json.contains("\"bitsliced_ns_per_scan\": 50"));
-        assert!(json.contains("\"speedup_bitsliced\": 20.00"));
+        assert!(json.contains("\"index_ns_per_scan\": 50"));
+        assert!(json.contains("\"speedup_index\": 20.00"));
         assert!(json.contains("\"batch_ns_per_query\": 40"));
         assert!(json.contains("\"speedup_batch\": 25.00"));
         assert!(json.contains("\"backend\": \"avx2\""));
@@ -987,8 +930,6 @@ mod tests {
         assert!(json.contains("\"timeseries_overhead\""));
         assert!(json.contains("\"sampled_ns_per_window\": 1857"));
         assert!(json.contains("\"overhead_pct\": 3.17"));
-        assert!(json.contains("\"routed_ns_per_scan\": 200"));
-        assert!(json.contains("\"speedup_routed\": 5.00"));
         assert!(json.contains("\"crossover_groups\""));
         assert!(json.contains("\"fleet_tracing_overhead\""));
         assert!(json.contains("\"untraced_ms\": 200.0"));
@@ -1000,17 +941,6 @@ mod tests {
         assert!(json.contains("\"homes_per_sec\": 2000"));
         assert!(json.contains("\"models_resident\": 4"));
         assert!(json.ends_with("}\n"));
-    }
-
-    #[test]
-    #[ignore = "measurement probe"]
-    fn crossover_probe() {
-        for row in candidate_scan_rows(HH102_BITS, &[50, 100, 200, 300, 400, 600, 800, 1200]) {
-            println!(
-                "{:>5} groups: rows {:.0} ns, sliced {:.0} ns, routed {:.0} ns",
-                row.groups, row.indexed_ns, row.bitsliced_ns, row.routed_ns
-            );
-        }
     }
 
     #[test]

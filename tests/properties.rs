@@ -3,9 +3,9 @@
 use dice_core::{
     parse_trace_jsonl, read_model, write_model, write_trace_jsonl, BitSet, ContextExtractor,
     DecisionTrace, DiceConfig, DiceEngine, DiceModel, EngineOptions, FaultReport, GroupTable,
-    ParallelTrainer, RoutedScanIndex, ScanBackend, ScanIndex, SlicedScanIndex, TraceHeader,
-    TraceLog, TraceOptions, TracePhase, TraceTransition, TraceVerdict, TransitionCase,
-    TransitionCounts,
+    ParallelTrainer, ScanBackend, ScanProfile, SlicedScanIndex, TraceHeader, TraceLog,
+    TraceOptions, TracePhase, TraceTransition, TraceVerdict, TransitionCase, TransitionCounts,
+    BLOCK_LANES, SCAN_CROSSOVER_GROUPS,
 };
 use dice_telemetry::Telemetry;
 use dice_types::{
@@ -131,6 +131,85 @@ fn bitset_strategy(len: usize) -> impl Strategy<Value = BitSet> {
     })
 }
 
+/// Checks every [`SlicedScanIndex`] entry point against the naive scan of
+/// `table` on each available backend: candidates, nearest ties, batch
+/// results, and profiles that match across backends and sum over a batch.
+/// `planes` is whether `table` is at or above the bit-sliced crossover;
+/// `stored` is a state of the table, so its candidate scan has a hit.
+fn assert_scans_match_naive(
+    table: &GroupTable,
+    query: &BitSet,
+    near: &BitSet,
+    stored: &BitSet,
+    max_distance: u32,
+    planes: bool,
+) {
+    assert_eq!(table.len() >= SCAN_CROSSOVER_GROUPS, planes);
+    let naive_candidates = table.candidates(query, max_distance);
+    let naive_nearest = table.nearest(query);
+    let batch_queries = [query, near, stored];
+    let mut reference_profiles = None;
+    for backend in ScanBackend::available() {
+        let index = SlicedScanIndex::with_backend(table, backend);
+        assert_eq!(index.len(), table.len());
+        assert_eq!(index.backend(), backend);
+
+        let mut candidates = Vec::new();
+        let profile = index.candidates_into(query, max_distance, &mut candidates);
+        assert_eq!(&candidates, &naive_candidates);
+        let mut nearest = Vec::new();
+        let nearest_profile = index.nearest_into(query, &mut nearest);
+        assert_eq!(&nearest, &naive_nearest);
+        match reference_profiles {
+            None => reference_profiles = Some((profile, nearest_profile)),
+            Some((p, np)) => {
+                assert_eq!(
+                    p,
+                    profile,
+                    "candidate profile differs on {}",
+                    backend.name()
+                );
+                assert_eq!(
+                    np,
+                    nearest_profile,
+                    "nearest profile differs on {}",
+                    backend.name()
+                );
+            }
+        }
+        // Bit planes run exactly when the table is at or above the crossover.
+        let mut scratch = Vec::new();
+        let stored_profile = index.candidates_into(stored, max_distance, &mut scratch);
+        assert_eq!(
+            stored_profile.blocks > 0,
+            planes,
+            "mode on {}",
+            backend.name()
+        );
+
+        // Scratch reuse: a dirty buffer from a previous query must not leak
+        // into the next result.
+        let _ = index.candidates_into(query, max_distance, &mut scratch);
+        assert_eq!(&scratch, &naive_candidates);
+
+        let mut candidate_batch = Vec::new();
+        let batch_profile =
+            index.candidates_batch_into(&batch_queries, max_distance, &mut candidate_batch);
+        let mut summed = ScanProfile::default();
+        for (q, slots) in batch_queries.iter().zip(&candidate_batch) {
+            assert_eq!(slots, &table.candidates(q, max_distance));
+            summed.absorb(index.candidates_into(q, max_distance, &mut scratch));
+        }
+        assert_eq!(batch_profile, summed, "batch profile is the sum of singles");
+
+        let mut nearest_batch = Vec::new();
+        let _ = index.nearest_batch_into(&batch_queries, &mut nearest_batch);
+        for (q, slots) in batch_queries.iter().zip(&nearest_batch) {
+            assert_eq!(slots, &table.nearest(q));
+        }
+    }
+}
+
 proptest! {
     /// Hamming distance is a metric: symmetric, zero iff equal, triangle
     /// inequality.
@@ -195,95 +274,37 @@ proptest! {
         prop_assert_eq!(all.len(), table.len());
     }
 
-    /// The packed scan index agrees exactly with the naive group-table scan
-    /// for any table, query, and threshold — including the ordering of
-    /// candidates and nearest-tie sets. Width 130 exercises multi-word rows.
+    /// The scan index agrees exactly with the naive group-table scan for any
+    /// table, query, and threshold — including the ordering of candidates
+    /// and nearest-tie sets — on every backend this CPU supports. Each case
+    /// checks both size modes: a small row-major table (`states`) and one
+    /// at or above the crossover whose bit planes span two blocks (`states`
+    /// plus `extra`). Width 130 exercises multi-word rows.
     #[test]
     fn scan_index_matches_naive_table(
         states in prop::collection::vec(bitset_strategy(130), 1..50),
+        extra in prop::collection::vec(
+            bitset_strategy(130),
+            SCAN_CROSSOVER_GROUPS..BLOCK_LANES + 64,
+        ),
         query in bitset_strategy(130),
+        flips in prop::collection::vec(0usize..130, 1..6),
         max_distance in 0u32..20,
     ) {
+        // A near-miss of a stored state, so the thresholds find real hits.
+        let mut near = states[0].clone();
+        for &bit in &flips {
+            near.set(bit, !near.get(bit));
+        }
         let mut table = GroupTable::new(130);
         for state in &states {
             table.observe(state);
         }
-        let index = ScanIndex::build(&table);
-        prop_assert_eq!(index.len(), table.len());
-        let naive_candidates = table.candidates(&query, max_distance);
-        let naive_nearest = table.nearest(&query);
-        prop_assert_eq!(&index.candidates(&query, max_distance), &naive_candidates);
-        prop_assert_eq!(&index.nearest(&query), &naive_nearest);
-
-        // Scratch reuse: a dirty buffer from a previous query must not leak
-        // into the next result.
-        let mut scratch = index.candidates(&states[0], 130);
-        index.candidates_into(&query, max_distance, &mut scratch);
-        prop_assert_eq!(&scratch, &naive_candidates);
-
-        // The bit-sliced index returns bit-identical candidates, ties, and
-        // ScanProfiles on every backend this CPU supports, and its batch
-        // entry points match the per-query singles element-wise.
-        let batch_queries: Vec<&BitSet> =
-            std::iter::once(&query).chain(states.iter().take(3)).collect();
-        let mut reference_profiles = None;
-        for backend in ScanBackend::available() {
-            let sliced = SlicedScanIndex::with_backend(&table, backend);
-            prop_assert_eq!(sliced.len(), table.len());
-            prop_assert_eq!(sliced.backend(), backend);
-
-            let mut candidates = Vec::new();
-            let profile = sliced.candidates_into(&query, max_distance, &mut candidates);
-            prop_assert_eq!(&candidates, &naive_candidates);
-            let mut nearest = Vec::new();
-            let nearest_profile = sliced.nearest_into(&query, &mut nearest);
-            prop_assert_eq!(&nearest, &naive_nearest);
-            match reference_profiles {
-                None => reference_profiles = Some((profile, nearest_profile)),
-                Some((p, np)) => {
-                    prop_assert_eq!(p, profile, "candidate profile differs on {}", backend.name());
-                    prop_assert_eq!(np, nearest_profile, "nearest profile differs on {}", backend.name());
-                }
-            }
-
-            let mut candidate_batch = Vec::new();
-            let batch_profile =
-                sliced.candidates_batch_into(&batch_queries, max_distance, &mut candidate_batch);
-            let mut summed = dice_core::ScanProfile::default();
-            for (q, slots) in batch_queries.iter().zip(&candidate_batch) {
-                prop_assert_eq!(slots, &table.candidates(q, max_distance));
-                let p = sliced.candidates_into(q, max_distance, &mut scratch);
-                summed.rows += p.rows;
-                summed.pruned += p.pruned;
-                summed.blocks += p.blocks;
-                summed.early_stops += p.early_stops;
-            }
-            prop_assert_eq!(batch_profile, summed, "batch profile is the sum of singles");
-
-            let mut nearest_batch = Vec::new();
-            let _ = sliced.nearest_batch_into(&batch_queries, &mut nearest_batch);
-            for (q, slots) in batch_queries.iter().zip(&nearest_batch) {
-                prop_assert_eq!(slots, &table.nearest(q));
-            }
+        assert_scans_match_naive(&table, &query, &near, &states[0], max_distance, false);
+        for state in &extra {
+            table.observe(state);
         }
-
-        // The crossover-routed index — whichever side of the group-count
-        // threshold this table lands on — stays bit-identical to the naive
-        // scan through every entry point.
-        let routed = RoutedScanIndex::build(&table);
-        prop_assert_eq!(routed.len(), table.len());
-        prop_assert_eq!(&routed.candidates(&query, max_distance), &naive_candidates);
-        prop_assert_eq!(&routed.nearest(&query), &naive_nearest);
-        let mut routed_batch = Vec::new();
-        let _ = routed.candidates_batch_into(&batch_queries, max_distance, &mut routed_batch);
-        for (q, slots) in batch_queries.iter().zip(&routed_batch) {
-            prop_assert_eq!(slots, &table.candidates(q, max_distance));
-        }
-        let mut routed_nearest = Vec::new();
-        let _ = routed.nearest_batch_into(&batch_queries, &mut routed_nearest);
-        for (q, slots) in batch_queries.iter().zip(&routed_nearest) {
-            prop_assert_eq!(slots, &table.nearest(q));
-        }
+        assert_scans_match_naive(&table, &query, &near, &states[0], max_distance, true);
     }
 
     /// Transition probabilities per row sum to one (over observed columns).
