@@ -320,4 +320,15 @@ mod tests {
         assert!(a.contains("health"), "--health must render the rule table");
         assert!(!a.contains("CRITICAL"), "healthy fixture must not go crit");
     }
+
+    /// The committed frame pins every counter, alarm and lineage record of
+    /// the fixture, not just its stability from one run to the next.
+    #[test]
+    fn once_frame_matches_the_golden() {
+        let frame = fleet_monitor(&["--once", "--health", "32", "2", "20"]).unwrap();
+        assert_eq!(
+            frame,
+            include_str!("../../../../tests/golden/fleet_monitor_once_health_32_2_20.txt")
+        );
+    }
 }

@@ -29,7 +29,7 @@ use dice_types::{Event, TimeDelta, Timestamp};
 
 use crate::frame::{encode_frame_into, HomeId, MAX_FRAME_BODY};
 use crate::router::{default_shards, shard_for_home};
-use crate::shard::{ShardEngine, ShardStats};
+use crate::shard::{ShardEngine, ShardFinish};
 use crate::trace::{SenderShardTrace, TraceClock};
 
 /// How long a producer naps between retries on a full shard queue. The
@@ -49,7 +49,7 @@ pub struct FleetConfig {
     pub frames_per_batch: usize,
     /// Ready windows a shard collects before a batched detection sweep.
     pub batch_windows: usize,
-    /// Per-home alarm cooldown (see the single-home gateway).
+    /// Per-home alarm cooldown (see [`dice_gateway::AlarmLedger`]).
     pub alarm_cooldown: TimeDelta,
     /// Telemetry sink shared by the shards and their engines.
     pub telemetry: Telemetry,
@@ -362,13 +362,6 @@ impl Fleet {
                 .set(models_resident as i64);
         }
 
-        let mut stats = FleetStats {
-            homes: self.homes.len(),
-            shards,
-            models_resident,
-            ..FleetStats::default()
-        };
-
         let mut shard_homes: Vec<Vec<(HomeId, Arc<DiceModel>)>> = vec![Vec::new(); shards];
         for (home, model) in &self.homes {
             shard_homes[shard_for_home(*home, shards)].push((*home, Arc::clone(model)));
@@ -386,101 +379,71 @@ impl Fleet {
             rxs.push(rx);
         }
 
-        let make_engine = |shard: usize, homes: Vec<(HomeId, Arc<DiceModel>)>| {
-            ShardEngine::new(
-                shard,
-                homes,
-                self.config.batch_windows,
-                self.config.alarm_cooldown,
-                from,
-                to,
-                telemetry.clone(),
-                self.config.tracing,
-                self.config.clock.clone(),
-            )
-        };
-
-        let mut alarms: Vec<HomeAlarms> = Vec::with_capacity(self.homes.len());
-        let mut lineage: Vec<Vec<LineageStamp>> = Vec::with_capacity(shards);
-        if preloaded {
-            let mut sender = new_sender(&self.config, telemetry, &txs);
-            feed(&mut sender);
-            sender.flush();
-            stats.frames = sender.frames;
-            stats.backpressure_waits = sender.backpressure_waits;
-            stats.backpressure_wait_ns = sender.backpressure_wait_ns;
-            drop(sender);
-            drop(txs);
-            for (shard, (rx, homes)) in rxs.into_iter().zip(shard_homes).enumerate() {
-                let mut engine = make_engine(shard, homes);
-                drain_shard(&mut engine, &rx, telemetry, shard, self.config.stall);
-                let (homes, shard_stats, records) = engine.finish();
-                absorb_shard(&mut stats, &shard_stats);
-                lineage.push(records);
-                alarms.extend(
-                    homes
-                        .into_iter()
-                        .map(|(home, reports)| HomeAlarms { home, reports }),
+        // One shard's whole life: build its engine, drain its queue, and
+        // close out its homes.
+        let serve_shard =
+            |shard: usize, rx: Receiver<ShardBatch>, homes: Vec<(HomeId, Arc<DiceModel>)>| {
+                let mut engine = ShardEngine::new(
+                    shard,
+                    homes,
+                    self.config.batch_windows,
+                    self.config.alarm_cooldown,
+                    from,
+                    to,
+                    telemetry.clone(),
+                    self.config.tracing,
+                    self.config.clock.clone(),
                 );
+                drain_shard(&mut engine, &rx, telemetry, shard, self.config.stall);
+                engine.finish()
+            };
+
+        let mut run = FleetRun {
+            stats: FleetStats {
+                homes: self.homes.len(),
+                shards,
+                models_resident,
+                ..FleetStats::default()
+            },
+            alarms: Vec::with_capacity(self.homes.len()),
+            lineage: Vec::with_capacity(shards),
+        };
+        let shard_inputs = rxs.into_iter().zip(shard_homes).enumerate();
+        if preloaded {
+            feed_shards(&self.config, txs, feed, &mut run.stats);
+            for (shard, (rx, homes)) in shard_inputs {
+                absorb_shard(&mut run, serve_shard(shard, rx, homes));
             }
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = rxs
-                    .into_iter()
-                    .zip(shard_homes)
-                    .enumerate()
-                    .map(|(shard, (rx, homes))| {
-                        let stall = self.config.stall;
-                        let make_engine = &make_engine;
-                        scope.spawn(move || {
-                            let mut engine = make_engine(shard, homes);
-                            drain_shard(&mut engine, &rx, telemetry, shard, stall);
-                            engine.finish()
-                        })
-                    })
+                let serve_shard = &serve_shard;
+                let handles: Vec<_> = shard_inputs
+                    .map(|(shard, (rx, homes))| scope.spawn(move || serve_shard(shard, rx, homes)))
                     .collect();
-
-                let mut sender = new_sender(&self.config, telemetry, &txs);
-                feed(&mut sender);
-                sender.flush();
-                stats.frames = sender.frames;
-                stats.backpressure_waits = sender.backpressure_waits;
-                stats.backpressure_wait_ns = sender.backpressure_wait_ns;
-                drop(sender);
-                drop(txs);
-
+                feed_shards(&self.config, txs, feed, &mut run.stats);
                 for handle in handles {
-                    let (homes, shard_stats, records) =
-                        handle.join().expect("shard thread panicked");
-                    absorb_shard(&mut stats, &shard_stats);
-                    lineage.push(records);
-                    alarms.extend(
-                        homes
-                            .into_iter()
-                            .map(|(home, reports)| HomeAlarms { home, reports }),
-                    );
+                    absorb_shard(&mut run, handle.join().expect("shard thread panicked"));
                 }
             });
         }
-        alarms.sort_by_key(|a| a.home);
-        FleetRun {
-            stats,
-            alarms,
-            lineage,
-        }
+        run.alarms.sort_by_key(|a| a.home);
+        run
     }
 }
 
-/// Builds the ingestion handle over `txs`, with the per-shard wait
-/// handles resolved once up front.
-fn new_sender<'a>(
+/// Runs `feed` through an ingestion handle over `txs`, flushes the
+/// partial batches, copies the sender's counters into `stats`, and hangs
+/// up the queues so the shards can finish draining.
+fn feed_shards(
     config: &FleetConfig,
-    telemetry: &'a Telemetry,
-    txs: &'a [Sender<ShardBatch>],
-) -> FleetSender<'a> {
+    txs: Vec<Sender<ShardBatch>>,
+    feed: impl FnOnce(&mut FleetSender<'_>),
+    stats: &mut FleetStats,
+) {
+    let telemetry = &config.telemetry;
     let shards = txs.len();
-    FleetSender {
-        txs,
+    let mut sender = FleetSender {
+        txs: &txs,
         staging: (0..shards).map(|_| BytesMut::new()).collect(),
         counts: vec![0; shards],
         frames_per_batch: config.frames_per_batch.max(1),
@@ -494,7 +457,12 @@ fn new_sender<'a>(
         frames: 0,
         backpressure_waits: 0,
         backpressure_wait_ns: 0,
-    }
+    };
+    feed(&mut sender);
+    sender.flush();
+    stats.frames = sender.frames;
+    stats.backpressure_waits = sender.backpressure_waits;
+    stats.backpressure_wait_ns = sender.backpressure_wait_ns;
 }
 
 /// One shard's receive loop: track queue depth, honor the fault-injection
@@ -531,12 +499,20 @@ fn drain_shard(
     }
 }
 
-/// Folds one shard's counters into the run totals.
-fn absorb_shard(stats: &mut FleetStats, shard: &ShardStats) {
+/// Folds one finished shard into the run: its counters into the totals,
+/// its homes' alarms and its lineage records onto the lists.
+fn absorb_shard(run: &mut FleetRun, (homes, shard, records): ShardFinish) {
+    let stats = &mut run.stats;
     stats.decode_errors += shard.decode_errors;
     stats.events += shard.events;
     stats.windows += shard.windows;
     stats.batched_scans += shard.batched_scans;
     stats.alarms += shard.alarms;
     stats.suppressed += shard.suppressed;
+    run.lineage.push(records);
+    run.alarms.extend(
+        homes
+            .into_iter()
+            .map(|(home, reports)| HomeAlarms { home, reports }),
+    );
 }

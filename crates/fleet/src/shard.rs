@@ -2,27 +2,28 @@
 //! engine, ready windows are detected in cross-home batches.
 //!
 //! A shard receives packed frame batches for its subset of homes, closes
-//! each home's one-minute windows as that home's stream passes their
-//! boundaries, and parks closed windows in a ready list. When the list
-//! reaches the configured batch size (or the stream ends) the shard
-//! resolves every violating window's candidate scan in one batched sweep
-//! per distinct model — the natural batches PR 7's
+//! each home's windows through its [`WindowClock`] as that home's stream
+//! passes their boundaries, and parks closed windows in a ready list. When
+//! the list reaches the configured batch size (or the stream ends) the
+//! shard resolves every violating window's candidate scan in one batched
+//! sweep per distinct model — the natural batches
 //! `candidates_batch_into` was built for — and then drives each home's
 //! engine through [`DiceEngine::process_window_prescanned`], which is
 //! bit-identical to the unbatched path. Identification state, alarm
-//! cooldowns, and reports stay strictly per home, so shard composition
-//! never leaks state across homes and alarm output is invariant under the
-//! shard count.
+//! cooldowns ([`AlarmLedger`]), and reports stay strictly per home, so
+//! shard composition never leaks state across homes and alarm output is
+//! invariant under the shard count.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dice_core::{
     BinarizeScratch, Candidate, Detector, DiceEngine, DiceModel, EngineOptions, FaultReport,
     LineageStamp, ScanProfile, WindowObservation, WindowPrescan,
 };
+use dice_gateway::{AlarmLedger, WindowClock};
 use dice_telemetry::{shard_label, SlotRing, Telemetry};
-use dice_types::{DeviceId, Event, TimeDelta, Timestamp};
+use dice_types::{Event, TimeDelta, Timestamp};
 
 use crate::frame::{decode_frames, FleetFrame, HomeId};
 use crate::service::ShardBatch;
@@ -60,30 +61,20 @@ pub struct ShardStats {
     pub suppressed: u64,
 }
 
-impl ShardStats {
-    /// Adds another shard's counts into this one.
-    pub fn absorb(&mut self, other: &ShardStats) {
-        self.frames += other.frames;
-        self.decode_errors += other.decode_errors;
-        self.events += other.events;
-        self.windows += other.windows;
-        self.batched_scans += other.batched_scans;
-        self.alarms += other.alarms;
-        self.suppressed += other.suppressed;
-    }
-}
-
-/// One home's serving state: its engine (holding a shared model handle),
-/// the open window, and the alarm-cooldown ledger.
+/// One home's serving state: its engine, the window clock and open
+/// window's events, and the alarm ledger.
 #[derive(Debug)]
 struct HomeState {
     home: HomeId,
+    /// A second handle to the engine's model, kept beside the window state
+    /// that ingest has just written: the sweep reads the model for every
+    /// ready window, and on shards with many homes reading the engine's
+    /// copy instead costs a cache miss per window.
     model: Arc<DiceModel>,
     engine: DiceEngine<Arc<DiceModel>>,
-    window: TimeDelta,
-    window_start: Timestamp,
+    clock: WindowClock,
     events: Vec<Event>,
-    last_alarmed: HashMap<DeviceId, Timestamp>,
+    ledger: AlarmLedger,
     reports: Vec<FaultReport>,
 }
 
@@ -103,9 +94,6 @@ pub struct ShardEngine {
     slots: BTreeMap<HomeId, usize>,
     ready: Vec<ReadyWindow>,
     batch_windows: usize,
-    alarm_cooldown: TimeDelta,
-    from: Timestamp,
-    to: Timestamp,
     telemetry: Telemetry,
     stats: ShardStats,
     /// Resolved per-shard child of `dice_fleet_shard_windows_total`, so
@@ -154,7 +142,7 @@ impl ShardEngine {
         let mut states = Vec::with_capacity(homes.len());
         let mut slots = BTreeMap::new();
         for (home, model) in homes {
-            let window = model.config().window();
+            let clock = WindowClock::new(model.config().window(), from, to);
             let engine = DiceEngine::with_options(
                 Arc::clone(&model),
                 EngineOptions {
@@ -167,10 +155,9 @@ impl ShardEngine {
                 home,
                 model,
                 engine,
-                window,
-                window_start: from.align_down(window),
+                clock,
                 events: Vec::new(),
-                last_alarmed: HashMap::new(),
+                ledger: AlarmLedger::new(alarm_cooldown),
                 reports: Vec::new(),
             });
         }
@@ -190,9 +177,6 @@ impl ShardEngine {
             slots,
             ready: Vec::new(),
             batch_windows: batch_windows.max(1),
-            alarm_cooldown,
-            from,
-            to,
             telemetry,
             stats: ShardStats::default(),
             shard_windows,
@@ -289,25 +273,22 @@ impl ShardEngine {
         let Some(&slot) = self.slots.get(&frame.home) else {
             return;
         };
+        let home = &mut self.homes[slot];
         let at = frame.event.at();
-        if at < self.from || at >= self.to {
+        if !home.clock.admits(at) {
             return;
         }
         self.stats.events += 1;
         if let Some(rec) = self.telemetry.recorder() {
             rec.metrics.fleet.events_total.inc();
         }
-        let home = &mut self.homes[slot];
-        while at >= home.window_start + home.window {
-            let end = home.window_start + home.window;
-            let events = std::mem::take(&mut home.events);
+        while let Some((start, end)) = home.clock.close_passed(at) {
             self.ready.push(ReadyWindow {
                 slot,
-                start: home.window_start,
+                start,
                 end,
-                events,
+                events: std::mem::take(&mut home.events),
             });
-            home.window_start = end;
         }
         home.events.push(frame.event);
         if self.ready.len() >= self.batch_windows {
@@ -438,13 +419,7 @@ impl ShardEngine {
             }
             if let Some(report) = report {
                 let publish_start_ns = if self.tracing { self.clock.now_ns() } else { 0 };
-                let delivered = Self::deliver(
-                    home,
-                    report,
-                    self.alarm_cooldown,
-                    &mut self.stats,
-                    &self.telemetry,
-                );
+                let delivered = Self::deliver(home, report, &mut self.stats, &self.telemetry);
                 if self.tracing {
                     let d = self.clock.now_ns().saturating_sub(publish_start_ns);
                     publish_ns += d;
@@ -501,26 +476,15 @@ impl ShardEngine {
         }
     }
 
-    /// Delivers one report through the home's cooldown ledger, mirroring
-    /// the single-home gateway's suppression semantics. Returns whether
-    /// the report was delivered (vs suppressed).
+    /// Delivers one report through the home's [`AlarmLedger`]. Returns
+    /// whether the report was delivered (vs suppressed).
     fn deliver(
         home: &mut HomeState,
         report: FaultReport,
-        cooldown: TimeDelta,
         stats: &mut ShardStats,
         telemetry: &Telemetry,
     ) -> bool {
-        let now = report.identified_at;
-        let fresh = report.devices.iter().any(|d| {
-            home.last_alarmed
-                .get(d)
-                .is_none_or(|&at| now - at > cooldown)
-        });
-        if fresh || report.devices.is_empty() {
-            for &d in &report.devices {
-                home.last_alarmed.insert(d, now);
-            }
+        if home.ledger.admit(&report) {
             stats.alarms += 1;
             if let Some(rec) = telemetry.recorder() {
                 rec.metrics.fleet.alarms_total.inc();
@@ -542,20 +506,12 @@ impl ShardEngine {
     /// retained lineage records (oldest first).
     pub fn finish(mut self) -> ShardFinish {
         for slot in 0..self.homes.len() {
-            loop {
-                let home = &mut self.homes[slot];
-                if home.window_start >= self.to {
-                    break;
-                }
-                let end = (home.window_start + home.window).min(self.to);
-                let start = home.window_start;
-                let events = std::mem::take(&mut home.events);
-                home.window_start = end;
+            while let Some((start, end)) = self.homes[slot].clock.close_remaining() {
                 self.ready.push(ReadyWindow {
                     slot,
                     start,
                     end,
-                    events,
+                    events: std::mem::take(&mut self.homes[slot].events),
                 });
                 if self.ready.len() >= self.batch_windows {
                     self.sweep();
@@ -566,13 +522,7 @@ impl ShardEngine {
         for slot in 0..self.homes.len() {
             let home = &mut self.homes[slot];
             if let Some(report) = home.engine.flush() {
-                Self::deliver(
-                    home,
-                    report,
-                    self.alarm_cooldown,
-                    &mut self.stats,
-                    &self.telemetry,
-                );
+                Self::deliver(home, report, &mut self.stats, &self.telemetry);
             }
         }
         let records = self.ring.iter().copied().collect();

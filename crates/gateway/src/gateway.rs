@@ -2,8 +2,9 @@
 //! online.
 //!
 //! The gateway performs a k-way time-ordered merge over the aggregator
-//! channels, closes one-minute windows as the merged stream passes their
-//! boundaries, and feeds each window to the real-time engine. Fault reports
+//! channels, closes windows as the merged stream passes their boundaries
+//! (the shared [`WindowClock`] rules), and feeds each window to the
+//! real-time engine. Fault reports that pass the [`AlarmLedger`] cooldown
 //! are pushed to an alarm channel the moment identification completes —
 //! this is the deployment shape of Figure 3.1, with threads and channels
 //! standing in for the CoAP fabric.
@@ -13,7 +14,7 @@
 // branches on it.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
@@ -25,6 +26,10 @@ use dice_telemetry::{saturating_ns, Recorder, Telemetry};
 use dice_types::{DeviceId, Event, Timestamp};
 
 use crate::message::{decode_event, EventFrame, FrameError};
+use crate::stream::{AlarmLedger, WindowClock};
+
+/// The `home` label the gateway's per-home metric families record under.
+const HOME_LABEL: &str = "home0";
 
 /// An alarm pushed by the gateway when a fault is identified.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +68,6 @@ pub struct HomeGateway<M: Borrow<DiceModel>> {
     engine: Mutex<DiceEngine<M>>,
     alarm_cooldown: dice_types::TimeDelta,
     telemetry: Telemetry,
-    /// The `home` label this gateway's dimensional metrics record under.
-    home: String,
     /// When set, every alarm's trace evidence is appended here as JSONL
     /// (one layout header for the whole stream, then the evidence traces of
     /// each alarm in order). Requires tracing to be enabled in the engine
@@ -128,20 +131,17 @@ impl SnapshotWriter {
 
 impl<M: Borrow<DiceModel>> HomeGateway<M> {
     /// Creates a gateway around a trained model handle with the default
-    /// one-hour alarm cooldown.
+    /// one-hour alarm cooldown (see [`AlarmLedger`]).
     pub fn new(model: M) -> Self {
-        Self::with_cooldown(model, dice_types::TimeDelta::from_mins(60))
+        Self::with_telemetry(
+            model,
+            dice_types::TimeDelta::from_mins(60),
+            Telemetry::global(),
+        )
     }
 
-    /// Creates a gateway with an explicit alarm cooldown: repeat reports
-    /// naming a device already alarmed within the cooldown are suppressed
-    /// (an ongoing fault keeps violating until the device is fixed, but the
-    /// user needs one alarm, not one per minute).
-    pub fn with_cooldown(model: M, alarm_cooldown: dice_types::TimeDelta) -> Self {
-        Self::with_telemetry(model, alarm_cooldown, Telemetry::global())
-    }
-
-    /// Creates a gateway reporting to an explicit telemetry sink; the inner
+    /// Creates a gateway with an explicit alarm cooldown (see
+    /// [`AlarmLedger`]) reporting to an explicit telemetry sink; the inner
     /// engine shares the same sink, so one recorder sees both layers.
     pub fn with_telemetry(
         model: M,
@@ -171,18 +171,8 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             engine: Mutex::new(DiceEngine::with_options(model, options)),
             alarm_cooldown,
             telemetry,
-            home: "home0".to_string(),
             trace_snapshots: None,
         }
-    }
-
-    /// Sets the `home` label this gateway records its per-home metric
-    /// family children under (default `home0`). A fleet runner gives each
-    /// gateway its own label so one recorder separates the homes.
-    #[must_use]
-    pub fn with_home(mut self, home: impl Into<String>) -> Self {
-        self.home = home.into();
-        self
     }
 
     /// Persists every alarm's trace evidence to `out` as JSONL (see
@@ -240,13 +230,13 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             rec.metrics
                 .gateway
                 .home_windows_total
-                .with_label_values(&[&self.home])
+                .with_label_values(&[HOME_LABEL])
         });
         let home_alarms = recorder.map(|rec| {
             rec.metrics
                 .gateway
                 .home_alarms_total
-                .with_label_values(&[&self.home])
+                .with_label_values(&[HOME_LABEL])
         });
         let (window, trace_header) = {
             let engine = self.engine.lock();
@@ -279,23 +269,12 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                 .set(streams.len() as i64);
         }
 
-        let mut window_start = from.align_down(window);
+        let mut clock = WindowClock::new(window, from, to);
         let mut window_events: Vec<Event> = Vec::new();
         let mut engine = self.engine.lock();
-        let mut last_alarmed: BTreeMap<DeviceId, Timestamp> = BTreeMap::new();
-        let deliver = |report: FaultReport,
-                       stats: &mut GatewayStats,
-                       last_alarmed: &mut BTreeMap<DeviceId, Timestamp>| {
-            let now = report.identified_at;
-            let fresh = report.devices.iter().any(|d| {
-                last_alarmed
-                    .get(d)
-                    .is_none_or(|&at| now - at > self.alarm_cooldown)
-            });
-            if fresh || report.devices.is_empty() {
-                for &d in &report.devices {
-                    last_alarmed.insert(d, now);
-                }
+        let mut ledger = AlarmLedger::new(self.alarm_cooldown);
+        let mut deliver = |report: FaultReport, stats: &mut GatewayStats| {
+            if ledger.admit(&report) {
                 stats.alarms += 1;
                 if let Some(rec) = recorder {
                     rec.metrics.gateway.alarms_total.inc();
@@ -314,6 +293,31 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             } else if let Some(rec) = recorder {
                 rec.metrics.gateway.alarms_suppressed_total.inc();
             }
+        };
+        // Runs one closed window through the engine, records it, and
+        // empties the reused event buffer for the next window.
+        let mut close = |(start, end): (Timestamp, Timestamp),
+                         events: &mut Vec<Event>,
+                         stats: &mut GatewayStats| {
+            let opened = recorder.map(|_| Instant::now());
+            if let Some(report) = engine.process_window(start, end, events) {
+                deliver(report, stats);
+            }
+            stats.windows += 1;
+            if let Some(rec) = recorder {
+                rec.metrics.gateway.windows_total.inc();
+                if let Some(opened) = opened {
+                    rec.metrics
+                        .gateway
+                        .window_ns
+                        .record(saturating_ns(opened.elapsed().as_nanos()));
+                }
+            }
+            if let Some(home) = &home_windows {
+                home.inc();
+            }
+            events.clear();
+            on_window(end);
         };
 
         'merge: loop {
@@ -377,67 +381,23 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             };
             pending[slot] = None;
 
-            if event.at() < from || event.at() >= to {
+            if !clock.admits(event.at()) {
                 continue; // outside the monitored range
             }
             stats.events += 1;
             if let Some(rec) = recorder {
                 rec.metrics.gateway.events_total.inc();
             }
-
-            // Close windows the merged stream has passed.
-            while event.at() >= window_start + window {
-                let end = window_start + window;
-                let opened = recorder.map(|_| Instant::now());
-                if let Some(report) = engine.process_window(window_start, end, &window_events) {
-                    deliver(report, &mut stats, &mut last_alarmed);
-                }
-                stats.windows += 1;
-                if let Some(rec) = recorder {
-                    rec.metrics.gateway.windows_total.inc();
-                    if let Some(opened) = opened {
-                        rec.metrics
-                            .gateway
-                            .window_ns
-                            .record(saturating_ns(opened.elapsed().as_nanos()));
-                    }
-                }
-                if let Some(home) = &home_windows {
-                    home.inc();
-                }
-                window_events.clear();
-                window_start = end;
-                on_window(end);
+            while let Some(bounds) = clock.close_passed(event.at()) {
+                close(bounds, &mut window_events, &mut stats);
             }
             window_events.push(event);
         }
-
-        // Close remaining windows up to `to`.
-        while window_start < to {
-            let end = (window_start + window).min(to);
-            let opened = recorder.map(|_| Instant::now());
-            if let Some(report) = engine.process_window(window_start, end, &window_events) {
-                deliver(report, &mut stats, &mut last_alarmed);
-            }
-            stats.windows += 1;
-            if let Some(rec) = recorder {
-                rec.metrics.gateway.windows_total.inc();
-                if let Some(opened) = opened {
-                    rec.metrics
-                        .gateway
-                        .window_ns
-                        .record(saturating_ns(opened.elapsed().as_nanos()));
-                }
-            }
-            if let Some(home) = &home_windows {
-                home.inc();
-            }
-            window_events.clear();
-            window_start = end;
-            on_window(end);
+        while let Some(bounds) = clock.close_remaining() {
+            close(bounds, &mut window_events, &mut stats);
         }
         if let Some(report) = engine.flush() {
-            deliver(report, &mut stats, &mut last_alarmed);
+            deliver(report, &mut stats);
         }
 
         stats
@@ -628,7 +588,7 @@ mod tests {
         }
         drop(tx);
         let (alarm_tx, _alarm_rx) = unbounded();
-        let gateway = HomeGateway::new(&model).with_home("hX");
+        let gateway = HomeGateway::new(&model);
         let mut closed = Vec::new();
         let stats = gateway.run_with_observer(
             vec![rx],

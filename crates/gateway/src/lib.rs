@@ -6,7 +6,8 @@
 //! compact frames and send them over channels; the [`HomeGateway`] merges
 //! the streams in time order, closes one-minute windows, drives the
 //! real-time engine, and pushes [`Alarm`]s the moment a fault is
-//! identified.
+//! identified. [`WindowClock`] and [`AlarmLedger`] hold the window and
+//! alarm-cooldown rules, which the `dice-fleet` shard uses too.
 //!
 //! Streaming and offline replay are behaviorally identical — see the
 //! `streaming_matches_offline_replay` test and the `gateway_e2e`
@@ -19,6 +20,7 @@ mod aggregator;
 mod boot;
 mod gateway;
 mod message;
+mod stream;
 
 pub use aggregator::{partition_by_device, spawn_aggregator};
 pub use boot::{load_model, BootError, BootOptions};
@@ -26,3 +28,4 @@ pub use gateway::{Alarm, GatewayStats, HomeGateway};
 pub use message::{
     decode_event, decode_event_slice, encode_event, encode_event_into, EventFrame, FrameError,
 };
+pub use stream::{AlarmLedger, WindowClock};

@@ -101,9 +101,9 @@ pub fn encode_event(event: &Event) -> EventFrame {
 }
 
 /// Appends one event's frame bytes to `buf` without allocating a new
-/// buffer, for callers (like the fleet ingestion path) that pack many
-/// frames into one contiguous batch. [`encode_event`] writes through the
-/// same function into a stack slice, so the two cannot disagree.
+/// buffer. [`encode_event`] writes through this function into a stack
+/// slice, and the fleet frame wraps [`encode_event`]'s bytes, so every
+/// event on every wire has this one layout.
 pub fn encode_event_into(event: &Event, buf: &mut impl BufMut) {
     match event {
         Event::Sensor(r) => match r.value {

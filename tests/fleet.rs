@@ -3,20 +3,36 @@
 //! shard count, a single-home fleet matches the single-home gateway, and
 //! fleet model memory scales with distinct floor plans, not homes.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use dice_core::{ContextExtractor, DiceConfig, DiceModel};
+use dice_core::{ContextExtractor, DiceConfig, DiceEngine, DiceModel, FaultReport};
 use dice_fleet::{
     decode_frame_slice, decode_frames, encode_frame, Fleet, FleetConfig, FleetRun, ModelCache,
     TraceClock,
 };
-use dice_gateway::{encode_event, HomeGateway};
+use dice_gateway::{encode_event, GatewayStats, HomeGateway};
 use dice_telemetry::{evaluate_health, standard_rules, HealthStatus, Telemetry};
 use dice_types::{
-    ActuatorEvent, ActuatorId, DeviceRegistry, Event, EventLog, Room, SensorId, SensorKind,
-    SensorReading, TimeDelta, Timestamp,
+    ActuatorEvent, ActuatorId, DeviceId, DeviceRegistry, Event, EventLog, Room, SensorId,
+    SensorKind, SensorReading, TimeDelta, Timestamp,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The stalled-shard test compares wall-clock queue waits across shard
+/// threads, which CPU contention from other tests in this binary can
+/// swamp. It takes this lock exclusively; every other test here holds it
+/// shared.
+static CPU: RwLock<()> = RwLock::new(());
+
+fn cpu_alone() -> RwLockWriteGuard<'static, ()> {
+    CPU.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn cpu_shared() -> RwLockReadGuard<'static, ()> {
+    CPU.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Floor plan `extra`: `3 + extra` motion sensors, the first two trained
 /// to fire together (one correlation group) — the gateway test fixture,
@@ -135,6 +151,7 @@ fn run_fleet_with(config: FleetConfig, plans: &[Arc<DiceModel>; 2]) -> FleetRun 
 
 #[test]
 fn alarms_are_invariant_under_shard_count() {
+    let _cpu = cpu_shared();
     let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
     let one = run_fleet(1, &plans);
     let two = run_fleet(2, &plans);
@@ -170,6 +187,7 @@ fn alarms_are_invariant_under_shard_count() {
 
 #[test]
 fn lineage_ids_are_monotone_per_shard_with_frozen_stage_deltas() {
+    let _cpu = cpu_shared();
     let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
     for shards in [1usize, 2, 8] {
         // A frozen manual clock: every stage delta must come out exactly
@@ -240,6 +258,7 @@ fn lineage_ids_are_monotone_per_shard_with_frozen_stage_deltas() {
 
 #[test]
 fn preloaded_runs_are_reproducible_and_match_threaded_alarms() {
+    let _cpu = cpu_shared();
     let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
     let config = |clock: TraceClock| FleetConfig {
         shards: 4,
@@ -294,6 +313,7 @@ fn preloaded_runs_are_reproducible_and_match_threaded_alarms() {
 
 #[test]
 fn stalled_shard_grows_queue_waits_and_trips_the_straggler_rule() {
+    let _cpu = cpu_alone();
     let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
     let telemetry = Telemetry::recording();
     // Shard 0 sleeps 3ms per batch behind a 2-deep queue: its queue-wait
@@ -366,6 +386,7 @@ fn stalled_shard_grows_queue_waits_and_trips_the_straggler_rule() {
 
 #[test]
 fn single_home_fleet_matches_the_gateway() {
+    let _cpu = cpu_shared();
     let model = Arc::new(train_plan(0));
     let sensors = plan_devices(0).1;
     let events = live_events(&sensors, 120, true);
@@ -409,6 +430,7 @@ fn single_home_fleet_matches_the_gateway() {
 
 #[test]
 fn fleet_memory_scales_with_distinct_models() {
+    let _cpu = cpu_shared();
     let cache = ModelCache::new();
     let mut fleet = Fleet::new(FleetConfig::default());
     for h in 0..100u32 {
@@ -451,6 +473,7 @@ proptest! {
     /// (the wire format has one canonical encoding).
     #[test]
     fn frames_round_trip_byte_stably(home in any::<u32>(), event in event_strategy()) {
+        let _cpu = cpu_shared();
         let encoded = encode_frame(home, &event);
         let (frame, used) = decode_frame_slice(&encoded).expect("own encoding must decode");
         prop_assert_eq!(used, encoded.len());
@@ -467,6 +490,7 @@ proptest! {
     fn arbitrary_bytes_never_panic_the_decoder(
         data in prop::collection::vec(any::<u8>(), 0..96),
     ) {
+        let _cpu = cpu_shared();
         let _ = decode_frame_slice(&data);
         let frames: Vec<_> = decode_frames(&data).collect();
         // The iterator stops at the first error, so it is finite and any
@@ -487,6 +511,7 @@ proptest! {
         flip_at in any::<usize>(),
         flip_bits in 1u8..=255,
     ) {
+        let _cpu = cpu_shared();
         let mut bytes = encode_frame(home, &event).as_slice().to_vec();
         let at = flip_at % bytes.len();
         bytes[at] ^= flip_bits;
@@ -497,4 +522,343 @@ proptest! {
             prop_assert_eq!(canonical.as_slice(), &bytes[..used]);
         }
     }
+}
+
+// Differential test: the reference engine, the single-home gateway and the
+// fleet on the same messy streams.
+
+/// One home's generated stream, in arrival order.
+struct MessyHome {
+    id: u32,
+    plan: usize,
+    events: Vec<Event>,
+}
+
+/// A seeded multi-home stream over `[from, to)`.
+struct MessyFleet {
+    from: Timestamp,
+    to: Timestamp,
+    homes: Vec<MessyHome>,
+}
+
+/// Generates one multi-home stream. Every stream has an unaligned `from`
+/// and `to` (so the first window is aligned down and the last is
+/// clipped), gaps and therefore empty windows, duplicate events, unknown
+/// sensor and actuator ids, numeric readings on binary sensors, events
+/// just outside the range, some fail-stopped homes, and one home whose
+/// first event arrives more than two hours into the stream. With
+/// `ordered` unset, some events are delivered late: behind events with
+/// later timestamps, often across window boundaries.
+fn messy_fleet(rng: &mut StdRng, ordered: bool) -> MessyFleet {
+    const MINUTES: i64 = 150;
+    let from = Timestamp::from_secs(rng.gen_range(1..60));
+    let tail_secs = rng.gen_range(1..60);
+    let to = Timestamp::from_mins(MINUTES) + TimeDelta::from_secs(tail_secs);
+    let n_homes = rng.gen_range(2..=4usize);
+    let late_home = rng.gen_range(0..n_homes);
+    let mut homes = Vec::new();
+    for h in 0..n_homes {
+        let plan = h % 2;
+        let sensors = plan_devices(plan).1;
+        let first_minute = if h == late_home {
+            rng.gen_range(125..140)
+        } else {
+            0
+        };
+        // Some homes fail-stop two minutes before the end, so their fault
+        // is identified in the clipped last window.
+        let fail_stop_at = match rng.gen_range(0..10) {
+            0..=2 => None,
+            3..=4 => Some(MINUTES - 2),
+            _ => Some(rng.gen_range(first_minute..MINUTES)),
+        };
+        let mut events = vec![Event::Sensor(SensorReading::new(
+            sensors[0],
+            from - TimeDelta::from_secs(1),
+            true.into(),
+        ))];
+        let mut minute = first_minute;
+        while minute <= MINUTES {
+            if rng.gen_bool(0.04) {
+                minute += rng.gen_range(1..20i64); // a gap of empty windows
+                continue;
+            }
+            let secs = if minute == MINUTES { tail_secs } else { 60 };
+            let at = Timestamp::from_mins(minute) + TimeDelta::from_secs(rng.gen_range(0..secs));
+            let mut fire = |sensor: SensorId| {
+                let event = Event::Sensor(SensorReading::new(sensor, at, true.into()));
+                events.push(event);
+                if rng.gen_bool(0.1) {
+                    events.push(event); // duplicate delivery
+                }
+            };
+            if minute % 2 == 0 {
+                fire(sensors[0]);
+                if fail_stop_at.is_none_or(|stop| minute < stop) {
+                    fire(sensors[1]);
+                }
+            } else {
+                fire(sensors[2 + (minute as usize / 2) % (sensors.len() - 2)]);
+            }
+            match rng.gen_range(0..40) {
+                0 => events.push(Event::Sensor(SensorReading::new(
+                    SensorId::new(40),
+                    at,
+                    true.into(),
+                ))),
+                1 => events.push(Event::Actuator(ActuatorEvent::new(
+                    ActuatorId::new(9),
+                    at,
+                    true,
+                ))),
+                2 => events.push(Event::Sensor(SensorReading::new(
+                    sensors[2],
+                    at,
+                    21.5.into(),
+                ))),
+                _ => {}
+            }
+            minute += 1;
+        }
+        events.push(Event::Sensor(SensorReading::new(
+            sensors[0],
+            to,
+            true.into(),
+        )));
+        if !ordered {
+            // Deliver some events late: move each picked event up to
+            // eight places later in the stream.
+            for i in (0..events.len()).rev() {
+                if rng.gen_bool(0.08) {
+                    let event = events.remove(i);
+                    let to_index = (i + rng.gen_range(1..=8usize)).min(events.len());
+                    events.insert(to_index, event);
+                }
+            }
+        }
+        homes.push(MessyHome {
+            id: 37 * h as u32 + 5,
+            plan,
+            events,
+        });
+    }
+    MessyFleet { from, to, homes }
+}
+
+/// The alarm cooldown restated independently of the serving code: a
+/// report is delivered when it names no device, or names a device whose
+/// most recent delivered alarm is more than `cooldown` old.
+fn apply_cooldown(reports: Vec<FaultReport>, cooldown: TimeDelta) -> Vec<FaultReport> {
+    let mut delivered: Vec<FaultReport> = Vec::new();
+    for report in reports {
+        let now = report.identified_at;
+        let last_alarm = |device: &DeviceId| {
+            delivered
+                .iter()
+                .rev()
+                .find(|r| r.devices.contains(device))
+                .map(|r| r.identified_at)
+        };
+        let fresh = report.devices.is_empty()
+            || report
+                .devices
+                .iter()
+                .any(|d| last_alarm(d).is_none_or(|at| now - at > cooldown));
+        if fresh {
+            delivered.push(report);
+        }
+    }
+    delivered
+}
+
+/// The reference: one offline engine over the home's in-range events,
+/// sorted into an `EventLog` and windowed by `process_range` from `from`
+/// aligned down to the window grid, then flushed, then the cooldown.
+/// Returns the delivered reports and the window count.
+fn reference_home(
+    model: &DiceModel,
+    events: &[Event],
+    from: Timestamp,
+    to: Timestamp,
+) -> (Vec<FaultReport>, u64) {
+    let window = model.config().window();
+    let start = from.align_down(window);
+    let mut log: EventLog = events
+        .iter()
+        .copied()
+        .filter(|e| e.at() >= from && e.at() < to)
+        .collect();
+    let windows = log.windows_between(start, to, window).count() as u64;
+    let mut engine = DiceEngine::new(model);
+    let mut reports = engine.process_range(&mut log, start, to);
+    reports.extend(engine.flush());
+    (apply_cooldown(reports, TimeDelta::from_mins(60)), windows)
+}
+
+/// Serves one home through `HomeGateway::run` with its stream split over
+/// `channels`, returning the delivered reports and the gateway's stats.
+fn gateway_home(
+    model: &Arc<DiceModel>,
+    channels: Vec<Vec<Event>>,
+    from: Timestamp,
+    to: Timestamp,
+) -> (Vec<FaultReport>, GatewayStats) {
+    let receivers = channels
+        .into_iter()
+        .map(|events| {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            for event in &events {
+                tx.send(encode_event(event)).unwrap();
+            }
+            rx
+        })
+        .collect();
+    let (alarm_tx, alarm_rx) = crossbeam::channel::unbounded();
+    let stats = HomeGateway::new(Arc::clone(model)).run(receivers, &alarm_tx, from, to);
+    drop(alarm_tx);
+    (alarm_rx.iter().map(|a| a.report).collect(), stats)
+}
+
+/// Splits a stream over `k` channels so that the gateway's time-ordered
+/// merge hands it back in arrival order: the stream is cut only where
+/// every earlier event is strictly older than every later one, and each
+/// block goes to a random channel. A late event therefore always shares a
+/// channel with the events it arrived behind.
+fn split_channels(rng: &mut StdRng, events: &[Event], k: usize) -> Vec<Vec<Event>> {
+    let mut suffix_min = vec![Timestamp::from_secs(i64::MAX); events.len() + 1];
+    for i in (0..events.len()).rev() {
+        suffix_min[i] = suffix_min[i + 1].min(events[i].at());
+    }
+    let mut channels = vec![Vec::new(); k];
+    let mut channel = 0;
+    let mut prefix_max = Timestamp::from_secs(i64::MIN);
+    for (i, event) in events.iter().enumerate() {
+        if i > 0 && prefix_max < suffix_min[i] && rng.gen_bool(0.3) {
+            channel = rng.gen_range(0..k);
+        }
+        channels[channel].push(*event);
+        prefix_max = prefix_max.max(event.at());
+    }
+    channels
+}
+
+/// Feeds the fleet every home's stream, interleaving homes in random
+/// chunks (each home's own order is kept) and mixing in frames for a home
+/// that is not registered.
+fn feed_messy(rng: &mut StdRng, fleet: &MessyFleet) -> Vec<(u32, Event)> {
+    let mut cursors = vec![0; fleet.homes.len()];
+    let mut frames = Vec::new();
+    loop {
+        let live: Vec<usize> = (0..fleet.homes.len())
+            .filter(|&h| cursors[h] < fleet.homes[h].events.len())
+            .collect();
+        if live.is_empty() {
+            return frames;
+        }
+        let h = live[rng.gen_range(0..live.len())];
+        let home = &fleet.homes[h];
+        let end = (cursors[h] + rng.gen_range(1..=8usize)).min(home.events.len());
+        for event in &home.events[cursors[h]..end] {
+            frames.push((home.id, *event));
+        }
+        cursors[h] = end;
+        if rng.gen_bool(0.05) {
+            frames.push((999, home.events[end - 1]));
+        }
+    }
+}
+
+/// The same seeded streams through three paths: (a) the offline reference
+/// engine, (b) `HomeGateway::run` over one channel and over several, and
+/// (c) `Fleet::run` and `Fleet::run_preloaded` under seeded shard counts,
+/// queue capacities and batch sizes. The gateway and the fleet must
+/// deliver equal alarms and window counts on every stream. They must also
+/// equal the reference on time-ordered streams; the reference sorts its
+/// input, so it is not compared on the streams with late events, where
+/// both serving paths keep a late event in the window that is open when
+/// it arrives.
+#[test]
+fn reference_gateway_and_fleet_agree_on_messy_streams() {
+    let _cpu = cpu_shared();
+    let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
+    let (mut delivered, mut suppressed, mut late_events) = (0u64, 0u64, 0usize);
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ordered = seed % 3 != 2;
+        let fleet = messy_fleet(&mut rng, ordered);
+        let (from, to) = (fleet.from, fleet.to);
+
+        let mut gateway_reports = Vec::new();
+        let mut gateway_windows = 0;
+        let mut gateway_events = 0;
+        for home in &fleet.homes {
+            let model = &plans[home.plan];
+            let (one, one_stats) = gateway_home(model, vec![home.events.clone()], from, to);
+            let k = rng.gen_range(2..=4);
+            let channels = split_channels(&mut rng, &home.events, k);
+            let (many, many_stats) = gateway_home(model, channels, from, to);
+            assert_eq!(one, many, "seed {seed} home {}: channel split", home.id);
+            assert_eq!(one_stats.windows, many_stats.windows);
+            assert_eq!(one_stats.events, many_stats.events);
+            if ordered {
+                let (reference, windows) = reference_home(model, &home.events, from, to);
+                assert_eq!(one, reference, "seed {seed} home {}: reference", home.id);
+                assert_eq!(one_stats.windows, windows, "seed {seed} home {}", home.id);
+            } else {
+                late_events += home.events[..]
+                    .windows(2)
+                    .filter(|pair| pair[1].at() < pair[0].at())
+                    .count();
+            }
+            gateway_windows += one_stats.windows;
+            gateway_events += one_stats.events;
+            gateway_reports.push((home.id, one));
+        }
+        gateway_reports.sort_by_key(|(id, _)| *id);
+
+        let frames = feed_messy(&mut rng, &fleet);
+        for preloaded in [false, true] {
+            let config = FleetConfig {
+                shards: rng.gen_range(1..=4),
+                queue_capacity: rng.gen_range(1..=16),
+                frames_per_batch: rng.gen_range(1..=32),
+                batch_windows: rng.gen_range(1..=64),
+                clock: TraceClock::manual().0,
+                ..FleetConfig::default()
+            };
+            let label = format!("seed {seed} preloaded {preloaded} {config:?}");
+            let mut service = Fleet::new(config);
+            for home in &fleet.homes {
+                service.register_home(home.id, Arc::clone(&plans[home.plan]));
+            }
+            let feed = |sender: &mut dice_fleet::FleetSender<'_>| {
+                for (home, event) in &frames {
+                    sender.send(*home, event);
+                }
+            };
+            let run = if preloaded {
+                service.run_preloaded(from, to, feed)
+            } else {
+                service.run(from, to, feed)
+            };
+            let fleet_reports: Vec<_> = run
+                .alarms
+                .iter()
+                .map(|h| (h.home, h.reports.clone()))
+                .collect();
+            assert_eq!(fleet_reports, gateway_reports, "{label}");
+            assert_eq!(run.stats.windows, gateway_windows, "{label}");
+            assert_eq!(run.stats.events, gateway_events, "{label}");
+            assert_eq!(run.stats.frames, frames.len() as u64, "{label}");
+            delivered += run.stats.alarms;
+            suppressed += run.stats.suppressed;
+        }
+    }
+    // The generated streams exercise both sides of the cooldown and
+    // really do deliver events late.
+    assert!(
+        delivered > 0 && suppressed > 0,
+        "{delivered} / {suppressed}"
+    );
+    assert!(late_events > 0);
 }

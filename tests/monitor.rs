@@ -95,6 +95,20 @@ fn monitor_once_render_is_byte_stable() {
     assert!(first.contains("processed 61 windows"), "{first}");
 }
 
+/// The whole `--once --health` frame on this fixture is committed byte for
+/// byte, so a change to window assembly, the alarm cooldown, the metrics
+/// or the renderer cannot slip through as "still byte-stable".
+#[test]
+fn monitor_once_frame_matches_the_golden() {
+    let (model, csv) = materialize("golden");
+    let frame = run_command(
+        "monitor",
+        &["--once", "--health", model.as_str(), csv.as_str()],
+    )
+    .expect("monitor runs");
+    assert_eq!(frame, include_str!("golden/monitor_once_health.txt"));
+}
+
 #[test]
 fn monitor_live_mode_matches_once_totals() {
     let (model, csv) = materialize("live-vs-once");
