@@ -4,9 +4,11 @@
 //! against the model's [`SlicedScanIndex`] (single-query and batched, with
 //! the dispatched SIMD backend recorded) —
 //! at hh102 width (33 binary + 79 numeric sensors = 270 state bits) across
-//! group-table sizes, plus end-to-end engine throughput on the testbed, and
-//! writes the results as JSON. CI runs this from the repo root to refresh
-//! `BENCH_core.json`.
+//! group-table sizes, plus parallel training, static analysis, and the
+//! telemetry, time-series and fleet-tracing overheads (all three on one
+//! paired-difference method), and writes the results as JSON. CI runs this
+//! from the repo root to refresh `BENCH_core.json`. End-to-end and
+//! per-layer serving costs are perfbench's job, not this baseline's.
 //
 // lint-src: allow-file(wall-clock) — a benchmark exists to read the clock;
 // timings are reported, never fed back into model state.
@@ -15,18 +17,19 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dice_core::{
-    BitSet, DiceConfig, DiceEngine, EngineOptions, GroupTable, ParallelTrainer, ScanBackend,
-    SlicedScanIndex, SCAN_CROSSOVER_GROUPS,
+    BitSet, DiceConfig, DiceEngine, DiceModel, EngineOptions, GroupTable, ParallelTrainer,
+    ScanBackend, SlicedScanIndex, SCAN_CROSSOVER_GROUPS,
 };
+use dice_fleet::{FleetConfig, ModelCache};
 use dice_sim::testbed;
 use dice_telemetry::{Telemetry, TimeSeriesRecorder};
 use dice_types::{
-    ActuatorEvent, ActuatorId, ActuatorKind, DeviceRegistry, EventLog, Room, SensorId, SensorKind,
-    SensorReading, TimeDelta, Timestamp,
+    ActuatorEvent, ActuatorId, ActuatorKind, DeviceRegistry, Event, EventLog, Room, SensorId,
+    SensorKind, SensorReading, TimeDelta, Timestamp,
 };
 
-use super::fleet_bench::{run_fleet_bench, run_fleet_bench_traced, FleetBenchResult, FLOOR_PLANS};
-use crate::runner::{train_scenario, RunnerConfig, TrainedDataset};
+use super::fleet_plans::{feed, plan_fleet};
+use crate::runner::{train_scenario, RunnerConfig};
 
 /// hh102's state width: 33 binary sensors + 3 bits per numeric sensor.
 const HH102_BITS: usize = 33 + 3 * 79;
@@ -168,159 +171,27 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
         .collect()
 }
 
-/// End-to-end throughput: windows per second replaying testbed segments.
+/// A variant's cost next to the base it was paired with, both in one unit
+/// (ns per window, or ms per fleet run).
 #[derive(Debug, Clone, Copy)]
-struct Throughput {
-    windows: u64,
-    elapsed_ms: f64,
+struct Overhead {
+    base: f64,
+    variant: f64,
 }
 
-impl Throughput {
-    fn windows_per_sec(&self) -> f64 {
-        if self.elapsed_ms > 0.0 {
-            self.windows as f64 * 1000.0 / self.elapsed_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Telemetry recording cost relative to the no-op sink on the same replay.
-#[derive(Debug, Clone, Copy)]
-struct TelemetryOverhead {
-    noop_ns_per_window: f64,
-    recording_ns_per_window: f64,
-}
-
-impl TelemetryOverhead {
+impl Overhead {
     fn overhead_pct(&self) -> f64 {
-        if self.noop_ns_per_window > 0.0 {
-            (self.recording_ns_per_window - self.noop_ns_per_window) / self.noop_ns_per_window
-                * 100.0
+        if self.base > 0.0 {
+            (self.variant - self.base) / self.base * 100.0
         } else {
             0.0
         }
     }
 }
 
-/// Time-series sampling cost: a recording sink plus a [`TimeSeriesRecorder`]
-/// swept once per closed window (the monitor dashboard's cadence), relative
-/// to the no-op sink on the same replay.
-#[derive(Debug, Clone, Copy)]
-struct TimeseriesOverhead {
-    noop_ns_per_window: f64,
-    sampled_ns_per_window: f64,
-}
-
-impl TimeseriesOverhead {
-    fn overhead_pct(&self) -> f64 {
-        if self.noop_ns_per_window > 0.0 {
-            (self.sampled_ns_per_window - self.noop_ns_per_window) / self.noop_ns_per_window * 100.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Fleet causal-tracing cost: the same fleet run with per-stage lineage
-/// tracing on vs off. The §5l budget bounds this at 5%.
-#[derive(Debug, Clone, Copy)]
-struct FleetTracingOverhead {
-    homes: usize,
-    shards: usize,
-    minutes: i64,
-    untraced_ms: f64,
-    traced_ms: f64,
-}
-
-impl FleetTracingOverhead {
-    fn overhead_pct(&self) -> f64 {
-        if self.untraced_ms > 0.0 {
-            (self.traced_ms - self.untraced_ms) / self.untraced_ms * 100.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Replays every planned segment through an engine wired to `telemetry`.
-fn replay_segments(td: &TrainedDataset, window: TimeDelta, telemetry: &Telemetry) -> Throughput {
-    let mut windows = 0u64;
-    let mut elapsed_ms = 0.0f64;
-    for segment in td.plan.segments() {
-        let mut log = td.sim.log_between(segment.start, segment.end);
-        let batched: Vec<_> = log
-            .windows_between(segment.start, segment.end, window)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
-        let mut engine = DiceEngine::with_options(
-            &td.model,
-            EngineOptions {
-                telemetry: telemetry.clone(),
-                ..EngineOptions::default()
-            },
-        );
-        let start = Instant::now();
-        for (ws, we, events) in &batched {
-            let _ = engine.process_window(*ws, *we, std::hint::black_box(events));
-        }
-        elapsed_ms += start.elapsed().as_secs_f64() * 1000.0;
-        windows += batched.len() as u64;
-    }
-    Throughput {
-        windows,
-        elapsed_ms,
-    }
-}
-
-/// Windows per time-series sweep in the sampled replay — the monitor
-/// dashboard's cadence (`SAMPLE_WINDOWS` in the `monitor` experiment), so
-/// the bench measures the configuration the dashboard actually runs.
-const BENCH_SAMPLE_WINDOWS: u64 = 30;
-
-/// Like [`replay_segments`] but with a [`TimeSeriesRecorder`] sweeping the
-/// registry on sim time in the monitor dashboard's exact configuration: one
-/// sweep per [`BENCH_SAMPLE_WINDOWS`] closed windows, narrowed to the
-/// dashboard's watchlist — the heaviest telemetry setup the monitor runs.
-fn replay_segments_sampled(
-    td: &TrainedDataset,
-    window: TimeDelta,
-    telemetry: &Telemetry,
-) -> Throughput {
-    let recorder = telemetry.recorder().expect("recording handle");
-    let window_ns = u64::try_from(window.as_secs()).unwrap_or(1) * 1_000_000_000;
-    let mut series = TimeSeriesRecorder::new(window_ns * BENCH_SAMPLE_WINDOWS, 256)
-        .watch(super::monitor::DASHBOARD_SERIES);
-    let mut windows = 0u64;
-    let mut elapsed_ms = 0.0f64;
-    for segment in td.plan.segments() {
-        let mut log = td.sim.log_between(segment.start, segment.end);
-        let batched: Vec<_> = log
-            .windows_between(segment.start, segment.end, window)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
-        let mut engine = DiceEngine::with_options(
-            &td.model,
-            EngineOptions {
-                telemetry: telemetry.clone(),
-                ..EngineOptions::default()
-            },
-        );
-        let start = Instant::now();
-        for (ws, we, events) in &batched {
-            let _ = engine.process_window(*ws, *we, std::hint::black_box(events));
-            let now_ns = u64::try_from(we.as_secs()).unwrap_or(0) * 1_000_000_000;
-            series.maybe_sample(recorder, now_ns);
-        }
-        elapsed_ms += start.elapsed().as_secs_f64() * 1000.0;
-        windows += batched.len() as u64;
-    }
-    std::hint::black_box(series.len());
-    Throughput {
-        windows,
-        elapsed_ms,
-    }
-}
+/// Measured reps of [`paired_overhead`], after one discarded warm-up rep.
+/// Each rep is a few milliseconds, so 25 of them are cheap.
+const PAIRED_REPS: usize = 25;
 
 /// The median of a sample set (mean of the middle pair for even sizes).
 ///
@@ -338,16 +209,99 @@ fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// End-to-end throughput with the no-op sink, plus the recording overhead
-/// measured on the same testbed replay.
+/// Measures each variant's cost against `base`; every closure runs one
+/// workload and returns its cost.
 ///
-/// Each rep runs all three modes back to back, and the overhead estimates
-/// come from the *median of per-rep paired differences*: machine-speed
-/// drift (frequency scaling, a noisy neighbor) moves both sides of a pair
-/// together and cancels, where independent min-of-N for each mode lets the
-/// two minima land in different drift epochs and report the drift itself as
-/// overhead.
-fn engine_throughput() -> (Throughput, TelemetryOverhead, TimeseriesOverhead) {
+/// Each rep runs the base and then every variant in order, back to back;
+/// one warm-up rep (page faults, branch predictors) is discarded before
+/// [`PAIRED_REPS`] measured ones. The base is the minimum over reps, and
+/// each variant is the base plus the *median of its per-rep paired
+/// differences*, clamped at 0: machine-speed drift (frequency scaling, a
+/// noisy neighbor) moves both sides of a pair together and cancels, where
+/// an independent min-of-N per side lets the two minima land in different
+/// drift epochs and report the drift itself as overhead.
+fn paired_overhead<const N: usize>(
+    mut base: impl FnMut() -> f64,
+    mut variants: [&mut dyn FnMut() -> f64; N],
+) -> [Overhead; N] {
+    let mut base_min = f64::INFINITY;
+    let mut deltas: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(PAIRED_REPS));
+    for rep in 0..=PAIRED_REPS {
+        let base_cost = base();
+        for (variant, deltas) in variants.iter_mut().zip(&mut deltas) {
+            let cost = variant();
+            if rep > 0 {
+                deltas.push(cost - base_cost);
+            }
+        }
+        if rep > 0 {
+            base_min = base_min.min(base_cost);
+        }
+    }
+    deltas.map(|mut deltas| Overhead {
+        base: base_min,
+        variant: base_min + median(&mut deltas).max(0.0),
+    })
+}
+
+/// One closed window of a replayed segment: start, end, and its events.
+type Window = (Timestamp, Timestamp, Vec<Event>);
+
+/// Replays every segment through a fresh engine on `model` wired to
+/// `telemetry`, calling `after_window` with each window's end, and
+/// returns the engine wall time in milliseconds.
+fn replay(
+    model: &DiceModel,
+    segments: &[Vec<Window>],
+    telemetry: &Telemetry,
+    mut after_window: impl FnMut(Timestamp),
+) -> f64 {
+    let mut elapsed_ms = 0.0f64;
+    for windows in segments {
+        let mut engine = DiceEngine::with_options(
+            model,
+            EngineOptions {
+                telemetry: telemetry.clone(),
+                ..EngineOptions::default()
+            },
+        );
+        let start = Instant::now();
+        for (ws, we, events) in windows {
+            let _ = engine.process_window(*ws, *we, std::hint::black_box(events));
+            after_window(*we);
+        }
+        elapsed_ms += start.elapsed().as_secs_f64() * 1000.0;
+    }
+    elapsed_ms
+}
+
+/// Windows per time-series sweep in the sampled replay — the monitor
+/// dashboard's cadence (`SAMPLE_WINDOWS` in the `monitor` experiment), so
+/// the bench measures the configuration the dashboard actually runs.
+const BENCH_SAMPLE_WINDOWS: u64 = 30;
+
+/// [`replay`] with a recording sink and a [`TimeSeriesRecorder`] sweeping
+/// the registry on sim time in the monitor dashboard's exact
+/// configuration: one sweep per [`BENCH_SAMPLE_WINDOWS`] closed windows,
+/// narrowed to the dashboard's watchlist — the heaviest telemetry setup
+/// the monitor runs.
+fn replay_sampled(model: &DiceModel, segments: &[Vec<Window>], window: TimeDelta) -> f64 {
+    let telemetry = Telemetry::recording();
+    let recorder = telemetry.recorder().expect("recording handle");
+    let window_ns = u64::try_from(window.as_secs()).unwrap_or(1) * 1_000_000_000;
+    let mut series = TimeSeriesRecorder::new(window_ns * BENCH_SAMPLE_WINDOWS, 256)
+        .watch(super::monitor::DASHBOARD_SERIES);
+    let elapsed_ms = replay(model, segments, &telemetry, |we| {
+        let now_ns = u64::try_from(we.as_secs()).unwrap_or(0) * 1_000_000_000;
+        series.maybe_sample(recorder, now_ns);
+    });
+    std::hint::black_box(series.len());
+    elapsed_ms
+}
+
+/// Telemetry recording and time-series sampling cost per window, each
+/// against the no-op sink on the same testbed replay.
+fn engine_overheads() -> [Overhead; 2] {
     let cfg = RunnerConfig {
         seed: 7,
         trials: 4,
@@ -358,80 +312,61 @@ fn engine_throughput() -> (Throughput, TelemetryOverhead, TimeseriesOverhead) {
     let spec = testbed::dice_testbed("bench", 7, TimeDelta::from_hours(80), 12, 1);
     let td = train_scenario(spec, &cfg);
     let window = cfg.dice.window();
-
-    let mut windows = 0u64;
-    let mut noop_ms = f64::INFINITY;
-    let mut recording_deltas = Vec::new();
-    let mut sampled_deltas = Vec::new();
-    // One unmeasured warmup triad (page faults, branch predictors), then
-    // enough measured reps for the paired median to settle — each rep is a
-    // few milliseconds, so 25 of them are cheap.
-    for rep in 0..26 {
-        let noop = replay_segments(&td, window, &Telemetry::noop());
-        let recording = replay_segments(&td, window, &Telemetry::recording());
-        let sampled = replay_segments_sampled(&td, window, &Telemetry::recording());
-        if rep == 0 {
-            continue;
-        }
-        windows = noop.windows;
-        noop_ms = noop_ms.min(noop.elapsed_ms);
-        recording_deltas.push(recording.elapsed_ms - noop.elapsed_ms);
-        sampled_deltas.push(sampled.elapsed_ms - noop.elapsed_ms);
-    }
-    let recording_ms = noop_ms + median(&mut recording_deltas).max(0.0);
-    let sampled_ms = noop_ms + median(&mut sampled_deltas).max(0.0);
-    let per_window = |ms: f64| {
-        if windows > 0 {
-            ms * 1e6 / windows as f64
-        } else {
-            0.0
-        }
-    };
-    (
-        Throughput {
-            windows,
-            elapsed_ms: noop_ms,
-        },
-        TelemetryOverhead {
-            noop_ns_per_window: per_window(noop_ms),
-            recording_ns_per_window: per_window(recording_ms),
-        },
-        TimeseriesOverhead {
-            noop_ns_per_window: per_window(noop_ms),
-            sampled_ns_per_window: per_window(sampled_ms),
-        },
-    )
+    let segments: Vec<Vec<Window>> = td
+        .plan
+        .segments()
+        .iter()
+        .map(|segment| {
+            td.sim
+                .log_between(segment.start, segment.end)
+                .windows_between(segment.start, segment.end, window)
+                .map(|w| (w.start, w.end, w.events.to_vec()))
+                .collect()
+        })
+        .collect();
+    let windows: usize = segments.iter().map(Vec::len).sum();
+    let overheads = paired_overhead(
+        || replay(&td.model, &segments, &Telemetry::noop(), |_| {}),
+        [
+            &mut || replay(&td.model, &segments, &Telemetry::recording(), |_| {}),
+            &mut || replay_sampled(&td.model, &segments, window),
+        ],
+    );
+    let ns_per_window = 1e6 / windows.max(1) as f64;
+    overheads.map(|o| Overhead {
+        base: o.base * ns_per_window,
+        variant: o.variant * ns_per_window,
+    })
 }
 
-/// Measures the fleet causal-tracing cost with the same paired-difference
-/// discipline as [`engine_throughput`]: each rep runs the untraced and
-/// traced fleet back to back (one warmup rep discarded), the untraced
-/// baseline is the min across reps, and the traced estimate is that
-/// baseline plus the median of per-rep paired differences — drift moves
-/// both sides of a pair together and cancels.
-fn fleet_tracing_overhead() -> FleetTracingOverhead {
-    const HOMES: usize = 256;
-    const SHARDS: usize = 4;
-    const MINUTES: i64 = 30;
-    let cache = dice_fleet::ModelCache::new();
-    let mut untraced_ms = f64::INFINITY;
-    let mut deltas = Vec::new();
-    for rep in 0..26 {
-        let untraced = run_fleet_bench_traced(&cache, HOMES, SHARDS, MINUTES, false);
-        let traced = run_fleet_bench_traced(&cache, HOMES, SHARDS, MINUTES, true);
-        if rep == 0 {
-            continue;
-        }
-        untraced_ms = untraced_ms.min(untraced.elapsed_ms);
-        deltas.push(traced.elapsed_ms - untraced.elapsed_ms);
-    }
-    FleetTracingOverhead {
-        homes: HOMES,
-        shards: SHARDS,
-        minutes: MINUTES,
-        untraced_ms,
-        traced_ms: untraced_ms + median(&mut deltas).max(0.0),
-    }
+/// The `fleet_tracing_overhead` fleet: homes, shards, simulated minutes.
+const TRACING_FLEET: (usize, usize, i64) = (256, 4, 30);
+
+/// Wall time in milliseconds of one [`TRACING_FLEET`] run of the fleet
+/// fixture, with per-stage lineage tracing on or off.
+fn fleet_run_ms(cache: &ModelCache, tracing: bool) -> f64 {
+    let (homes, shards, minutes) = TRACING_FLEET;
+    let config = FleetConfig {
+        shards,
+        tracing,
+        ..FleetConfig::default()
+    };
+    let fleet = plan_fleet(config, cache, homes);
+    let feed = feed(homes, minutes);
+    let start = Instant::now();
+    let _run = fleet.run(Timestamp::from_mins(0), Timestamp::from_mins(minutes), feed);
+    start.elapsed().as_secs_f64() * 1000.0
+}
+
+/// Fleet causal-tracing cost: the same fleet run untraced (base) and
+/// traced, in ms per run. The §5l budget bounds it at 5%.
+fn fleet_tracing_overhead() -> Overhead {
+    let cache = ModelCache::new();
+    let [traced] = paired_overhead(
+        || fleet_run_ms(&cache, false),
+        [&mut || fleet_run_ms(&cache, true)],
+    );
+    traced
 }
 
 /// Parallel-training throughput: serial vs chunked extraction of an
@@ -607,19 +542,16 @@ fn analysis_bench(hours: i64) -> AnalysisBench {
 
 /// Renders the benchmark results as a stable, hand-rolled JSON document
 /// (the serde shim does not serialize, so the emitter formats directly).
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     rows: &[ScanRow],
-    throughput: &Throughput,
     training: &TrainingBench,
     analysis: &AnalysisBench,
-    overhead: &TelemetryOverhead,
-    timeseries: &TimeseriesOverhead,
-    tracing: &FleetTracingOverhead,
-    fleet: &[FleetBenchResult],
+    telemetry: &Overhead,
+    timeseries: &Overhead,
+    tracing: &Overhead,
 ) -> String {
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": 1,\n");
+    json.push_str("{\n  \"schema\": 2,\n");
     let _ = writeln!(
         json,
         "  \"candidate_scan\": {{\n    \"num_bits\": {HH102_BITS},\n    \"max_distance\": {MAX_DISTANCE},\n    \"crossover_groups\": {SCAN_CROSSOVER_GROUPS},\n    \"rows\": ["
@@ -641,13 +573,6 @@ fn render_json(
     json.push_str("    ]\n  },\n");
     let _ = writeln!(
         json,
-        "  \"end_to_end\": {{\"dataset\": \"testbed\", \"windows\": {}, \"elapsed_ms\": {:.1}, \"windows_per_sec\": {:.0}}},",
-        throughput.windows,
-        throughput.elapsed_ms,
-        throughput.windows_per_sec()
-    );
-    let _ = writeln!(
-        json,
         "  \"training\": {{\"dataset\": \"hh102-synthetic\", \"num_bits\": {HH102_BITS}, \"windows\": {}, \"events\": {}, \"serial_ms\": {:.1}, \"parallel_ms\": {:.1}, \"workers\": {}, \"available_parallelism\": {}, \"speedup\": {:.2}}},",
         training.windows,
         training.events,
@@ -665,48 +590,25 @@ fn render_json(
     let _ = writeln!(
         json,
         "  \"telemetry_overhead\": {{\"noop_ns_per_window\": {:.0}, \"recording_ns_per_window\": {:.0}, \"overhead_pct\": {:.2}}},",
-        overhead.noop_ns_per_window,
-        overhead.recording_ns_per_window,
-        overhead.overhead_pct()
+        telemetry.base,
+        telemetry.variant,
+        telemetry.overhead_pct()
     );
     let _ = writeln!(
         json,
         "  \"timeseries_overhead\": {{\"noop_ns_per_window\": {:.0}, \"sampled_ns_per_window\": {:.0}, \"overhead_pct\": {:.2}}},",
-        timeseries.noop_ns_per_window,
-        timeseries.sampled_ns_per_window,
+        timeseries.base,
+        timeseries.variant,
         timeseries.overhead_pct()
     );
+    let (homes, shards, minutes) = TRACING_FLEET;
     let _ = writeln!(
         json,
-        "  \"fleet_tracing_overhead\": {{\"homes\": {}, \"shards\": {}, \"minutes\": {}, \"untraced_ms\": {:.1}, \"traced_ms\": {:.1}, \"overhead_pct\": {:.2}}},",
-        tracing.homes,
-        tracing.shards,
-        tracing.minutes,
-        tracing.untraced_ms,
-        tracing.traced_ms,
+        "  \"fleet_tracing_overhead\": {{\"homes\": {homes}, \"shards\": {shards}, \"minutes\": {minutes}, \"untraced_ms\": {:.1}, \"traced_ms\": {:.1}, \"overhead_pct\": {:.2}}}",
+        tracing.base,
+        tracing.variant,
         tracing.overhead_pct()
     );
-    let _ = writeln!(
-        json,
-        "  \"fleet\": {{\n    \"floor_plans\": {FLOOR_PLANS},\n    \"rows\": ["
-    );
-    for (i, r) in fleet.iter().enumerate() {
-        let comma = if i + 1 < fleet.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"homes\": {}, \"shards\": {}, \"minutes\": {}, \"windows\": {}, \"elapsed_ms\": {:.1}, \"windows_per_sec\": {:.0}, \"homes_per_sec\": {:.0}, \"alarms\": {}, \"models_resident\": {}}}{comma}",
-            r.homes,
-            r.shards,
-            r.minutes,
-            r.windows,
-            r.elapsed_ms,
-            r.windows_per_sec(),
-            r.homes_per_sec(),
-            r.alarms,
-            r.models_resident
-        );
-    }
-    json.push_str("    ]\n  }\n");
     json.push_str("}\n");
     json
 }
@@ -720,20 +622,17 @@ fn render_json(
 pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     let path = path.unwrap_or("BENCH_core.json");
     let rows = candidate_scan_rows(HH102_BITS, &[100, 1000, 10_000, 100_000]);
-    let (throughput, overhead, timeseries) = engine_throughput();
+    let [telemetry, timeseries] = engine_overheads();
     let training = training_bench(48);
     let analysis = analysis_bench(48);
     let tracing = fleet_tracing_overhead();
-    let fleet = [run_fleet_bench(1000, 0, 60), run_fleet_bench(10_000, 0, 60)];
     let json = render_json(
         &rows,
-        &throughput,
         &training,
         &analysis,
-        &overhead,
+        &telemetry,
         &timeseries,
         &tracing,
-        &fleet,
     );
     std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
 
@@ -762,13 +661,6 @@ pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "end-to-end: {} windows in {:.1} ms ({:.0} windows/s)",
-        throughput.windows,
-        throughput.elapsed_ms,
-        throughput.windows_per_sec()
-    );
-    let _ = writeln!(
-        out,
         "training (hh102 scale, {} windows, {} events): serial {:.1} ms, {} workers {:.1} ms ({:.2}x, {} cores available)",
         training.windows,
         training.events,
@@ -786,38 +678,24 @@ pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     let _ = writeln!(
         out,
         "telemetry: noop {:.0} ns/window, recording {:.0} ns/window ({:+.2}% overhead)",
-        overhead.noop_ns_per_window,
-        overhead.recording_ns_per_window,
-        overhead.overhead_pct()
+        telemetry.base,
+        telemetry.variant,
+        telemetry.overhead_pct()
     );
     let _ = writeln!(
         out,
         "timeseries: sampled {:.0} ns/window ({:+.2}% over noop, one registry sweep per {BENCH_SAMPLE_WINDOWS} windows)",
-        timeseries.sampled_ns_per_window,
+        timeseries.variant,
         timeseries.overhead_pct()
     );
+    let (homes, shards, _) = TRACING_FLEET;
     let _ = writeln!(
         out,
-        "fleet tracing: {} homes / {} shards untraced {:.1} ms, traced {:.1} ms ({:+.2}% overhead, budget <= 5%)",
-        tracing.homes,
-        tracing.shards,
-        tracing.untraced_ms,
-        tracing.traced_ms,
+        "fleet tracing: {homes} homes / {shards} shards untraced {:.1} ms, traced {:.1} ms ({:+.2}% overhead, budget <= 5%)",
+        tracing.base,
+        tracing.variant,
         tracing.overhead_pct()
     );
-    for r in &fleet {
-        let _ = writeln!(
-            out,
-            "fleet: {} homes / {} shards: {} windows in {:.1} ms ({:.0} windows/sec, {:.0} homes/sec, {} models resident)",
-            r.homes,
-            r.shards,
-            r.windows,
-            r.elapsed_ms,
-            r.windows_per_sec(),
-            r.homes_per_sec(),
-            r.models_resident
-        );
-    }
     Ok(out)
 }
 
@@ -853,13 +731,9 @@ mod tests {
             batch_ns: 40.0,
             backend: "avx2",
         }];
-        let throughput = Throughput {
-            windows: 360,
-            elapsed_ms: 12.0,
-        };
-        let overhead = TelemetryOverhead {
-            noop_ns_per_window: 1800.0,
-            recording_ns_per_window: 1836.0,
+        let telemetry = Overhead {
+            base: 1800.0,
+            variant: 1836.0,
         };
         let training = TrainingBench {
             windows: 2880,
@@ -875,72 +749,91 @@ mod tests {
             verify_ms: 1.25,
             findings: 2,
         };
-        let timeseries = TimeseriesOverhead {
-            noop_ns_per_window: 1800.0,
-            sampled_ns_per_window: 1857.0,
+        let timeseries = Overhead {
+            base: 1800.0,
+            variant: 1857.0,
         };
-        let tracing = FleetTracingOverhead {
-            homes: 256,
-            shards: 4,
-            minutes: 30,
-            untraced_ms: 200.0,
-            traced_ms: 204.0,
+        let tracing = Overhead {
+            base: 200.0,
+            variant: 204.0,
         };
-        let fleet = [FleetBenchResult {
-            homes: 1000,
-            shards: 8,
-            minutes: 60,
-            frames: 90_000,
-            events: 90_000,
-            windows: 60_000,
-            batched_scans: 120,
-            alarms: 63,
-            suppressed: 10,
-            alarming_homes: 63,
-            faulty_homes: 63,
-            models_resident: 4,
-            backpressure_waits: 0,
-            backpressure_wait_ns: 0,
-            elapsed_ms: 500.0,
-        }];
         let json = render_json(
             &rows,
-            &throughput,
             &training,
             &analysis,
-            &overhead,
+            &telemetry,
             &timeseries,
             &tracing,
-            &fleet,
         );
-        assert!(json.contains("\"candidate_scan\""));
+        let doc = dice_telemetry::json_parse(&json).expect("bench-json output must parse");
+        let sections: Vec<&str> = doc
+            .as_obj()
+            .expect("top level is an object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            sections,
+            [
+                "analysis",
+                "candidate_scan",
+                "fleet_tracing_overhead",
+                "schema",
+                "telemetry_overhead",
+                "timeseries_overhead",
+                "training"
+            ]
+        );
+        assert!(json.contains("\"schema\": 2"));
         assert!(json.contains("\"index_ns_per_scan\": 50"));
         assert!(json.contains("\"speedup_index\": 20.00"));
         assert!(json.contains("\"batch_ns_per_query\": 40"));
         assert!(json.contains("\"speedup_batch\": 25.00"));
         assert!(json.contains("\"backend\": \"avx2\""));
-        assert!(json.contains("\"windows_per_sec\": 30000"));
-        assert!(json.contains("\"training\""));
         assert!(json.contains("\"speedup\": 3.00"));
         assert!(json.contains("\"available_parallelism\": 8"));
-        assert!(json.contains("\"analysis\""));
         assert!(json.contains("\"verify_ms\": 1.25"));
-        assert!(json.contains("\"telemetry_overhead\""));
+        assert!(json.contains("\"recording_ns_per_window\": 1836"));
         assert!(json.contains("\"overhead_pct\": 2.00"));
-        assert!(json.contains("\"timeseries_overhead\""));
         assert!(json.contains("\"sampled_ns_per_window\": 1857"));
         assert!(json.contains("\"overhead_pct\": 3.17"));
         assert!(json.contains("\"crossover_groups\""));
-        assert!(json.contains("\"fleet_tracing_overhead\""));
+        assert!(json.contains("\"homes\": 256, \"shards\": 4, \"minutes\": 30"));
         assert!(json.contains("\"untraced_ms\": 200.0"));
         assert!(json.contains("\"traced_ms\": 204.0"));
-        assert!(json.contains("\"overhead_pct\": 2.00"));
-        assert!(json.contains("\"fleet\""));
-        assert!(json.contains("\"homes\": 1000"));
-        assert!(json.contains("\"windows_per_sec\": 120000"));
-        assert!(json.contains("\"homes_per_sec\": 2000"));
-        assert!(json.contains("\"models_resident\": 4"));
         assert!(json.ends_with("}\n"));
+    }
+
+    /// Paired differences cancel drift common to both sides of a rep: the
+    /// base is its minimum, each variant the base plus its median delta,
+    /// and a variant cheaper than the base clamps to zero overhead.
+    #[test]
+    fn paired_overhead_is_base_min_plus_median_paired_delta() {
+        // The base drifts up by 1 per rep; the variants ride the drift.
+        let rep = std::cell::Cell::new(0.0);
+        let mut variant_calls = 0;
+        let [slower, cheaper] = paired_overhead(
+            || {
+                rep.set(rep.get() + 1.0);
+                100.0 + rep.get()
+            },
+            [
+                &mut || {
+                    variant_calls += 1;
+                    110.0 + rep.get()
+                },
+                &mut || 90.0 + rep.get(),
+            ],
+        );
+        assert_eq!(
+            variant_calls,
+            PAIRED_REPS + 1,
+            "one warm-up rep, then the measured ones"
+        );
+        assert_eq!(slower.base, 102.0, "the warm-up rep is discarded");
+        assert_eq!(slower.variant, 112.0);
+        assert_eq!(cheaper.base, 102.0);
+        assert_eq!(cheaper.variant, 102.0, "negative deltas clamp at zero");
     }
 
     #[test]

@@ -15,16 +15,15 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use dice_fleet::{Fleet, FleetConfig, FleetRun, ModelCache, TraceClock};
+use dice_fleet::{FleetConfig, FleetRun, ModelCache, TraceClock};
 use dice_telemetry::{
     evaluate_health, shard_label, standard_rules, HealthStatus, SketchFamilyChild, Snapshot,
     Telemetry,
 };
-use dice_types::{Event, SensorReading, TimeDelta, Timestamp};
+use dice_types::Timestamp;
 
-use super::fleet_bench::{plan_devices, plan_models, FAULTY_RESIDUE, FLOOR_PLANS};
+use super::fleet_plans::{feed, plan_fleet};
 use super::monitor::sparkline;
 
 /// Parsed `fleet-monitor` arguments.
@@ -70,9 +69,8 @@ fn parse_args(args: &[&str]) -> Result<FleetMonitorArgs, String> {
     })
 }
 
-/// Runs the synthetic fleet (the `fleet-bench` fixture: shared floor
-/// plans, a fixed faulty residue class) and returns the finished run plus
-/// its telemetry snapshot.
+/// Runs the synthetic fleet fixture (shared floor plans, a fixed faulty
+/// residue class) and returns the finished run.
 fn run_fleet(args: &FleetMonitorArgs, telemetry: &Telemetry) -> FleetRun {
     let clock = if args.once {
         TraceClock::manual().0
@@ -88,37 +86,10 @@ fn run_fleet(args: &FleetMonitorArgs, telemetry: &Telemetry) -> FleetRun {
         clock,
         ..FleetConfig::default()
     };
-    let cache = ModelCache::new();
-    let models = plan_models(&cache);
-    let plan_sensors: Vec<_> = (0..FLOOR_PLANS).map(|k| plan_devices(k).1).collect();
-    let mut fleet = Fleet::new(config);
-    for h in 0..args.homes {
-        fleet.register_home(h as u32, Arc::clone(&models[h % FLOOR_PLANS]));
-    }
+    let fleet = plan_fleet(config, &ModelCache::new(), args.homes);
     let from = Timestamp::from_mins(0);
     let to = Timestamp::from_mins(args.minutes);
-    let homes = args.homes as u32;
-    let minutes = args.minutes;
-    let feed = move |sender: &mut dice_fleet::FleetSender<'_>| {
-        for minute in 0..minutes {
-            for h in 0..homes {
-                let sensors = &plan_sensors[h as usize % FLOOR_PLANS];
-                let at = Timestamp::from_mins(minute) + TimeDelta::from_secs(5 + i64::from(h % 7));
-                if minute % 2 == 0 {
-                    let reading = SensorReading::new(sensors[0], at, true.into());
-                    sender.send(h, &Event::Sensor(reading));
-                    if h % 16 != FAULTY_RESIDUE {
-                        let partner = SensorReading::new(sensors[1], at, true.into());
-                        sender.send(h, &Event::Sensor(partner));
-                    }
-                } else {
-                    let idx = 2 + (minute as usize / 2) % (sensors.len() - 2);
-                    let reading = SensorReading::new(sensors[idx], at, true.into());
-                    sender.send(h, &Event::Sensor(reading));
-                }
-            }
-        }
-    };
+    let feed = feed(args.homes, args.minutes);
     if args.once {
         fleet.run_preloaded(from, to, feed)
     } else {

@@ -12,8 +12,8 @@ mod diagnose;
 mod export;
 mod extended;
 mod fault_ratio;
-mod fleet_bench;
 mod fleet_monitor;
+mod fleet_plans;
 mod full;
 mod misses;
 mod monitor;
@@ -33,7 +33,6 @@ pub use diagnose::diagnose;
 pub use export::{artifact_set, export_csv, inspect_model, save_model};
 pub use extended::{actuator_faults, multi_fault, param_sensitivity};
 pub use fault_ratio::{aggregate_attribution, fig_5_4};
-pub use fleet_bench::fleet_bench;
 pub use fleet_monitor::fleet_monitor;
 pub use full::{run_all_datasets, run_full, run_full_serial, FullEvaluation};
 pub use misses::misses;
@@ -83,10 +82,7 @@ pub fn usage() -> String {
        calibrate <dataset> [trials]   train + evaluate one dataset\n\
        diagnose <dataset> [segments]  explain violations on faultless segments\n\
        misses <dataset> [trials]      list undetected injected faults\n\
-       bench-json [path]              candidate-scan + throughput baseline (BENCH_core.json)\n\
-       fleet-bench [homes] [shards] [minutes]\n\
-                                      sharded multi-home serving throughput\n\
-                                      (defaults 1000 homes, 1 shard/core, 60 min)\n\
+       bench-json [path]              micro-benchmark + overhead baseline (BENCH_core.json)\n\
        fleet-monitor [flags] [homes] [shards] [minutes]\n\
                                       fleet causal-tracing frame: per-shard\n\
                                       latency columns and lineage-stamped\n\
@@ -250,18 +246,6 @@ pub fn run_command(command: &str, args: &[&str]) -> Result<String, String> {
         }
         "monitor" => Ok(monitor(args)?),
         "bench-json" => Ok(bench_json(args.first().copied())?),
-        "fleet-bench" => {
-            let homes = args.first().map_or(Ok(1000), |t| {
-                t.parse().map_err(|_| format!("bad home count {t:?}"))
-            })?;
-            let shards = args.get(1).map_or(Ok(0), |t| {
-                t.parse().map_err(|_| format!("bad shard count {t:?}"))
-            })?;
-            let minutes = args.get(2).map_or(Ok(60), |t| {
-                t.parse().map_err(|_| format!("bad minute count {t:?}"))
-            })?;
-            Ok(fleet_bench(homes, shards, minutes)?)
-        }
         "fleet-monitor" => Ok(fleet_monitor(args)?),
         "telemetry-check" => {
             let path = args

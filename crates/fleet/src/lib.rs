@@ -20,8 +20,8 @@
 //!   and back-pressure accounting; alarm output is invariant under the
 //!   shard count.
 //!
-//! Run `dice-repro fleet-bench` for a deterministic multi-home benchmark
-//! of this stack.
+//! `dice-repro fleet-monitor` renders a deterministic multi-home run of
+//! this stack; perfbench's fleet workloads measure its serving cost.
 
 pub mod cache;
 pub mod frame;

@@ -431,20 +431,22 @@ fn single_home_fleet_matches_the_gateway() {
 #[test]
 fn fleet_memory_scales_with_distinct_models() {
     let _cpu = cpu_shared();
-    let cache = ModelCache::new();
-    let mut fleet = Fleet::new(FleetConfig::default());
-    for h in 0..100u32 {
-        let plan = h as usize % 3;
-        let model = cache.get_or_train(&format!("plan{plan}"), || train_plan(plan));
-        fleet.register_home(h, model);
+    for (homes, plans) in [(100u32, 3), (1000, 4)] {
+        let cache = ModelCache::new();
+        let mut fleet = Fleet::new(FleetConfig::default());
+        for h in 0..homes {
+            let plan = h as usize % plans;
+            let model = cache.get_or_train(&format!("plan{plan}"), || train_plan(plan));
+            fleet.register_home(h, model);
+        }
+        assert_eq!(fleet.homes(), homes as usize);
+        assert_eq!(cache.len(), plans);
+        assert_eq!(
+            fleet.models_resident(),
+            plans,
+            "{homes} homes must share {plans} model allocations"
+        );
     }
-    assert_eq!(fleet.homes(), 100);
-    assert_eq!(cache.len(), 3);
-    assert_eq!(
-        fleet.models_resident(),
-        3,
-        "100 homes must share 3 model allocations"
-    );
 }
 
 /// An arbitrary event covering all three frame tags. Numeric values stay
