@@ -252,11 +252,7 @@ impl Binarizer {
     ) {
         out.start = start;
         out.end = end;
-        if out.state.len() == self.layout.num_bits() {
-            out.state.clear();
-        } else {
-            out.state = BitSet::new(self.layout.num_bits());
-        }
+        out.state.clear_to(self.layout.num_bits());
         out.activated_actuators.clear();
 
         let state = &mut out.state;

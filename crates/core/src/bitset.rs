@@ -105,6 +105,15 @@ impl BitSet {
         self.words.fill(0);
     }
 
+    /// Clears all bits and resizes the set to `len` bits, reusing the word
+    /// buffer: a width change allocates only when it outgrows the buffer's
+    /// capacity.
+    pub fn clear_to(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(WORD_BITS), 0);
+        self.len = len;
+    }
+
     /// Number of set bits.
     #[inline]
     pub fn count_ones(&self) -> u32 {
@@ -280,6 +289,17 @@ mod tests {
         s.set(64, false);
         assert!(!s.get(64));
         assert_eq!(s.count_ones(), 6);
+    }
+
+    #[test]
+    fn clear_to_resizes_in_place() {
+        let mut s = BitSet::from_indices(200, [0, 130, 199]);
+        let buffer = s.words.as_ptr();
+        for len in [5, 200, 64, 0, 130] {
+            s.clear_to(len);
+            assert_eq!(s, BitSet::new(len), "width {len}");
+            assert_eq!(s.words.as_ptr(), buffer, "width {len} reallocated");
+        }
     }
 
     #[test]

@@ -143,6 +143,12 @@ impl fmt::Display for FaultReport {
 
 /// Wall-clock cost accounting for Figure 5.3: time spent in the correlation
 /// check (including binarization), the transition check, and identification.
+///
+/// [`DiceEngine::process_window`] times every window into it, whatever the
+/// telemetry sink. [`DiceEngine::process_observation`] reads the clock only
+/// when telemetry is recording, and then feeds this profile and the
+/// check-latency sketches from the same reads; with a no-op sink it adds
+/// nothing here, not even to `windows`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostProfile {
     /// Nanoseconds in binarization + correlation check.
@@ -295,16 +301,21 @@ impl Default for EngineOptions {
     }
 }
 
-/// Candidate-scan results computed outside the engine for one window, the
-/// input to [`DiceEngine::process_window_prescanned`].
+/// The correlation verdict and candidate scan a caller computed for one
+/// observation, the input to [`DiceEngine::process_observation`].
 ///
-/// The contract mirrors what the engine's own scan produces: `candidates`
-/// must hold every group within the model's candidate distance of the
-/// window's state set sorted by `(distance, group)`, or — when none is
-/// within the threshold — the nearest group(s). A fleet shard computes this
-/// for many homes' ready windows in one batched sweep.
+/// The contract mirrors what [`DiceEngine::process_window`] computes
+/// itself: `main` is [`Detector::correlation_check`]'s verdict for the
+/// observation, and when it is `None`, `candidates` holds every group
+/// within the model's candidate distance of the window's state set sorted
+/// by `(distance, group)`, or — when none is within the threshold — the
+/// nearest group(s). `candidates` is ignored when `main` is `Some`. A fleet
+/// shard computes this for many homes' ready windows in one batched sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowPrescan<'a> {
+    /// The main group the observation matched exactly, or `None` on a
+    /// correlation violation.
+    pub main: Option<GroupId>,
     /// The resolved candidate list for this window's state set.
     pub candidates: &'a [Candidate],
     /// Scan work to attribute to this window in telemetry. Batched callers
@@ -456,6 +467,37 @@ impl Clone for TelBatch {
 impl Drop for TelBatch {
     fn drop(&mut self) {
         self.flush();
+    }
+}
+
+/// A window's stage clock: one `Instant` read per stage boundary when
+/// started, none at all when off.
+struct Laps(Option<Instant>);
+
+impl Laps {
+    fn started() -> Self {
+        Laps(Some(Instant::now()))
+    }
+
+    fn off() -> Self {
+        Laps(None)
+    }
+
+    fn timed(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Nanoseconds since the previous boundary (0 when off).
+    fn lap(&mut self) -> u128 {
+        match &mut self.0 {
+            Some(last) => {
+                let now = Instant::now();
+                let ns = now.duration_since(*last).as_nanos();
+                *last = now;
+                ns
+            }
+            None => 0,
+        }
     }
 }
 
@@ -754,64 +796,88 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
 
     /// Processes one window of raw events; returns a report when
     /// identification completes in this window.
+    ///
+    /// Binarizes into the engine's scratch, runs the correlation check, and
+    /// judges the observation through the same body as
+    /// [`DiceEngine::process_observation`]. Every window is timed into the
+    /// [`CostProfile`].
     pub fn process_window(
         &mut self,
         start: Timestamp,
         end: Timestamp,
         events: &[Event],
     ) -> Option<FaultReport> {
-        self.process_window_impl(start, end, events, None)
-    }
-
-    /// [`DiceEngine::process_window`] with the candidate scan already
-    /// resolved: the caller ran this window's state set through a batched
-    /// scan (see [`crate::SlicedScanIndex::candidates_batch_into`]) and
-    /// hands the result in, so the engine skips its own per-window scan.
-    /// Everything else — binarization, the checks, identification — is
-    /// bit-identical to the unbatched path.
-    ///
-    /// The prescan is consulted only when the window fails the correlation
-    /// check; for an exact-match window it is ignored, so a caller may
-    /// prescan conservatively.
-    pub fn process_window_prescanned(
-        &mut self,
-        start: Timestamp,
-        end: Timestamp,
-        events: &[Event],
-        prescan: WindowPrescan<'_>,
-    ) -> Option<FaultReport> {
-        self.process_window_impl(start, end, events, Some(prescan))
-    }
-
-    fn process_window_impl(
-        &mut self,
-        start: Timestamp,
-        end: Timestamp,
-        events: &[Event],
-        prescan: Option<WindowPrescan<'_>>,
-    ) -> Option<FaultReport> {
+        // Binarization counts toward the correlation check's cost.
+        let laps = Laps::started();
         let model = self.model.borrow();
-
-        // Binarization + correlation check, both into engine-owned scratch:
-        // a steady-state window touches no allocator.
-        let t0 = Instant::now();
         let mut obs = std::mem::take(&mut self.obs_scratch);
         model
             .binarizer()
             .binarize_into(start, end, events, &mut self.bin_scratch, &mut obs);
+        let main = Detector::new(model).correlation_check(&obs);
+        let report = self.judge(&obs, main, None, laps);
+        // Reclaim the scratch buffer (capacity survives for the next window).
+        self.obs_scratch = obs;
+        report
+    }
+
+    /// Judges one window the caller already binarized, correlation-checked
+    /// and — on a correlation violation — candidate-scanned, typically for
+    /// many homes at once (see
+    /// [`crate::SlicedScanIndex::candidates_batch_into`]). The checks,
+    /// identification and the report are bit-identical to
+    /// [`DiceEngine::process_window`] on the same events.
+    ///
+    /// The clock is read only when telemetry is recording; see
+    /// [`CostProfile`].
+    pub fn process_observation(
+        &mut self,
+        obs: &WindowObservation,
+        prescan: WindowPrescan<'_>,
+    ) -> Option<FaultReport> {
+        debug_assert_eq!(
+            prescan.main,
+            Detector::new(self.model.borrow()).correlation_check(obs),
+            "the caller's correlation verdict must match the model's"
+        );
+        let laps = if self.options.telemetry.recorder().is_some() {
+            Laps::started()
+        } else {
+            Laps::off()
+        };
+        self.judge(
+            obs,
+            prescan.main,
+            Some((prescan.candidates, prescan.profile)),
+            laps,
+        )
+    }
+
+    /// The one judging path behind both entry points: the candidate scan
+    /// (unless `prescan` resolved it), the transition check, identification,
+    /// tracing and telemetry for a correlation-checked observation.
+    fn judge(
+        &mut self,
+        obs: &WindowObservation,
+        main: Option<GroupId>,
+        prescan: Option<(&[Candidate], ScanProfile)>,
+        mut laps: Laps,
+    ) -> Option<FaultReport> {
+        let model = self.model.borrow();
         let detector = Detector::new(model);
         let mut scan_profile = ScanProfile::default();
         // The transition check runs once, for the verdict, and is timed in
         // place; `trans_ns` stays zero when it did not run.
+        let corr_ns;
         let mut trans_ns: u128 = 0;
         let mut transition_checked = false;
-        let result = match detector.correlation_check(&obs) {
+        let result = match main {
             None => {
                 let mut candidates = std::mem::take(&mut self.cand_scratch);
-                if let Some(pre) = prescan {
+                if let Some((pre, profile)) = prescan {
                     candidates.clear();
-                    candidates.extend_from_slice(pre.candidates);
-                    scan_profile = pre.profile;
+                    candidates.extend_from_slice(pre);
+                    scan_profile = profile;
                 } else {
                     scan_profile = model.scan().candidates_into(
                         &obs.state,
@@ -828,14 +894,16 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
                         scan_profile.absorb(fallback);
                     }
                 }
+                // The candidate scan counts as correlation.
+                corr_ns = laps.lap();
                 CheckResult::CorrelationViolation { candidates }
             }
             Some(group) => {
+                corr_ns = laps.lap();
                 let cases = match self.prev.as_ref() {
                     Some(prev) => {
-                        let t_trans = Instant::now();
-                        let cases = detector.transition_check(prev, group, &obs);
-                        trans_ns = t_trans.elapsed().as_nanos();
+                        let cases = detector.transition_check(prev, group, obs);
+                        trans_ns = laps.lap();
                         transition_checked = true;
                         cases
                     }
@@ -848,20 +916,17 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
                 }
             }
         };
-        // Cost attribution: binarization, the correlation check and any
-        // candidate scan count as correlation; a window that reached the
-        // transition check has that part split out.
-        let corr_ns = t0.elapsed().as_nanos().saturating_sub(trans_ns);
-        self.cost.correlation_ns += corr_ns;
-        self.cost.transition_ns += trans_ns;
-        self.cost.windows += 1;
 
         // Identification.
         let phase_before = self.trace_phase();
-        let t2 = Instant::now();
-        let mut report = self.advance_phase(&obs, &result, end);
-        let ident_ns = t2.elapsed().as_nanos();
-        self.cost.identification_ns += ident_ns;
+        let mut report = self.advance_phase(obs, &result, obs.end);
+        let ident_ns = laps.lap();
+        if laps.timed() {
+            self.cost.correlation_ns += corr_ns;
+            self.cost.transition_ns += trans_ns;
+            self.cost.identification_ns += ident_ns;
+            self.cost.windows += 1;
+        }
 
         // Decision tracing. Disabled (the default) costs this one branch;
         // enabled refills a recycled ring slot — before `update_prev` so the
@@ -878,10 +943,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
                 tracer.record(
                     (*model).borrow(),
                     prev.as_ref(),
-                    &obs,
+                    obs,
                     &result,
-                    start,
-                    end,
+                    obs.start,
+                    obs.end,
                     phase_before,
                     phase_after,
                     report.as_mut(),
@@ -890,11 +955,12 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         }
 
         // Update previous-window context for the next round.
-        self.update_prev(&obs, &result);
+        self.update_prev(obs, &result);
 
         // Telemetry: pure observation of already-computed values — the
         // nanosecond figures are the same ones `CostProfile` accumulates
-        // (one clock, two consumers), and nothing here feeds back into
+        // (one clock, two consumers; both entry points time every window
+        // while telemetry is recording), and nothing here feeds back into
         // detection or identification.
         if let Some(recorder) = self.options.telemetry.recorder() {
             let m = &recorder.metrics.engine;
@@ -947,9 +1013,8 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             }
         }
 
-        // Reclaim the scratch buffers (capacity survives for the next
+        // Reclaim the candidate buffer (capacity survives for the next
         // window).
-        self.obs_scratch = obs;
         if let CheckResult::CorrelationViolation { candidates } = result {
             self.cand_scratch = candidates;
         }
@@ -1724,6 +1789,106 @@ mod tests {
         let events = recorder.events.snapshot();
         assert_eq!(events.len(), reports.len());
         assert!(events.iter().all(|e| e.kind == "fault_report"));
+    }
+
+    /// One live minute for the three-sensor fixture: `0..=5` the trained
+    /// pattern for the minute's parity, `6` s0 alone (s1 fail-stopped), `7`
+    /// the other parity's pattern (an unseen G2G step), `8` every sensor at
+    /// once, `9` silence.
+    fn push_minute(log: &mut EventLog, sensors: &[SensorId], minute: i64, choice: u8) {
+        let at = Timestamp::from_mins(minute) + TimeDelta::from_secs(5);
+        let even = minute % 2 == 0;
+        let fire: &[usize] = match choice {
+            0..=5 if even => &[0, 1],
+            0..=5 => &[2],
+            6 => &[0],
+            7 if even => &[2],
+            7 => &[0, 1],
+            8 => &[0, 1, 2],
+            _ => &[],
+        };
+        for &i in fire {
+            log.push_sensor(SensorReading::new(sensors[i], at, true.into()));
+        }
+    }
+
+    proptest::proptest! {
+        /// `process_observation` fed a caller-computed observation, verdict
+        /// and candidate list judges every window exactly as
+        /// `process_window` does. The fixed prefix guarantees a transition
+        /// and a correlation violation in every case; the random tail
+        /// mixes in more faults.
+        #[test]
+        fn process_observation_matches_process_window(
+            tail in proptest::collection::vec(0u8..10, 0..150),
+        ) {
+            let (model, sensors) = trained_model();
+            let prefix = [0u8, 0, 0, 0, 7, 0, 0, 0, 6, 6, 6, 0, 0];
+            let choices: Vec<u8> = prefix.iter().chain(&tail).copied().collect();
+            let mut live = EventLog::new();
+            for (minute, &choice) in choices.iter().enumerate() {
+                push_minute(&mut live, &sensors, minute as i64, choice);
+            }
+            let minutes = choices.len() as i64;
+            let to = Timestamp::from_mins(minutes);
+            let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = live
+                .windows_between(Timestamp::ZERO, to, model.config().window())
+                .map(|w| (w.start, w.end, w.events.to_vec()))
+                .collect();
+
+            let telemetry = Telemetry::recording();
+            let mut by_window = DiceEngine::with_options(
+                &model,
+                EngineOptions { telemetry: telemetry.clone(), ..EngineOptions::default() },
+            );
+            let mut by_observation = DiceEngine::with_options(
+                &model,
+                EngineOptions { telemetry: Telemetry::noop(), ..EngineOptions::default() },
+            );
+            let mut scratch = BinarizeScratch::default();
+            let mut obs = WindowObservation::default();
+            let mut candidates = Vec::new();
+            for (start, end, events) in &windows {
+                let expected = by_window.process_window(*start, *end, events);
+
+                model.binarizer().binarize_into(*start, *end, events, &mut scratch, &mut obs);
+                let main = Detector::new(&model).correlation_check(&obs);
+                let mut profile = ScanProfile::default();
+                candidates.clear();
+                if main.is_none() {
+                    profile = model.scan().candidates_into(
+                        &obs.state,
+                        model.candidate_distance(),
+                        &mut candidates,
+                    );
+                    if candidates.is_empty() {
+                        profile.absorb(model.scan().nearest_into(&obs.state, &mut candidates));
+                    }
+                }
+                let got = by_observation.process_observation(
+                    &obs,
+                    WindowPrescan { main, candidates: &candidates, profile },
+                );
+                proptest::prop_assert_eq!(&got, &expected, "window ending {}", end);
+                proptest::prop_assert_eq!(
+                    by_observation.is_identifying(),
+                    by_window.is_identifying(),
+                    "window ending {}", end
+                );
+            }
+            proptest::prop_assert_eq!(by_observation.flush(), by_window.flush());
+
+            let snapshot = telemetry.snapshot().unwrap();
+            proptest::prop_assert!(
+                snapshot.counter("dice_engine_transition_violations_total").unwrap() > 0
+            );
+            proptest::prop_assert!(
+                snapshot.counter("dice_engine_correlation_violations_total").unwrap() > 0
+            );
+            // With a no-op sink the observation path reads no clock.
+            proptest::prop_assert_eq!(by_observation.cost_profile(), CostProfile::default());
+            proptest::prop_assert_eq!(by_window.cost_profile().windows, windows.len() as u64);
+        }
     }
 
     #[test]

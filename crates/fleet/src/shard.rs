@@ -1,29 +1,34 @@
 //! The per-shard engine pool: every home owns its windowing state and
 //! engine, ready windows are detected in cross-home batches.
 //!
-//! A shard receives packed frame batches for its subset of homes, closes
-//! each home's windows through its [`WindowClock`] as that home's stream
-//! passes their boundaries, and parks closed windows in a ready list. When
-//! the list reaches the configured batch size (or the stream ends) the
-//! shard resolves every violating window's candidate scan in one batched
-//! sweep per distinct model — the natural batches
-//! `candidates_batch_into` was built for — and then drives each home's
-//! engine through [`DiceEngine::process_window_prescanned`], which is
+//! A shard receives packed frame batches for its subset of homes and
+//! closes each home's windows through its [`WindowClock`] as that home's
+//! stream passes their boundaries. Closing a window binarizes it, once,
+//! into the shard's observation pool and clears the home's event buffer
+//! for the next window, so a warm shard allocates nothing per window.
+//! When the ready list reaches the configured batch size (or the stream
+//! ends) the shard correlation-checks every ready observation, resolves
+//! every violating window's candidate scan in one batched sweep per
+//! distinct model — the natural batches `candidates_batch_into` was built
+//! for — and then hands each observation, verdict and candidate list to
+//! its home's engine through [`DiceEngine::process_observation`], which is
 //! bit-identical to the unbatched path. Identification state, alarm
 //! cooldowns ([`AlarmLedger`]), and reports stay strictly per home, so
 //! shard composition never leaks state across homes and alarm output is
-//! invariant under the shard count.
+//! invariant under the shard count. The frame, event and window counters
+//! are published once per ingested batch and once per sweep, not per
+//! frame or window.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dice_core::{
-    BinarizeScratch, Candidate, Detector, DiceEngine, DiceModel, EngineOptions, FaultReport,
-    LineageStamp, ScanProfile, WindowObservation, WindowPrescan,
+    BinarizeScratch, BitSet, Candidate, Detector, DiceEngine, DiceModel, EngineOptions,
+    FaultReport, LineageStamp, ScanProfile, WindowObservation, WindowPrescan,
 };
 use dice_gateway::{AlarmLedger, WindowClock};
 use dice_telemetry::{shard_label, SlotRing, Telemetry};
-use dice_types::{Event, TimeDelta, Timestamp};
+use dice_types::{Event, GroupId, TimeDelta, Timestamp};
 
 use crate::frame::{decode_frames, FleetFrame, HomeId};
 use crate::service::ShardBatch;
@@ -67,24 +72,23 @@ pub struct ShardStats {
 struct HomeState {
     home: HomeId,
     /// A second handle to the engine's model, kept beside the window state
-    /// that ingest has just written: the sweep reads the model for every
-    /// ready window, and on shards with many homes reading the engine's
-    /// copy instead costs a cache miss per window.
+    /// that ingest has just written: closing and sweeping a window read
+    /// the model, and on shards with many homes reading the engine's copy
+    /// instead costs a cache miss per window.
     model: Arc<DiceModel>,
     engine: DiceEngine<Arc<DiceModel>>,
     clock: WindowClock,
+    /// The open window's events; cleared (capacity kept) at each close.
     events: Vec<Event>,
     ledger: AlarmLedger,
     reports: Vec<FaultReport>,
 }
 
-/// A closed window waiting for the next batched detection sweep.
+/// A closed window waiting for the next batched detection sweep. Its
+/// observation sits at the same index of the shard's observation pool.
 #[derive(Debug)]
 struct ReadyWindow {
     slot: usize,
-    start: Timestamp,
-    end: Timestamp,
-    events: Vec<Event>,
 }
 
 /// One shard's engine pool; see the module docs for the batching scheme.
@@ -93,15 +97,31 @@ pub struct ShardEngine {
     homes: Vec<HomeState>,
     slots: BTreeMap<HomeId, usize>,
     ready: Vec<ReadyWindow>,
+    /// Observation pool: `obs[i]` is ready window `i`, binarized when its
+    /// home's clock closed it. Slots are reused across sweeps.
+    obs: Vec<WindowObservation>,
+    bin_scratch: BinarizeScratch,
     batch_windows: usize,
     telemetry: Telemetry,
     stats: ShardStats,
+    /// The counts last added to the frame, event and window counters.
+    published: ShardStats,
     /// Resolved per-shard child of `dice_fleet_shard_windows_total`, so
-    /// the sweep loop never touches the family mutex.
+    /// publishing never touches the family mutex.
     shard_windows: Option<Arc<dice_telemetry::Counter>>,
-    // Batch scratch, reused across sweeps.
-    obs: Vec<WindowObservation>,
-    bin_scratch: BinarizeScratch,
+    // Sweep scratch, reused across sweeps.
+    /// Each ready window's correlation verdict.
+    mains: Vec<Option<GroupId>>,
+    /// Violating ready windows grouped by model, in first-seen order over
+    /// the shard's life; emptied, not dropped, at each sweep.
+    model_groups: Vec<(Arc<DiceModel>, Vec<usize>)>,
+    /// Each violating ready window's resolved candidates.
+    resolved: Vec<Vec<Candidate>>,
+    /// Scan work attributed to each ready window.
+    profiles: Vec<ScanProfile>,
+    /// Batched scan outputs, swapped into `resolved`.
+    cand_batch: Vec<Vec<Candidate>>,
+    near_batch: Vec<Vec<Candidate>>,
     // §5l causal tracing state.
     shard: u32,
     tracing: bool,
@@ -176,12 +196,19 @@ impl ShardEngine {
             homes: states,
             slots,
             ready: Vec::new(),
+            obs: Vec::new(),
+            bin_scratch: BinarizeScratch::default(),
             batch_windows: batch_windows.max(1),
             telemetry,
             stats: ShardStats::default(),
+            published: ShardStats::default(),
             shard_windows,
-            obs: Vec::new(),
-            bin_scratch: BinarizeScratch::default(),
+            mains: Vec::new(),
+            model_groups: Vec::new(),
+            resolved: Vec::new(),
+            profiles: Vec::new(),
+            cand_batch: Vec::new(),
+            near_batch: Vec::new(),
             shard: u32::try_from(shard).unwrap_or(u32::MAX),
             tracing,
             clock,
@@ -207,9 +234,6 @@ impl ShardEngine {
             match result {
                 Ok(frame) => {
                     self.stats.frames += 1;
-                    if let Some(rec) = self.telemetry.recorder() {
-                        rec.metrics.fleet.frames_total.inc();
-                    }
                     self.ingest(frame);
                 }
                 Err(error) => {
@@ -221,6 +245,29 @@ impl ShardEngine {
                 }
             }
         }
+        self.publish_counts();
+    }
+
+    /// Adds the frames, events and windows counted since the last call to
+    /// their telemetry counters: once per ingested batch and once per
+    /// sweep instead of one shared atomic update per frame or window.
+    fn publish_counts(&mut self) {
+        let Some(rec) = self.telemetry.recorder() else {
+            return;
+        };
+        let fleet = &rec.metrics.fleet;
+        fleet
+            .frames_total
+            .add(self.stats.frames - self.published.frames);
+        fleet
+            .events_total
+            .add(self.stats.events - self.published.events);
+        let windows = self.stats.windows - self.published.windows;
+        fleet.windows_total.add(windows);
+        if let Some(counter) = &self.shard_windows {
+            counter.add(windows);
+        }
+        self.published = self.stats;
     }
 
     /// Ingests one lineage-stamped batch off the shard queue, attributing
@@ -273,110 +320,115 @@ impl ShardEngine {
         let Some(&slot) = self.slots.get(&frame.home) else {
             return;
         };
-        let home = &mut self.homes[slot];
         let at = frame.event.at();
-        if !home.clock.admits(at) {
+        if !self.homes[slot].clock.admits(at) {
             return;
         }
         self.stats.events += 1;
-        if let Some(rec) = self.telemetry.recorder() {
-            rec.metrics.fleet.events_total.inc();
+        while let Some((start, end)) = self.homes[slot].clock.close_passed(at) {
+            self.close_window(slot, start, end);
         }
-        while let Some((start, end)) = home.clock.close_passed(at) {
-            self.ready.push(ReadyWindow {
-                slot,
-                start,
-                end,
-                events: std::mem::take(&mut home.events),
-            });
-        }
-        home.events.push(frame.event);
+        self.homes[slot].events.push(frame.event);
         if self.ready.len() >= self.batch_windows {
             self.sweep();
         }
     }
 
-    /// Runs one batched detection sweep over the ready windows: binarize
-    /// and correlation-check each, resolve every violating window's
-    /// candidate scan through one batched scan per distinct model, then
-    /// drive each home's engine in arrival order.
+    /// Closes `[start, end)` of home `slot`: binarizes its events into the
+    /// next observation-pool slot, clears the event buffer for the next
+    /// window, and parks the window in the ready list.
+    fn close_window(&mut self, slot: usize, start: Timestamp, end: Timestamp) {
+        let i = self.ready.len();
+        if self.obs.len() == i {
+            self.obs.push(WindowObservation::default());
+        }
+        let home = &mut self.homes[slot];
+        home.model.binarizer().binarize_into(
+            start,
+            end,
+            &home.events,
+            &mut self.bin_scratch,
+            &mut self.obs[i],
+        );
+        home.events.clear();
+        self.ready.push(ReadyWindow { slot });
+    }
+
+    /// Runs one batched detection sweep over the ready windows:
+    /// correlation-check each observation, resolve every violating
+    /// window's candidate scan through one batched scan per distinct
+    /// model, then drive each home's engine in arrival order.
     fn sweep(&mut self) {
         let n = self.ready.len();
         if n == 0 {
             return;
         }
         let sweep_start_ns = if self.tracing { self.clock.now_ns() } else { 0 };
-        if self.obs.len() < n {
-            self.obs.resize_with(n, WindowObservation::default);
-        }
 
-        // Binarize + correlation-check every ready window. `exact[i]`
-        // means the window matched a main group and needs no scan.
-        let mut exact = Vec::with_capacity(n);
+        // Correlation-check every ready window, and group the violating
+        // ones by model identity (a linear scan over the handful of
+        // distinct models per shard, in first-seen order so the sweep
+        // stays deterministic).
+        self.mains.clear();
+        for (_, idxs) in &mut self.model_groups {
+            idxs.clear();
+        }
         for (i, rw) in self.ready.iter().enumerate() {
-            let model: &DiceModel = &self.homes[rw.slot].model;
-            model.binarizer().binarize_into(
-                rw.start,
-                rw.end,
-                &rw.events,
-                &mut self.bin_scratch,
-                &mut self.obs[i],
-            );
-            exact.push(
-                Detector::new(model)
-                    .correlation_check(&self.obs[i])
-                    .is_some(),
-            );
-        }
-
-        // Group the violating windows by model identity (a linear scan
-        // over the handful of distinct models per shard, in first-seen
-        // order so the sweep stays deterministic).
-        let mut groups: Vec<(*const DiceModel, Vec<usize>)> = Vec::new();
-        for (i, &is_exact) in exact.iter().enumerate() {
-            if is_exact {
+            let model = &self.homes[rw.slot].model;
+            let main = Detector::new(model).correlation_check(&self.obs[i]);
+            self.mains.push(main);
+            if main.is_some() {
                 continue;
             }
-            let ptr = Arc::as_ptr(&self.homes[self.ready[i].slot].model);
-            match groups.iter_mut().find(|(p, _)| *p == ptr) {
+            match self
+                .model_groups
+                .iter_mut()
+                .find(|(m, _)| Arc::ptr_eq(m, model))
+            {
                 Some((_, idxs)) => idxs.push(i),
-                None => groups.push((ptr, vec![i])),
+                None => self.model_groups.push((Arc::clone(model), vec![i])),
             }
         }
 
         // One batched candidate scan per model, with the nearest-group
         // fallback batched over the slots that came back empty — exactly
         // what the engine's own per-window scan would have produced.
-        let mut resolved: Vec<Vec<Candidate>> = Vec::new();
-        resolved.resize_with(n, Vec::new);
-        let mut profiles = vec![ScanProfile::default(); n];
-        for (_, idxs) in &groups {
-            let model = Arc::clone(&self.homes[self.ready[idxs[0]].slot].model);
-            let queries: Vec<&dice_core::BitSet> =
-                idxs.iter().map(|&i| &self.obs[i].state).collect();
-            let mut cand_batch = Vec::new();
+        if self.resolved.len() < n {
+            self.resolved.resize_with(n, Vec::new);
+        }
+        self.profiles.clear();
+        self.profiles.resize(n, ScanProfile::default());
+        for (model, idxs) in &self.model_groups {
+            if idxs.is_empty() {
+                continue;
+            }
+            let queries: Vec<&BitSet> = idxs.iter().map(|&i| &self.obs[i].state).collect();
             let mut profile = model.scan().candidates_batch_into(
                 &queries,
                 model.candidate_distance(),
-                &mut cand_batch,
+                &mut self.cand_batch,
             );
             let empty: Vec<usize> = (0..idxs.len())
-                .filter(|&j| cand_batch[j].is_empty())
+                .filter(|&j| self.cand_batch[j].is_empty())
                 .collect();
             if !empty.is_empty() {
-                let fallback: Vec<&dice_core::BitSet> = empty.iter().map(|&j| queries[j]).collect();
-                let mut near_batch = Vec::new();
-                profile.absorb(model.scan().nearest_batch_into(&fallback, &mut near_batch));
+                let fallback: Vec<&BitSet> = empty.iter().map(|&j| queries[j]).collect();
+                profile.absorb(
+                    model
+                        .scan()
+                        .nearest_batch_into(&fallback, &mut self.near_batch),
+                );
                 for (k, &j) in empty.iter().enumerate() {
-                    cand_batch[j] = std::mem::take(&mut near_batch[k]);
+                    std::mem::swap(&mut self.cand_batch[j], &mut self.near_batch[k]);
                 }
             }
+            // Swapping keeps every candidate buffer's capacity in play.
             for (j, &i) in idxs.iter().enumerate() {
-                resolved[i] = std::mem::take(&mut cand_batch[j]);
+                std::mem::swap(&mut self.resolved[i], &mut self.cand_batch[j]);
             }
             // Attribute the whole batch's scan work to its first window;
             // process-level totals stay accurate.
-            profiles[idxs[0]] = profile;
+            self.profiles[idxs[0]] = profile;
             self.stats.batched_scans += 1;
             if let Some(rec) = self.telemetry.recorder() {
                 rec.metrics.fleet.batched_scans_total.inc();
@@ -394,29 +446,16 @@ impl ShardEngine {
         // Drive the engines in arrival order (per-home window order is a
         // suffix of arrival order, which is what the engines require).
         let mut publish_ns = 0u64;
-        let mut ready = std::mem::take(&mut self.ready);
-        for (i, rw) in ready.drain(..).enumerate() {
+        for (i, rw) in self.ready.iter().enumerate() {
             let home = &mut self.homes[rw.slot];
-            let report = if exact[i] {
-                home.engine.process_window(rw.start, rw.end, &rw.events)
-            } else {
-                home.engine.process_window_prescanned(
-                    rw.start,
-                    rw.end,
-                    &rw.events,
-                    WindowPrescan {
-                        candidates: &resolved[i],
-                        profile: profiles[i],
-                    },
-                )
-            };
-            self.stats.windows += 1;
-            if let Some(rec) = self.telemetry.recorder() {
-                rec.metrics.fleet.windows_total.inc();
-            }
-            if let Some(counter) = &self.shard_windows {
-                counter.inc();
-            }
+            let report = home.engine.process_observation(
+                &self.obs[i],
+                WindowPrescan {
+                    main: self.mains[i],
+                    candidates: &self.resolved[i],
+                    profile: self.profiles[i],
+                },
+            );
             if let Some(report) = report {
                 let publish_start_ns = if self.tracing { self.clock.now_ns() } else { 0 };
                 let delivered = Self::deliver(home, report, &mut self.stats, &self.telemetry);
@@ -432,7 +471,9 @@ impl ShardEngine {
                 }
             }
         }
-        self.ready = ready;
+        self.ready.clear();
+        self.stats.windows += n as u64;
+        self.publish_counts();
 
         if self.tracing {
             let verdict_end_ns = self.clock.now_ns();
@@ -507,12 +548,7 @@ impl ShardEngine {
     pub fn finish(mut self) -> ShardFinish {
         for slot in 0..self.homes.len() {
             while let Some((start, end)) = self.homes[slot].clock.close_remaining() {
-                self.ready.push(ReadyWindow {
-                    slot,
-                    start,
-                    end,
-                    events: std::mem::take(&mut self.homes[slot].events),
-                });
+                self.close_window(slot, start, end);
                 if self.ready.len() >= self.batch_windows {
                     self.sweep();
                 }
@@ -525,6 +561,7 @@ impl ShardEngine {
                 Self::deliver(home, report, &mut self.stats, &self.telemetry);
             }
         }
+        self.publish_counts();
         let records = self.ring.iter().copied().collect();
         let out = self
             .homes

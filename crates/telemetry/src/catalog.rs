@@ -315,12 +315,14 @@ pub struct FleetMetrics {
     pub stage_enqueue_wait_ns: Arc<Family<QuantileSketch>>,
     /// Time a frame batch sat in its shard queue before being dequeued.
     pub stage_queue_wait_ns: Arc<Family<QuantileSketch>>,
-    /// Dequeue-to-scan time per batch: frame decode and window assembly.
+    /// Dequeue-to-scan time per batch: frame decode and window assembly,
+    /// including the binarization of each window as it closes.
     pub stage_dequeue_ns: Arc<Family<QuantileSketch>>,
-    /// Batched candidate-scan time per detection sweep.
+    /// Correlation-check and batched candidate-scan time per detection
+    /// sweep.
     pub stage_scan_ns: Arc<Family<QuantileSketch>>,
-    /// Engine verdict time per detection sweep (exact hits and prescanned
-    /// windows driven to a decision).
+    /// Engine verdict time per detection sweep (every ready observation
+    /// driven to a decision).
     pub stage_verdict_ns: Arc<Family<QuantileSketch>>,
     /// Alarm publish time per detection sweep (cooldown bookkeeping and
     /// report delivery).

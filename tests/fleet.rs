@@ -1,7 +1,8 @@
 //! Fleet-layer guarantees: the wire-frame codec is byte-stable and
 //! panic-free on untrusted input, alarm output is invariant under the
-//! shard count, a single-home fleet matches the single-home gateway, and
-//! fleet model memory scales with distinct floor plans, not homes.
+//! shard count, a single-home fleet matches the single-home gateway, the
+//! shards' batched telemetry counters match the run's stats, and fleet
+//! model memory scales with distinct floor plans, not homes.
 
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -183,6 +184,53 @@ fn alarms_are_invariant_under_shard_count() {
     }
     assert_eq!(one.stats.windows, 24 * 30);
     assert_eq!(eight.stats.shards, 8);
+}
+
+#[test]
+fn batched_shard_counters_match_the_fleet_stats() {
+    let _cpu = cpu_shared();
+    let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
+    let telemetry = Telemetry::recording();
+    let run = run_fleet_with(
+        FleetConfig {
+            shards: 3,
+            queue_capacity: 8,
+            frames_per_batch: 16,
+            batch_windows: 16,
+            telemetry: telemetry.clone(),
+            ..FleetConfig::default()
+        },
+        &plans,
+    );
+    // Shards count frames, events and windows locally and publish them
+    // per batch and per sweep; after the run nothing may be left behind.
+    let snapshot = telemetry.snapshot().unwrap();
+    let stats = run.stats;
+    let counter = |name| snapshot.counter(name).unwrap();
+    assert_eq!(counter("dice_fleet_frames_total"), stats.frames);
+    assert_eq!(
+        counter("dice_fleet_decode_errors_total"),
+        stats.decode_errors
+    );
+    assert_eq!(counter("dice_fleet_events_total"), stats.events);
+    assert_eq!(counter("dice_fleet_windows_total"), stats.windows);
+    assert_eq!(
+        counter("dice_fleet_batched_scans_total"),
+        stats.batched_scans
+    );
+    assert_eq!(counter("dice_fleet_alarms_total"), stats.alarms);
+    assert_eq!(
+        counter("dice_fleet_alarms_suppressed_total"),
+        stats.suppressed
+    );
+    let per_shard = snapshot
+        .family_series("dice_fleet_shard_windows_total")
+        .unwrap();
+    assert_eq!(per_shard.len(), 3);
+    let per_shard_sum: i128 = per_shard.iter().map(|(_, n)| n).sum();
+    assert_eq!(per_shard_sum, i128::from(stats.windows));
+    assert_eq!(stats.windows, 24 * 30);
+    assert!(stats.frames > 0 && stats.events > 0 && stats.alarms > 0);
 }
 
 #[test]

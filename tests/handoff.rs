@@ -1,18 +1,26 @@
-//! The aggregator-to-gateway hand-off allocates nothing in steady state:
-//! encoding an event frame, moving it through a bounded channel, and
-//! decoding it on the gateway thread never touch the heap once the
-//! channel's buffers are warm. Property checks pin the inline frame to the
+//! The serving hand-offs allocate nothing in steady state. Encoding an
+//! event frame, moving it through a bounded channel, and decoding it on
+//! the gateway thread never touch the heap once the channel's buffers are
+//! warm; a warm fleet shard decodes, windows, binarizes and judges frames
+//! without allocating either. Property checks pin the inline frame to the
 //! packed wire layout and keep its decoder panic-free.
 #![allow(unsafe_code)] // the counting global allocator below
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::BytesMut;
 use crossbeam::channel::bounded;
+use dice_core::{ContextExtractor, DiceConfig, DiceModel};
+use dice_fleet::{encode_frame_into, ShardEngine, TraceClock};
 use dice_gateway::{decode_event, encode_event, encode_event_into, EventFrame};
-use dice_types::{ActuatorEvent, ActuatorId, Event, SensorId, SensorReading, Timestamp};
+use dice_telemetry::Telemetry;
+use dice_types::{
+    ActuatorEvent, ActuatorId, DeviceRegistry, Event, EventLog, Room, SensorId, SensorKind,
+    SensorReading, TimeDelta, Timestamp,
+};
 use proptest::prelude::*;
 
 /// Counts heap allocations made by threads that opted in, so tests running
@@ -112,6 +120,100 @@ fn warm_gateway_handoff_allocates_nothing() {
         allocations, 0,
         "a warm hand-off must not allocate ({allocations} allocations over {EVENTS} events)"
     );
+}
+
+/// The events of `minute` in floor plan `sensors`: the first two sensors
+/// together on even minutes, one of the others on odd minutes. Training on
+/// this schedule and serving it back makes every window hit a main group.
+fn plan_minute(sensors: &[SensorId], minute: i64) -> Vec<Event> {
+    let at = Timestamp::from_mins(minute) + TimeDelta::from_secs(5);
+    let fire = if minute % 2 == 0 {
+        vec![sensors[0], sensors[1]]
+    } else {
+        vec![sensors[2 + (minute as usize / 2) % (sensors.len() - 2)]]
+    };
+    fire.into_iter()
+        .map(|s| Event::Sensor(SensorReading::new(s, at, true.into())))
+        .collect()
+}
+
+/// A floor plan of `width` motion sensors and the model trained on 240
+/// minutes of its schedule.
+fn plan(width: usize) -> (Arc<DiceModel>, Vec<SensorId>) {
+    let mut registry = DeviceRegistry::new();
+    let sensors: Vec<SensorId> = (0..width)
+        .map(|i| registry.add_sensor(SensorKind::Motion, format!("s{i}"), Room::Kitchen))
+        .collect();
+    let mut log = EventLog::new();
+    for minute in 0..240 {
+        for event in plan_minute(&sensors, minute) {
+            if let Event::Sensor(reading) = event {
+                log.push_sensor(reading);
+            }
+        }
+    }
+    let model = ContextExtractor::new(DiceConfig::default())
+        .extract(&registry, &mut log)
+        .expect("training log is non-empty");
+    (Arc::new(model), sensors)
+}
+
+#[test]
+fn warm_shard_allocates_nothing_per_window() {
+    const HOMES: u32 = 8;
+    const WARM_MINUTES: usize = 240;
+    const MINUTES: usize = 480;
+    // Two plans of different bit widths (3 bits, and 2 words of 73 bits)
+    // share the shard's observation pool.
+    let plans = [plan(3), plan(73)];
+    let batches: Vec<BytesMut> = (0..MINUTES as i64)
+        .map(|minute| {
+            let mut batch = BytesMut::new();
+            for home in 0..HOMES {
+                for event in plan_minute(&plans[home as usize % 2].1, minute) {
+                    encode_frame_into(home, &event, &mut batch);
+                }
+            }
+            batch
+        })
+        .collect();
+    // The default serving path: no telemetry recorder and no tracing. (A
+    // recording engine's sketch buffers still grow when a wall-clock
+    // latency lands in a bucket they have not seen yet.)
+    let homes = (0..HOMES)
+        .map(|home| (home, Arc::clone(&plans[home as usize % 2].0)))
+        .collect();
+    let mut shard = ShardEngine::new(
+        0,
+        homes,
+        4,
+        TimeDelta::from_mins(30),
+        Timestamp::ZERO,
+        Timestamp::from_mins(MINUTES as i64),
+        Telemetry::noop(),
+        false,
+        TraceClock::manual().0,
+    );
+    for batch in &batches[..WARM_MINUTES] {
+        shard.ingest_batch(batch);
+    }
+    let warm_windows = shard.stats().windows;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTED.with(|c| c.set(true));
+    for batch in &batches[WARM_MINUTES..] {
+        shard.ingest_batch(batch);
+    }
+    COUNTED.with(|c| c.set(false));
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let windows = shard.stats().windows - warm_windows;
+    assert_eq!(windows, u64::from(HOMES) * (MINUTES - WARM_MINUTES) as u64);
+    assert_eq!(
+        allocations, 0,
+        "a warm shard must not allocate ({allocations} allocations over {windows} windows)"
+    );
+    let (alarms, stats, _) = shard.finish();
+    assert_eq!(stats.windows, u64::from(HOMES) * MINUTES as u64);
+    assert!(alarms.iter().all(|(_, reports)| reports.is_empty()));
 }
 
 fn event_strategy() -> impl Strategy<Value = Event> {
