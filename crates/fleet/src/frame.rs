@@ -12,7 +12,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use dice_gateway::{decode_event_slice, encode_event, FrameError};
+use dice_gateway::{decode_event_slice, encode_event_into, FrameError};
 use dice_types::Event;
 
 /// The wire-format version this build encodes and accepts.
@@ -103,20 +103,18 @@ impl std::error::Error for FleetFrameError {
 }
 
 /// Appends one fleet frame to `buf`, for packing many frames into one
-/// batch buffer.
+/// batch buffer. The event is written by [`encode_event_into`] straight
+/// into `buf`, and the length prefix is patched once the body is in.
+#[inline]
 pub fn encode_frame_into(home: HomeId, event: &Event, buf: &mut BytesMut) {
-    let event = encode_event(event);
-    let event = event.as_slice();
-    let body = BODY_HEADER + event.len();
+    let start = buf.len();
+    buf.put_u16(0);
+    buf.put_u8(FLEET_FRAME_VERSION);
+    buf.put_u32(home);
+    encode_event_into(event, buf);
+    let body = buf.len() - start - LEN_PREFIX;
     debug_assert!(body <= MAX_FRAME_BODY);
-    // Assembled on the stack and appended with one copy, which measured
-    // faster than one append per field.
-    let mut frame = [0; LEN_PREFIX + MAX_FRAME_BODY];
-    frame[..LEN_PREFIX].copy_from_slice(&(body as u16).to_be_bytes());
-    frame[LEN_PREFIX] = FLEET_FRAME_VERSION;
-    frame[LEN_PREFIX + 1..LEN_PREFIX + BODY_HEADER].copy_from_slice(&home.to_be_bytes());
-    frame[LEN_PREFIX + BODY_HEADER..LEN_PREFIX + body].copy_from_slice(event);
-    buf.put_slice(&frame[..LEN_PREFIX + body]);
+    buf[start..start + LEN_PREFIX].copy_from_slice(&(body as u16).to_be_bytes());
 }
 
 /// Encodes one fleet frame into a fresh buffer.
@@ -134,6 +132,7 @@ pub fn encode_frame(home: HomeId, event: &Event) -> Bytes {
 /// Returns a [`FleetFrameError`] for truncated, corrupt, or oversized
 /// frames; `bytes` is never indexed past what the checks admit, so corrupt
 /// input cannot panic.
+#[inline]
 pub fn decode_frame_slice(bytes: &[u8]) -> Result<(FleetFrame, usize), FleetFrameError> {
     if bytes.len() < LEN_PREFIX {
         return Err(FleetFrameError::Truncated);
@@ -162,6 +161,13 @@ pub fn decode_frame_slice(bytes: &[u8]) -> Result<(FleetFrame, usize), FleetFram
         });
     }
     Ok((FleetFrame { home, event }, LEN_PREFIX + declared))
+}
+
+/// The home id in a frame's header, read without decoding or checking the
+/// rest; `None` when `bytes` is too short to hold one.
+pub(crate) fn frame_home(bytes: &[u8]) -> Option<HomeId> {
+    let home = bytes.get(LEN_PREFIX + 1..LEN_PREFIX + BODY_HEADER)?;
+    Some(u32::from_be_bytes(home.try_into().ok()?))
 }
 
 /// Iterates the frames packed in a batch buffer; see [`decode_frames`].
@@ -244,6 +250,35 @@ mod tests {
         }
     }
 
+    /// One fleet frame per tag in literal bytes: the body length, the
+    /// version, the big-endian home id, then the event frame.
+    #[test]
+    fn fleet_frames_pin_their_bytes() {
+        let expected: [&[u8]; 3] = [
+            &[
+                0, 19, 1, 0x00, 0x01, 0x02, 0x03, 0x01, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 60, 1,
+            ],
+            &[
+                0, 26, 1, 0x00, 0x01, 0x02, 0x03, 0x02, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 61, 0x40,
+                0x34, 0x80, 0, 0, 0, 0, 0,
+            ],
+            &[
+                0, 19, 1, 0x00, 0x01, 0x02, 0x03, 0x03, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 62, 0,
+            ],
+        ];
+        let mut batch = BytesMut::new();
+        for (event, bytes) in sample_events().iter().zip(expected) {
+            assert_eq!(encode_frame(0x0001_0203, event).as_slice(), bytes);
+            encode_frame_into(0x0001_0203, event, &mut batch);
+            let (frame, used) = decode_frame_slice(bytes).unwrap();
+            assert_eq!(
+                (frame.home, &frame.event, used),
+                (0x0001_0203, event, bytes.len())
+            );
+        }
+        assert_eq!(&batch[..], expected.concat().as_slice());
+    }
+
     #[test]
     fn truncated_frames_error_at_every_cut() {
         let frame = encode_frame(7, &sample_events()[1]);
@@ -252,6 +287,18 @@ mod tests {
             assert_eq!(err, FleetFrameError::Truncated, "cut at {cut}");
         }
         assert!(decode_frame_slice(&frame).is_ok());
+    }
+
+    #[test]
+    fn frame_home_reads_the_header_of_any_frame() {
+        let frame = encode_frame(0x0102_0304, &sample_events()[1]);
+        for cut in 0..LEN_PREFIX + BODY_HEADER {
+            assert_eq!(frame_home(&frame[..cut]), None, "cut at {cut}");
+        }
+        assert_eq!(frame_home(&frame[..7]), Some(0x0102_0304));
+        let mut bad_version = frame.to_vec();
+        bad_version[2] = 9;
+        assert_eq!(frame_home(&bad_version), Some(0x0102_0304));
     }
 
     #[test]

@@ -20,14 +20,14 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
 use dice_core::{DiceModel, FaultReport, LineageStamp};
 use dice_telemetry::{shard_label, Gauge, Telemetry};
 use dice_types::{Event, TimeDelta, Timestamp};
 
-use crate::frame::{encode_frame_into, HomeId, MAX_FRAME_BODY};
+use crate::frame::{encode_frame_into, frame_home, HomeId, MAX_FRAME_BODY};
 use crate::router::{default_shards, shard_for_home};
 use crate::shard::{ShardEngine, ShardFinish};
 use crate::trace::{SenderShardTrace, TraceClock};
@@ -178,6 +178,25 @@ impl FleetSender<'_> {
     pub fn send(&mut self, home: HomeId, event: &Event) {
         let shard = shard_for_home(home, self.txs.len());
         encode_frame_into(home, event, &mut self.staging[shard]);
+        self.staged(shard);
+    }
+
+    /// Routes one already-encoded fleet frame, as it arrived off a wire
+    /// and well-formed or not, without decoding it: to the shard of the
+    /// home its header names (shard 0 when it is too short to name one),
+    /// in a batch of its own. The shard decodes it like any frame
+    /// [`FleetSender::send`] encodes, so a malformed frame costs one decode
+    /// error there and no other frame.
+    pub fn send_frame(&mut self, frame: &[u8]) {
+        let shard = shard_for_home(frame_home(frame).unwrap_or(0), self.txs.len());
+        self.flush_shard(shard);
+        self.staging[shard].put_slice(frame);
+        self.staged(shard);
+        self.flush_shard(shard);
+    }
+
+    /// Counts one frame staged for `shard` and flushes the batch once full.
+    fn staged(&mut self, shard: usize) {
         self.frames += 1;
         self.counts[shard] += 1;
         if self.counts[shard] >= self.frames_per_batch {

@@ -15,6 +15,7 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
@@ -22,7 +23,7 @@ use parking_lot::Mutex;
 
 use dice_core::trace::{write_header_line, write_trace_line};
 use dice_core::{DecisionTrace, DiceEngine, DiceModel, EngineOptions, FaultReport, TraceHeader};
-use dice_telemetry::{saturating_ns, Recorder, Telemetry};
+use dice_telemetry::{saturating_ns, Gauge, Recorder, Telemetry};
 use dice_types::{DeviceId, Event, Timestamp};
 
 use crate::message::{decode_event, EventFrame, FrameError};
@@ -247,28 +248,6 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             (engine.model().config().window(), header)
         };
 
-        // K-way merge state: one pending event per live stream.
-        let mut streams: Vec<Option<Receiver<EventFrame>>> = inputs.into_iter().map(Some).collect();
-        let mut pending: Vec<Option<Event>> = vec![None; streams.len()];
-        let shard_depths: Vec<_> = recorder
-            .map(|rec| {
-                (0..streams.len())
-                    .map(|shard| {
-                        rec.metrics
-                            .gateway
-                            .shard_depth
-                            .with_label_values(&[&dice_telemetry::shard_label(shard)])
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        if let Some(rec) = recorder {
-            rec.metrics
-                .gateway
-                .streams_connected
-                .set(streams.len() as i64);
-        }
-
         let mut clock = WindowClock::new(window, from, to);
         let mut window_events: Vec<Event> = Vec::new();
         let mut engine = self.engine.lock();
@@ -294,11 +273,14 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                 rec.metrics.gateway.alarms_suppressed_total.inc();
             }
         };
-        // Runs one closed window through the engine, records it, and
-        // empties the reused event buffer for the next window.
+        // Runs one closed window through the engine, records it with the
+        // merge's counts and depth, and empties the reused event buffer for
+        // the next window.
+        let mut published = [0u64; 3];
         let mut close = |(start, end): (Timestamp, Timestamp),
                          events: &mut Vec<Event>,
-                         stats: &mut GatewayStats| {
+                         stats: &mut GatewayStats,
+                         merge: &Merge| {
             let opened = recorder.map(|_| Instant::now());
             if let Some(report) = engine.process_window(start, end, events) {
                 deliver(report, stats);
@@ -312,6 +294,9 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                         .window_ns
                         .record(saturating_ns(opened.elapsed().as_nanos()));
                 }
+                let now = [merge.frames, stats.events, merge.decode_errors];
+                publish_counts(rec, &mut published, now);
+                merge.sample_depth();
             }
             if let Some(home) = &home_windows {
                 home.inc();
@@ -320,88 +305,167 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             on_window(end);
         };
 
-        'merge: loop {
-            // Sample fan-in pressure before draining: the high-water mark of
-            // frames queued across all live aggregator channels.
-            if let Some(rec) = recorder {
-                let mut depth = 0usize;
-                for (shard, rx) in streams.iter().enumerate() {
-                    let Some(rx) = rx else { continue };
-                    let len = rx.len();
-                    depth += len;
-                    shard_depths[shard].set_max(len as i64);
-                }
-                rec.metrics.gateway.channel_depth.set_max(depth as i64);
-            }
-
-            // Refill pending slots.
-            for (slot, stream) in streams.iter_mut().enumerate() {
-                while pending[slot].is_none() {
-                    let Some(rx) = stream else { break };
-                    match rx.recv() {
-                        Ok(frame) => {
-                            if let Some(rec) = recorder {
-                                rec.metrics.gateway.frames_total.inc();
-                            }
-                            match decode_event(frame) {
-                                Ok(event) => pending[slot] = Some(event),
-                                Err(
-                                    error @ (FrameError::Truncated
-                                    | FrameError::UnknownTag(_)
-                                    | FrameError::BadBool(_)),
-                                ) => {
-                                    stats.decode_errors += 1;
-                                    if let Some(rec) = recorder {
-                                        rec.metrics.gateway.decode_errors_total.inc();
-                                        rec.events
-                                            .push("decode_error", format!("slot {slot}: {error}"));
-                                    }
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            *stream = None; // aggregator hung up
-                            if let Some(rec) = recorder {
-                                rec.metrics.gateway.streams_connected.add(-1);
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Pick the earliest pending event.
-            let next = pending
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| e.map(|e| (i, e)))
-                .min_by_key(|(_, e)| e.at());
-            let Some((slot, event)) = next else {
-                break 'merge; // all streams done
-            };
-            pending[slot] = None;
-
+        let mut merge = Merge::start(inputs, recorder);
+        while let Some(event) = merge.next() {
             if !clock.admits(event.at()) {
                 continue; // outside the monitored range
             }
             stats.events += 1;
-            if let Some(rec) = recorder {
-                rec.metrics.gateway.events_total.inc();
-            }
             while let Some(bounds) = clock.close_passed(event.at()) {
-                close(bounds, &mut window_events, &mut stats);
+                close(bounds, &mut window_events, &mut stats, &merge);
             }
             window_events.push(event);
         }
         while let Some(bounds) = clock.close_remaining() {
-            close(bounds, &mut window_events, &mut stats);
+            close(bounds, &mut window_events, &mut stats, &merge);
         }
         if let Some(report) = engine.flush() {
             deliver(report, &mut stats);
         }
+        stats.decode_errors = merge.decode_errors;
+        if let Some(rec) = recorder {
+            let now = [merge.frames, stats.events, merge.decode_errors];
+            publish_counts(rec, &mut published, now);
+        }
 
         stats
     }
+}
+
+/// The k-way time-ordered merge over the aggregator streams: one pending
+/// event per live stream, taken in `(timestamp, slot)` order. Frames and
+/// decode errors are counted here and published by the run at each window
+/// close, not one shared atomic per frame.
+struct Merge<'r> {
+    streams: Vec<Option<Receiver<EventFrame>>>,
+    pending: Vec<Option<Event>>,
+    /// The slot the last event came from: the only one left to refill.
+    taken: Option<usize>,
+    recorder: Option<&'r Recorder>,
+    /// Per-stream depth gauges, resolved once (empty when not recording).
+    shard_depths: Vec<Arc<Gauge>>,
+    frames: u64,
+    decode_errors: u64,
+}
+
+// `next` and `refill` run once per event and are `#[inline]`: the generic
+// `run_with_observer` is instantiated in the caller's crate, where they
+// would otherwise stay out-of-line calls.
+impl<'r> Merge<'r> {
+    /// Samples fan-in pressure before anything is received, then fills
+    /// every slot.
+    fn start(inputs: Vec<Receiver<EventFrame>>, recorder: Option<&'r Recorder>) -> Self {
+        let shard_depths = recorder
+            .map(|rec| {
+                (0..inputs.len())
+                    .map(|shard| {
+                        rec.metrics
+                            .gateway
+                            .shard_depth
+                            .with_label_values(&[&dice_telemetry::shard_label(shard)])
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        if let Some(rec) = recorder {
+            rec.metrics
+                .gateway
+                .streams_connected
+                .set(inputs.len() as i64);
+        }
+        let mut merge = Merge {
+            pending: vec![None; inputs.len()],
+            streams: inputs.into_iter().map(Some).collect(),
+            taken: None,
+            recorder,
+            shard_depths,
+            frames: 0,
+            decode_errors: 0,
+        };
+        merge.sample_depth();
+        for slot in 0..merge.streams.len() {
+            merge.refill(slot);
+        }
+        merge
+    }
+
+    /// Refills the slot the previous event came from (every other slot
+    /// still holds its event), then takes the earliest pending event, ties
+    /// to the lowest slot. `None` once every stream has hung up and
+    /// drained.
+    #[inline]
+    fn next(&mut self) -> Option<Event> {
+        if let Some(slot) = self.taken {
+            self.refill(slot);
+        }
+        let (_, slot) = self
+            .pending
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, event)| event.map(|e| (e.at(), slot)))
+            .min()?;
+        self.taken = Some(slot);
+        self.pending[slot].take()
+    }
+
+    /// Receives into `slot` until it holds a decodable event or its
+    /// stream hangs up. Undecodable frames are counted and dropped.
+    #[inline]
+    fn refill(&mut self, slot: usize) {
+        while self.pending[slot].is_none() {
+            let Some(rx) = &self.streams[slot] else {
+                return;
+            };
+            let Ok(frame) = rx.recv() else {
+                self.streams[slot] = None; // aggregator hung up
+                if let Some(rec) = self.recorder {
+                    rec.metrics.gateway.streams_connected.add(-1);
+                }
+                return;
+            };
+            self.frames += 1;
+            match decode_event(frame) {
+                Ok(event) => self.pending[slot] = Some(event),
+                Err(
+                    error @ (FrameError::Truncated
+                    | FrameError::UnknownTag(_)
+                    | FrameError::BadBool(_)),
+                ) => {
+                    self.decode_errors += 1;
+                    if let Some(rec) = self.recorder {
+                        rec.events
+                            .push("decode_error", format!("slot {slot}: {error}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Raises the depth high-water marks to the frames queued now, when
+    /// recording.
+    fn sample_depth(&self) {
+        let Some(rec) = self.recorder else {
+            return;
+        };
+        let mut depth = 0usize;
+        for (rx, gauge) in self.streams.iter().zip(&self.shard_depths) {
+            let Some(rx) = rx else { continue };
+            let len = rx.len();
+            depth += len;
+            gauge.set_max(len as i64);
+        }
+        rec.metrics.gateway.channel_depth.set_max(depth as i64);
+    }
+}
+
+/// Adds the frames, events and decode errors counted since the last
+/// publish (`published`, updated to `now`) to their gateway counters.
+fn publish_counts(rec: &Recorder, published: &mut [u64; 3], now: [u64; 3]) {
+    let gateway = &rec.metrics.gateway;
+    gateway.frames_total.add(now[0] - published[0]);
+    gateway.events_total.add(now[1] - published[1]);
+    gateway.decode_errors_total.add(now[2] - published[2]);
+    *published = now;
 }
 
 #[cfg(test)]
@@ -662,6 +726,88 @@ mod tests {
             rendered.contains(&format!("{}", DeviceId::Sensor(sensors[1]))),
             "explain must name the faulty sensor:\n{rendered}"
         );
+    }
+
+    /// The reference merge: refill every empty slot, then take the
+    /// earliest pending event, ties to the lowest slot.
+    fn rescan_order(streams: &[Vec<EventFrame>]) -> Vec<Event> {
+        let mut queues: Vec<std::collections::VecDeque<EventFrame>> = streams
+            .iter()
+            .map(|frames| frames.iter().copied().collect())
+            .collect();
+        let mut pending: Vec<Option<Event>> = vec![None; streams.len()];
+        let mut merged = Vec::new();
+        loop {
+            for (slot, queue) in queues.iter_mut().enumerate() {
+                while pending[slot].is_none() {
+                    let Some(frame) = queue.pop_front() else {
+                        break;
+                    };
+                    pending[slot] = decode_event(frame).ok();
+                }
+            }
+            let next = pending
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, e)| e.map(|e| (slot, e)))
+                .min_by_key(|(_, e)| e.at());
+            let Some((slot, _)) = next else {
+                return merged;
+            };
+            merged.extend(pending[slot].take());
+        }
+    }
+
+    /// Seeded streams with out-of-order steps, timestamp ties within and
+    /// across streams, undecodable frames and empty streams: the merge
+    /// yields exactly the reference order.
+    #[test]
+    fn merge_matches_the_rescan_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(18);
+        for case in 0..300 {
+            let mut id = 0;
+            let mut garbage = 0;
+            let streams: Vec<Vec<EventFrame>> = (0..rng.gen_range(1..=4))
+                .map(|_| {
+                    let mut secs = rng.gen_range(0..10i64);
+                    (0..rng.gen_range(0..40))
+                        .map(|_| {
+                            if rng.gen_bool(0.05) {
+                                garbage += 1;
+                                return EventFrame::from_slice(&[0xFF]);
+                            }
+                            id += 1;
+                            secs = (secs + rng.gen_range(-3..=4i64)).max(0);
+                            crate::message::encode_event(&Event::Sensor(SensorReading::new(
+                                dice_types::SensorId::new(id),
+                                Timestamp::from_secs(secs),
+                                true.into(),
+                            )))
+                        })
+                        .collect()
+                })
+                .collect();
+            let receivers = streams
+                .iter()
+                .map(|frames| {
+                    let (tx, rx) = unbounded();
+                    for frame in frames {
+                        tx.send(*frame).unwrap();
+                    }
+                    rx
+                })
+                .collect();
+            let mut merge = Merge::start(receivers, None);
+            let mut merged = Vec::new();
+            while let Some(event) = merge.next() {
+                merged.push(event);
+            }
+            assert_eq!(merged, rescan_order(&streams), "case {case}");
+            assert_eq!(merged.len(), id as usize);
+            assert_eq!(merge.decode_errors, garbage);
+        }
     }
 
     #[test]

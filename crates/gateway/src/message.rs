@@ -77,6 +77,7 @@ impl EventFrame {
     }
 
     /// The frame bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.bytes[..usize::from(self.len)]
     }
@@ -92,6 +93,7 @@ impl std::fmt::Debug for EventFrame {
 ///
 /// Layout: `tag:u8, device_id:u32, at_secs:i64, payload` where the payload
 /// is one byte for binary/actuator frames and an `f64` for numeric frames.
+#[inline]
 pub fn encode_event(event: &Event) -> EventFrame {
     let mut bytes = [0; EventFrame::MAX_LEN];
     let mut rest: &mut [u8] = &mut bytes;
@@ -102,8 +104,9 @@ pub fn encode_event(event: &Event) -> EventFrame {
 
 /// Appends one event's frame bytes to `buf` without allocating a new
 /// buffer. [`encode_event`] writes through this function into a stack
-/// slice, and the fleet frame wraps [`encode_event`]'s bytes, so every
-/// event on every wire has this one layout.
+/// slice, and the fleet frame encoder writes through it straight into its
+/// batch buffer, so every event on every wire has this one layout.
+#[inline]
 pub fn encode_event_into(event: &Event, buf: &mut impl BufMut) {
     match event {
         Event::Sensor(r) => match r.value {
@@ -134,6 +137,7 @@ pub fn encode_event_into(event: &Event, buf: &mut impl BufMut) {
 /// # Errors
 ///
 /// Returns a [`FrameError`] for truncated or malformed frames.
+#[inline]
 pub fn decode_event(frame: EventFrame) -> Result<Event, FrameError> {
     decode_event_slice(frame.as_slice()).map(|(event, _)| event)
 }
@@ -145,6 +149,7 @@ pub fn decode_event(frame: EventFrame) -> Result<Event, FrameError> {
 /// # Errors
 ///
 /// Returns a [`FrameError`] for truncated or malformed frames.
+#[inline]
 pub fn decode_event_slice(bytes: &[u8]) -> Result<(Event, usize), FrameError> {
     let mut frame = bytes;
     if frame.remaining() < 1 + 4 + 8 {
@@ -235,6 +240,49 @@ mod tests {
             Timestamp::from_hours(2),
             true,
         )));
+    }
+
+    /// The layout in literal bytes, one frame per tag: big-endian id and
+    /// seconds (two's complement), the bool as one byte, the `f64` as its
+    /// IEEE-754 bits.
+    #[test]
+    fn event_frames_pin_their_bytes() {
+        let cases: [(Event, &[u8]); 3] = [
+            (
+                Event::Sensor(SensorReading::new(
+                    SensorId::new(7),
+                    Timestamp::from_secs(1234),
+                    true.into(),
+                )),
+                &[0x01, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0x04, 0xD2, 0x01],
+            ),
+            (
+                Event::Sensor(SensorReading::new(
+                    SensorId::new(0x0A0B_0C0D),
+                    Timestamp::from_secs(-2),
+                    21.125.into(),
+                )),
+                &[
+                    0x02, 0x0A, 0x0B, 0x0C, 0x0D, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE,
+                    0x40, 0x35, 0x20, 0, 0, 0, 0, 0,
+                ],
+            ),
+            (
+                Event::Actuator(ActuatorEvent::new(
+                    ActuatorId::new(3),
+                    Timestamp::from_hours(2),
+                    false,
+                )),
+                &[0x03, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0x1C, 0x20, 0x00],
+            ),
+        ];
+        for (event, bytes) in cases {
+            assert_eq!(encode_event(&event).as_slice(), bytes, "{event:?}");
+            let mut packed = BytesMut::new();
+            encode_event_into(&event, &mut packed);
+            assert_eq!(&packed[..], bytes, "{event:?}");
+            assert_eq!(decode_event_slice(bytes), Ok((event, bytes.len())));
+        }
     }
 
     #[test]

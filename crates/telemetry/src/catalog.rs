@@ -198,7 +198,8 @@ pub struct GatewayMetrics {
     pub alarms_total: Arc<Counter>,
     /// Alarms suppressed by the per-device cooldown.
     pub alarms_suppressed_total: Arc<Counter>,
-    /// High-water mark of queued frames across aggregator channels.
+    /// Deepest queue of frames across aggregator channels, sampled when a
+    /// run starts and at each window close.
     pub channel_depth: Arc<Gauge>,
     /// Currently connected aggregator streams.
     pub streams_connected: Arc<Gauge>,
@@ -210,7 +211,8 @@ pub struct GatewayMetrics {
     pub home_windows_total: Arc<Family<Counter>>,
     /// Alarms delivered, labeled by home.
     pub home_alarms_total: Arc<Family<Counter>>,
-    /// High-water mark of queued frames, labeled by aggregator shard.
+    /// Deepest queue of frames per aggregator channel, sampled when a run
+    /// starts and at each window close, labeled by aggregator shard.
     pub shard_depth: Arc<Family<Gauge>>,
 }
 
@@ -240,7 +242,7 @@ impl GatewayMetrics {
             ),
             channel_depth: r.gauge(
                 "dice_gateway_channel_depth",
-                "High-water mark of queued frames across aggregator channels",
+                "Deepest queue of frames across aggregator channels at a window close",
             ),
             streams_connected: r.gauge(
                 "dice_gateway_streams_connected",
@@ -267,7 +269,7 @@ impl GatewayMetrics {
             ),
             shard_depth: r.gauge_family(
                 "dice_gateway_shard_depth",
-                "High-water mark of queued frames per aggregator shard",
+                "Deepest queue of frames per aggregator shard at a window close",
                 &["shard"],
             ),
         }

@@ -184,7 +184,7 @@ pub fn standard_rules() -> Vec<HealthRule> {
         },
         HealthRule {
             id: "channel_depth_high_water",
-            help: "aggregator channels close to capacity",
+            help: "aggregator channels close to capacity at a window close",
             deterministic: false,
             check: RuleCheck::GaugeAbove {
                 name: "dice_gateway_channel_depth",

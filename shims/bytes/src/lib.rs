@@ -3,7 +3,9 @@
 //!
 //! `Bytes` shares its backing store behind an `Arc`, so cloning a frame and
 //! handing it across channels stays cheap, as with the real crate. Reading
-//! advances an internal cursor (the real crate's `Buf` semantics).
+//! advances an internal cursor (the real crate's `Buf` semantics). The
+//! accessors are `#[inline]`, as upstream's are, so a codec built on them
+//! compiles to direct stores and loads across crate boundaries.
 
 use std::sync::Arc;
 
@@ -17,22 +19,26 @@ pub struct Bytes {
 
 impl Bytes {
     /// The unread remainder as a slice.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.pos..]
     }
 
     /// Number of unread bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// Whether no unread bytes remain.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(data: Vec<u8>) -> Self {
         Bytes {
             data: data.into(),
@@ -44,6 +50,7 @@ impl From<Vec<u8>> for Bytes {
 impl std::ops::Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -57,11 +64,13 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// Creates an empty buffer.
+    #[inline]
     pub fn new() -> Self {
         BytesMut::default()
     }
 
     /// Creates an empty buffer with `capacity` bytes preallocated.
+    #[inline]
     pub fn with_capacity(capacity: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(capacity),
@@ -69,16 +78,19 @@ impl BytesMut {
     }
 
     /// Freezes the buffer into an immutable [`Bytes`].
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
 
     /// Number of bytes written.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Whether nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -87,8 +99,18 @@ impl BytesMut {
 impl std::ops::Deref for BytesMut {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+/// Writes in place over bytes already appended, as upstream allows (a
+/// length prefix can be patched once the body behind it is written).
+impl std::ops::DerefMut for BytesMut {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -106,41 +128,49 @@ pub trait Buf {
     fn take_array<const N: usize>(&mut self) -> [u8; N];
 
     /// Reads one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         self.take_array::<1>()[0]
     }
 
     /// Reads a big-endian `u16`.
+    #[inline]
     fn get_u16(&mut self) -> u16 {
         u16::from_be_bytes(self.take_array())
     }
 
     /// Reads a big-endian `u32`.
+    #[inline]
     fn get_u32(&mut self) -> u32 {
         u32::from_be_bytes(self.take_array())
     }
 
     /// Reads a big-endian `i64`.
+    #[inline]
     fn get_i64(&mut self) -> i64 {
         i64::from_be_bytes(self.take_array())
     }
 
     /// Reads a big-endian `u64`.
+    #[inline]
     fn get_u64(&mut self) -> u64 {
         u64::from_be_bytes(self.take_array())
     }
 
     /// Reads a big-endian `f64`.
+    #[inline]
     fn get_f64(&mut self) -> f64 {
         f64::from_be_bytes(self.take_array())
     }
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn take_array<const N: usize>(&mut self) -> [u8; N] {
         assert!(self.remaining() >= N, "buffer underflow");
         let mut out = [0u8; N];
@@ -151,10 +181,12 @@ impl Buf for Bytes {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn take_array<const N: usize>(&mut self) -> [u8; N] {
         assert!(self.remaining() >= N, "buffer underflow");
         let mut out = [0u8; N];
@@ -170,37 +202,44 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Writes one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Writes a big-endian `u16`.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `i64`.
+    #[inline]
     fn put_i64(&mut self, v: i64) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `f64`.
+    #[inline]
     fn put_f64(&mut self, v: f64) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
@@ -209,6 +248,7 @@ impl BufMut for BytesMut {
 /// Writes into a fixed slice, advancing it past the written bytes (the
 /// real crate's semantics).
 impl BufMut for &mut [u8] {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         assert!(self.len() >= src.len(), "buffer overflow");
         let (head, tail) = std::mem::take(self).split_at_mut(src.len());
@@ -261,6 +301,17 @@ mod tests {
             rest.put_u32(1);
         });
         assert!(overflow.is_err());
+    }
+
+    #[test]
+    fn written_bytes_patch_in_place() {
+        let mut buf = BytesMut::new();
+        buf.put_u16(0);
+        buf.put_u8(0xAB);
+        let body = (buf.len() - 2) as u16;
+        buf[..2].copy_from_slice(&body.to_be_bytes());
+        assert_eq!(&buf[..], &[0, 1, 0xAB]);
+        assert_eq!(buf.freeze().as_slice(), &[0, 1, 0xAB]);
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! Fleet-layer guarantees: the wire-frame codec is byte-stable and
 //! panic-free on untrusted input, alarm output is invariant under the
 //! shard count, a single-home fleet matches the single-home gateway, the
-//! shards' batched telemetry counters match the run's stats, and fleet
-//! model memory scales with distinct floor plans, not homes.
+//! shards' and the gateway's batched telemetry counters match their runs'
+//! stats, malformed frames get the same typed error on both serving
+//! paths, and fleet model memory scales with distinct floor plans, not
+//! homes.
 
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dice_core::{ContextExtractor, DiceConfig, DiceEngine, DiceModel, FaultReport};
 use dice_fleet::{
-    decode_frame_slice, decode_frames, encode_frame, Fleet, FleetConfig, FleetRun, ModelCache,
-    TraceClock,
+    decode_frame_slice, decode_frames, encode_frame, Fleet, FleetConfig, FleetFrameError, FleetRun,
+    ModelCache, TraceClock,
 };
-use dice_gateway::{encode_event, GatewayStats, HomeGateway};
+use dice_gateway::{
+    decode_event, encode_event, partition_by_device, EventFrame, FrameError, GatewayStats,
+    HomeGateway,
+};
 use dice_telemetry::{evaluate_health, standard_rules, HealthStatus, Telemetry};
 use dice_types::{
     ActuatorEvent, ActuatorId, DeviceId, DeviceRegistry, Event, EventLog, Room, SensorId,
@@ -231,6 +236,264 @@ fn batched_shard_counters_match_the_fleet_stats() {
     assert_eq!(per_shard_sum, i128::from(stats.windows));
     assert_eq!(stats.windows, 24 * 30);
     assert!(stats.frames > 0 && stats.events > 0 && stats.alarms > 0);
+}
+
+#[test]
+fn batched_gateway_counters_match_the_gateway_stats() {
+    let _cpu = cpu_shared();
+    let model = Arc::new(train_plan(0));
+    let sensors = plan_devices(0).1;
+    let events = live_events(&sensors, 60, true);
+    // Three aggregator channels, queued in full before the run, each led
+    // by one undecodable frame. The range starts two minutes in, so some
+    // decoded events fall outside it.
+    let mut sent = 0u64;
+    let mut depths = Vec::new();
+    let receivers = partition_by_device(&events, 3)
+        .into_iter()
+        .map(|part| {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            tx.send(EventFrame::from_slice(&[0xFF])).unwrap();
+            for event in &part {
+                tx.send(encode_event(event)).unwrap();
+            }
+            sent += 1 + part.len() as u64;
+            depths.push(1 + part.len() as i128);
+            rx
+        })
+        .collect();
+    let telemetry = Telemetry::recording();
+    let (alarm_tx, _alarm_rx) = crossbeam::channel::unbounded();
+    let gateway = HomeGateway::with_telemetry(model, TimeDelta::from_mins(60), telemetry.clone());
+    let stats = gateway.run(
+        receivers,
+        &alarm_tx,
+        Timestamp::from_mins(2),
+        Timestamp::from_mins(60),
+    );
+    // The merge counts frames, events and decode errors locally and
+    // publishes them per window and at the end; nothing may be left behind.
+    let snapshot = telemetry.snapshot().unwrap();
+    let counter = |name| snapshot.counter(name).unwrap();
+    assert_eq!(counter("dice_gateway_frames_total"), sent);
+    assert_eq!(counter("dice_gateway_events_total"), stats.events);
+    assert_eq!(
+        counter("dice_gateway_decode_errors_total"),
+        stats.decode_errors
+    );
+    assert_eq!(counter("dice_gateway_windows_total"), stats.windows);
+    assert_eq!(counter("dice_gateway_alarms_total"), stats.alarms);
+    assert_eq!(
+        snapshot.family_value("dice_gateway_home_windows_total", &["home0"]),
+        Some(i128::from(stats.windows))
+    );
+    // Depth is sampled before the first receive, when every frame is queued.
+    let total_depth: i128 = depths.iter().sum();
+    assert_eq!(
+        snapshot.gauge("dice_gateway_channel_depth").map(i128::from),
+        Some(total_depth)
+    );
+    for (shard, depth) in depths.iter().enumerate() {
+        assert_eq!(
+            snapshot.family_value("dice_gateway_shard_depth", &[&format!("s{shard}")]),
+            Some(*depth)
+        );
+    }
+    assert_eq!(stats.decode_errors, 3);
+    assert_eq!(stats.windows, 58);
+    assert!(stats.events + stats.decode_errors < sent);
+    assert!(stats.alarms > 0);
+}
+
+/// One fleet frame around `event`'s bytes, well-formed or not: the
+/// declared body length, the version byte and the home id.
+fn envelope(declared: u16, version: u8, home: u32, event: &[u8]) -> Vec<u8> {
+    let mut frame = declared.to_be_bytes().to_vec();
+    frame.push(version);
+    frame.extend_from_slice(&home.to_be_bytes());
+    frame.extend_from_slice(event);
+    frame
+}
+
+/// Seeded malformed frames in a live stream, through `HomeGateway::run`
+/// and `Fleet::run`. A corrupt event frame is rejected on both paths with
+/// the same `FrameError` (wrapped in `FleetFrameError::Event` on the
+/// fleet), a corrupt fleet envelope with its `FleetFrameError`, and each
+/// path's decode-error count equals the frames injected into it. The
+/// well-formed events still give both paths the same alarms, also when the
+/// fleet packs many frames per batch: each raw frame travels alone, so a
+/// corrupt one drops no good frame behind it.
+#[test]
+fn malformed_frames_get_the_same_typed_error_on_both_paths() {
+    let _cpu = cpu_shared();
+    const HOME: u32 = 7;
+    let model = Arc::new(train_plan(0));
+    let sensors = plan_devices(0).1;
+    let good = encode_event(&Event::Sensor(SensorReading::new(
+        sensors[2],
+        Timestamp::from_mins(3),
+        true.into(),
+    )));
+    let good = good.as_slice();
+    let mut unknown_tag = good.to_vec();
+    unknown_tag[0] = 0x7F;
+    let mut bad_bool = good.to_vec();
+    bad_bool[13] = 2;
+    let event_level = [
+        (good[..13].to_vec(), FrameError::Truncated),
+        (unknown_tag, FrameError::UnknownTag(0x7F)),
+        (bad_bool, FrameError::BadBool(2)),
+    ];
+    let body = 5 + good.len() as u16;
+    let mut long = envelope(body + 1, 1, HOME, good);
+    long.push(0);
+    let envelope_level = [
+        (
+            envelope(body, 9, HOME, good),
+            FleetFrameError::BadVersion(9),
+        ),
+        (
+            envelope(1000, 1, HOME, good),
+            FleetFrameError::Oversized { declared: 1000 },
+        ),
+        (
+            long,
+            FleetFrameError::LengthMismatch {
+                declared: usize::from(body) + 1,
+                actual: usize::from(body),
+            },
+        ),
+    ];
+    // Every corruption on the fleet wire, with the error it must raise.
+    let fleet_frames: Vec<(Vec<u8>, FleetFrameError)> = event_level
+        .iter()
+        .map(|(bytes, error)| {
+            let frame = envelope(5 + bytes.len() as u16, 1, HOME, bytes);
+            (frame, FleetFrameError::Event(error.clone()))
+        })
+        .chain(envelope_level)
+        .collect();
+    for (bytes, error) in &event_level {
+        assert_eq!(
+            decode_event(EventFrame::from_slice(bytes)),
+            Err(error.clone())
+        );
+    }
+    for (frame, error) in &fleet_frames {
+        assert_eq!(decode_frame_slice(frame).map(|_| ()), Err(error.clone()));
+    }
+
+    let (from, to) = (Timestamp::ZERO, Timestamp::from_mins(60));
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // The arrivals: a decodable event, or corruption `k` of
+        // `fleet_frames` (the first `event_level.len()` also reach the
+        // gateway, as bare event frames).
+        let mut stream: Vec<Result<Event, usize>> = live_events(&sensors, 60, true)
+            .into_iter()
+            .map(Ok)
+            .collect();
+        for k in 0..fleet_frames.len() {
+            let at = rng.gen_range(0..=stream.len());
+            stream.insert(at, Err(k));
+        }
+
+        let gateway_telemetry = Telemetry::recording();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        for arrival in &stream {
+            match arrival {
+                Ok(event) => tx.send(encode_event(event)).unwrap(),
+                Err(k) if *k < event_level.len() => {
+                    tx.send(EventFrame::from_slice(&event_level[*k].0)).unwrap();
+                }
+                Err(_) => {}
+            }
+        }
+        drop(tx);
+        let (alarm_tx, alarm_rx) = crossbeam::channel::unbounded();
+        let gateway = HomeGateway::with_telemetry(
+            Arc::clone(&model),
+            TimeDelta::from_mins(60),
+            gateway_telemetry.clone(),
+        );
+        let gateway_stats = gateway.run(vec![rx], &alarm_tx, from, to);
+        drop(alarm_tx);
+        let gateway_reports: Vec<FaultReport> = alarm_rx.iter().map(|a| a.report).collect();
+
+        assert_eq!(gateway_stats.decode_errors, event_level.len() as u64);
+        assert_eq!(
+            gateway_telemetry
+                .snapshot()
+                .unwrap()
+                .counter("dice_gateway_decode_errors_total"),
+            Some(gateway_stats.decode_errors)
+        );
+        assert!(!gateway_reports.is_empty());
+        let injected: Vec<usize> = stream.iter().filter_map(|a| a.err()).collect();
+        let gateway_expected: Vec<String> = injected
+            .iter()
+            .filter(|&&k| k < event_level.len())
+            .map(|&k| format!("slot 0: {}", event_level[k].1))
+            .collect();
+        assert_eq!(
+            event_messages(&gateway_telemetry, "decode_error"),
+            gateway_expected,
+            "seed {seed}"
+        );
+        let fleet_expected: Vec<String> = injected
+            .iter()
+            .map(|&k| fleet_frames[k].1.to_string())
+            .collect();
+
+        for frames_per_batch in [1, 16] {
+            let fleet_telemetry = Telemetry::recording();
+            let mut fleet = Fleet::new(FleetConfig {
+                shards: 1,
+                frames_per_batch,
+                telemetry: fleet_telemetry.clone(),
+                ..FleetConfig::default()
+            });
+            fleet.register_home(HOME, Arc::clone(&model));
+            let run = fleet.run(from, to, |sender| {
+                for arrival in &stream {
+                    match arrival {
+                        Ok(event) => sender.send(HOME, event),
+                        Err(k) => sender.send_frame(&fleet_frames[*k].0),
+                    }
+                }
+            });
+            let case = format!("seed {seed}, {frames_per_batch} frames per batch");
+            assert_eq!(
+                event_messages(&fleet_telemetry, "fleet_decode_error"),
+                fleet_expected,
+                "{case}"
+            );
+            assert_eq!(run.stats.decode_errors, fleet_frames.len() as u64);
+            assert_eq!(
+                fleet_telemetry
+                    .snapshot()
+                    .unwrap()
+                    .counter("dice_fleet_decode_errors_total"),
+                Some(run.stats.decode_errors)
+            );
+            assert_eq!(run.stats.frames, stream.len() as u64);
+            assert_eq!(run.stats.events, gateway_stats.events, "{case}");
+            assert_eq!(run.stats.windows, gateway_stats.windows, "{case}");
+            assert_eq!(run.alarms.len(), 1);
+            assert_eq!(run.alarms[0].reports, gateway_reports, "{case}");
+        }
+    }
+}
+
+/// The messages of the telemetry events of `kind`, in order.
+fn event_messages(telemetry: &Telemetry, kind: &str) -> Vec<String> {
+    let snapshot = telemetry.snapshot().unwrap();
+    snapshot
+        .events()
+        .iter()
+        .filter(|e| e.kind == kind)
+        .map(|e| e.message.clone())
+        .collect()
 }
 
 #[test]
