@@ -276,7 +276,7 @@ fn replay(
 }
 
 /// Windows per time-series sweep in the sampled replay — the monitor
-/// dashboard's cadence (`SAMPLE_WINDOWS` in the `monitor` experiment), so
+/// dashboard's cadence (`SAMPLE_WINDOWS` in the `dashboard` experiment), so
 /// the bench measures the configuration the dashboard actually runs.
 const BENCH_SAMPLE_WINDOWS: u64 = 30;
 
@@ -290,7 +290,7 @@ fn replay_sampled(model: &DiceModel, segments: &[Vec<Window>], window: TimeDelta
     let recorder = telemetry.recorder().expect("recording handle");
     let window_ns = u64::try_from(window.as_secs()).unwrap_or(1) * 1_000_000_000;
     let mut series = TimeSeriesRecorder::new(window_ns * BENCH_SAMPLE_WINDOWS, 256)
-        .watch(super::monitor::DASHBOARD_SERIES);
+        .watch(super::dashboard::DASHBOARD_SERIES);
     let elapsed_ms = replay(model, segments, &telemetry, |we| {
         let now_ns = u64::try_from(we.as_secs()).unwrap_or(0) * 1_000_000_000;
         series.maybe_sample(recorder, now_ns);

@@ -8,15 +8,14 @@ mod accuracy;
 mod attest_exp;
 mod bench_json;
 mod calibrate;
+mod dashboard;
 mod diagnose;
 mod export;
 mod extended;
 mod fault_ratio;
-mod fleet_monitor;
 mod fleet_plans;
 mod full;
 mod misses;
-mod monitor;
 mod multi_user;
 mod security;
 mod tables;
@@ -29,14 +28,13 @@ pub use accuracy::fig_5_1;
 pub use attest_exp::attest;
 pub use bench_json::bench_json;
 pub use calibrate::calibrate;
+pub use dashboard::{fleet_monitor, monitor};
 pub use diagnose::diagnose;
 pub use export::{artifact_set, export_csv, inspect_model, save_model};
 pub use extended::{actuator_faults, multi_fault, param_sensitivity};
 pub use fault_ratio::{aggregate_attribution, fig_5_4};
-pub use fleet_monitor::fleet_monitor;
 pub use full::{run_all_datasets, run_full, run_full_serial, FullEvaluation};
 pub use misses::misses;
-pub use monitor::monitor;
 pub use multi_user::multi_user;
 pub use security::{run_attacks, security, spoof_sensor, AttackOutcome};
 pub use tables::{table_2_1, table_4_1};

@@ -211,12 +211,6 @@ impl FleetSender<'_> {
         }
     }
 
-    /// The next lineage id this sender will assign (ids already handed
-    /// out form the contiguous block `0..lineage_mark`).
-    pub fn lineage_mark(&self) -> u64 {
-        self.next_lineage
-    }
-
     fn flush_shard(&mut self, shard: usize) {
         if self.counts[shard] == 0 {
             return;

@@ -306,12 +306,6 @@ impl ShardEngine {
         }
     }
 
-    /// The shard's retained lineage records, oldest first, plus how many
-    /// older records the bounded ring evicted.
-    pub fn lineage_log(&self) -> (Vec<LineageStamp>, u64) {
-        (self.ring.iter().copied().collect(), self.ring.dropped())
-    }
-
     /// Ingests one decoded frame: routes it to its home, closes windows
     /// the home's stream has passed, and sweeps a batch when enough
     /// windows are ready. Frames for unregistered homes or outside

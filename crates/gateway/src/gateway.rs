@@ -21,8 +21,9 @@ use std::time::Instant;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use dice_core::trace::{write_header_line, write_trace_line};
-use dice_core::{DecisionTrace, DiceEngine, DiceModel, EngineOptions, FaultReport, TraceHeader};
+use dice_core::{
+    BitLayout, DiceEngine, DiceModel, EngineOptions, FaultReport, JsonlTraceWriter, TraceSink,
+};
 use dice_telemetry::{saturating_ns, Gauge, Recorder, Telemetry};
 use dice_types::{DeviceId, Event, Timestamp};
 
@@ -64,7 +65,6 @@ pub struct GatewayStats {
 /// Holds the engine behind a mutex so other threads (a UI, a health
 /// endpoint) can query [`HomeGateway::is_identifying`] while a run is in
 /// progress.
-#[derive(Debug)]
 pub struct HomeGateway<M: Borrow<DiceModel>> {
     engine: Mutex<DiceEngine<M>>,
     alarm_cooldown: dice_types::TimeDelta,
@@ -73,60 +73,17 @@ pub struct HomeGateway<M: Borrow<DiceModel>> {
     /// (one layout header for the whole stream, then the evidence traces of
     /// each alarm in order). Requires tracing to be enabled in the engine
     /// options, or alarms carry no evidence and nothing is written.
-    trace_snapshots: Option<Mutex<SnapshotWriter>>,
+    alarm_trace: Option<Mutex<JsonlTraceWriter<Box<dyn std::io::Write + Send>>>>,
 }
 
-/// The alarm-snapshot sink: a boxed writer plus header/failure state.
-struct SnapshotWriter {
-    out: Box<dyn std::io::Write + Send>,
-    header_written: bool,
-    failed: bool,
-}
-
-impl std::fmt::Debug for SnapshotWriter {
+impl<M: Borrow<DiceModel> + std::fmt::Debug> std::fmt::Debug for HomeGateway<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotWriter")
-            .field("header_written", &self.header_written)
-            .field("failed", &self.failed)
-            .finish_non_exhaustive()
-    }
-}
-
-impl SnapshotWriter {
-    /// Appends one alarm's evidence. I/O errors latch `failed` and silence
-    /// the writer — a full disk must not take the alarm path down.
-    fn write_snapshot(
-        &mut self,
-        header: &TraceHeader,
-        evidence: &[DecisionTrace],
-        recorder: Option<&Recorder>,
-    ) {
-        if self.failed {
-            return;
-        }
-        let mut text = String::new();
-        if !self.header_written {
-            write_header_line(&mut text, header);
-            self.header_written = true;
-        }
-        for trace in evidence {
-            write_trace_line(&mut text, trace);
-        }
-        match self
-            .out
-            .write_all(text.as_bytes())
-            .and_then(|()| self.out.flush())
-        {
-            Ok(()) => {
-                if let Some(rec) = recorder {
-                    rec.metrics
-                        .trace
-                        .snapshot_bytes_total
-                        .add(text.len() as u64);
-                }
-            }
-            Err(_) => self.failed = true,
-        }
+        f.debug_struct("HomeGateway")
+            .field("engine", &self.engine)
+            .field("alarm_cooldown", &self.alarm_cooldown)
+            .field("telemetry", &self.telemetry)
+            .field("alarm_trace", &self.alarm_trace.is_some())
+            .finish()
     }
 }
 
@@ -172,7 +129,7 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             engine: Mutex::new(DiceEngine::with_options(model, options)),
             alarm_cooldown,
             telemetry,
-            trace_snapshots: None,
+            alarm_trace: None,
         }
     }
 
@@ -181,11 +138,8 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
     /// options that enable tracing, or there is no evidence to persist.
     #[must_use]
     pub fn with_alarm_trace_writer(mut self, out: Box<dyn std::io::Write + Send>) -> Self {
-        self.trace_snapshots = Some(Mutex::new(SnapshotWriter {
-            out,
-            header_written: false,
-            failed: false,
-        }));
+        let writer = JsonlTraceWriter::with_telemetry(out, &self.telemetry);
+        self.alarm_trace = Some(Mutex::new(writer));
         self
     }
 
@@ -239,20 +193,11 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                 .home_alarms_total
                 .with_label_values(&[HOME_LABEL])
         });
-        let (window, trace_header) = {
-            let engine = self.engine.lock();
-            let header = self
-                .trace_snapshots
-                .is_some()
-                .then(|| TraceHeader::from_layout(engine.model().layout()));
-            (engine.model().config().window(), header)
-        };
-
-        let mut clock = WindowClock::new(window, from, to);
-        let mut window_events: Vec<Event> = Vec::new();
         let mut engine = self.engine.lock();
+        let mut clock = WindowClock::new(engine.model().config().window(), from, to);
+        let mut window_events: Vec<Event> = Vec::new();
         let mut ledger = AlarmLedger::new(self.alarm_cooldown);
-        let mut deliver = |report: FaultReport, stats: &mut GatewayStats| {
+        let mut deliver = |report: FaultReport, layout: &BitLayout, stats: &mut GatewayStats| {
             if ledger.admit(&report) {
                 stats.alarms += 1;
                 if let Some(rec) = recorder {
@@ -261,11 +206,10 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                 if let Some(home) = &home_alarms {
                     home.inc();
                 }
-                if let (Some(writer), Some(header)) = (&self.trace_snapshots, &trace_header) {
-                    if !report.evidence.is_empty() {
-                        writer
-                            .lock()
-                            .write_snapshot(header, &report.evidence, recorder);
+                if let Some(writer) = &self.alarm_trace {
+                    let mut writer = writer.lock();
+                    for trace in &report.evidence {
+                        writer.record(layout, trace);
                     }
                 }
                 let _ = alarms.send(Alarm { report });
@@ -283,7 +227,7 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                          merge: &Merge| {
             let opened = recorder.map(|_| Instant::now());
             if let Some(report) = engine.process_window(start, end, events) {
-                deliver(report, stats);
+                deliver(report, engine.model().layout(), stats);
             }
             stats.windows += 1;
             if let Some(rec) = recorder {
@@ -320,7 +264,7 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             close(bounds, &mut window_events, &mut stats, &merge);
         }
         if let Some(report) = engine.flush() {
-            deliver(report, &mut stats);
+            deliver(report, engine.model().layout(), &mut stats);
         }
         stats.decode_errors = merge.decode_errors;
         if let Some(rec) = recorder {
@@ -717,6 +661,19 @@ mod tests {
         assert!(!alarms[0].report.evidence.is_empty());
 
         let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        // Byte for byte: one layout header, then every delivered alarm's
+        // evidence in delivery order.
+        let mut expected = String::new();
+        dice_core::trace::write_header_line(
+            &mut expected,
+            &dice_core::TraceHeader::from_layout(model.layout()),
+        );
+        for alarm in &alarms {
+            for trace in &alarm.report.evidence {
+                dice_core::trace::write_trace_line(&mut expected, trace);
+            }
+        }
+        assert_eq!(text, expected);
         let log = dice_core::parse_trace_jsonl(&text).expect("snapshot parses");
         assert!(!log.traces.is_empty());
         assert!(log.traces.iter().any(|t| t.reported));
@@ -726,6 +683,55 @@ mod tests {
             rendered.contains(&format!("{}", DeviceId::Sensor(sensors[1]))),
             "explain must name the faulty sensor:\n{rendered}"
         );
+    }
+
+    #[test]
+    fn failing_alarm_trace_writer_is_silenced_not_fatal() {
+        let (_, sensors, model) = training_home();
+        // Every write fails, as on a full disk.
+        struct FullDisk;
+        impl std::io::Write for FullDisk {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("disk full"))
+            }
+        }
+        let run = |writer: Option<Box<dyn std::io::Write + Send>>| {
+            let telemetry = Telemetry::recording();
+            let options = EngineOptions {
+                trace: dice_core::TraceOptions::recording(),
+                telemetry: telemetry.clone(),
+                ..EngineOptions::default()
+            };
+            let mut gateway =
+                HomeGateway::with_engine_options(&model, TimeDelta::from_mins(60), options);
+            if let Some(writer) = writer {
+                gateway = gateway.with_alarm_trace_writer(writer);
+            }
+            let (tx, rx) = unbounded();
+            for event in &live_events(&sensors, 60, true) {
+                tx.send(crate::message::encode_event(event)).unwrap();
+            }
+            drop(tx);
+            let (alarm_tx, alarm_rx) = unbounded();
+            gateway.run(
+                vec![rx],
+                &alarm_tx,
+                Timestamp::ZERO,
+                Timestamp::from_mins(60),
+            );
+            drop(alarm_tx);
+            let alarms: Vec<Alarm> = alarm_rx.iter().collect();
+            (alarms, telemetry.snapshot().unwrap())
+        };
+        let (baseline, _) = run(None);
+        let (alarms, snapshot) = run(Some(Box::new(FullDisk)));
+        assert!(!alarms.is_empty());
+        assert!(!alarms[0].report.evidence.is_empty());
+        assert_eq!(alarms, baseline);
+        assert_eq!(snapshot.counter("dice_trace_snapshot_bytes_total"), Some(0));
     }
 
     /// The reference merge: refill every empty slot, then take the

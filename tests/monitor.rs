@@ -115,6 +115,17 @@ fn monitor_live_mode_matches_once_totals() {
     let once =
         run_command("monitor", &["--once", model.as_str(), csv.as_str()]).expect("once mode runs");
     let live = run_command("monitor", &[model.as_str(), csv.as_str()]).expect("live mode runs");
+    // `--interval 5` re-renders to stderr every 5 windows, so that run goes
+    // through the binary to capture the frames: one per 5 of the 61 windows.
+    let rerender = std::process::Command::new(env!("CARGO_BIN_EXE_dice-repro"))
+        .args(["monitor", "--interval", "5", model.as_str(), csv.as_str()])
+        .output()
+        .expect("dice-repro runs");
+    assert!(rerender.status.success(), "{rerender:?}");
+    let frames = String::from_utf8(rerender.stderr).expect("utf-8 stderr");
+    assert_eq!(frames.matches("-- monitor: ").count(), 12, "{frames}");
+    assert!(frames.contains("-- monitor: 60 windows / "), "{frames}");
+    let rerender = String::from_utf8(rerender.stdout).expect("utf-8 stdout");
     // Thread timing may shift the channel-depth series, but the replay's
     // totals and alarms are identical.
     let footer = |out: &str| {
@@ -123,11 +134,11 @@ fn monitor_live_mode_matches_once_totals() {
             .expect("footer present")
             .to_string()
     };
-    assert_eq!(footer(&once), footer(&live));
-    assert_eq!(
-        once.lines().filter(|l| l.starts_with("ALARM:")).count(),
-        live.lines().filter(|l| l.starts_with("ALARM:")).count()
-    );
+    let alarms = |out: &str| out.lines().filter(|l| l.starts_with("ALARM:")).count();
+    for live in [&live, &rerender] {
+        assert_eq!(footer(&once), footer(live));
+        assert_eq!(alarms(&once), alarms(live));
+    }
     // No --health flag: the rule table must be absent.
     assert!(!once.contains("health rules"));
 }
