@@ -12,7 +12,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use dice_gateway::{decode_event_slice, encode_event_into, FrameError};
+use dice_gateway::{decode_event_slice, encode_event_into, EventFrame, FrameError};
 use dice_types::Event;
 
 /// The wire-format version this build encodes and accepts.
@@ -29,6 +29,10 @@ const LEN_PREFIX: usize = 2;
 
 /// Body bytes before the embedded event: version and home id.
 const BODY_HEADER: usize = 1 + 4;
+
+/// The longest frame [`encode_frame_into`] writes: the length prefix,
+/// version, home and the longest event frame.
+pub(crate) const MAX_ENCODED_FRAME: usize = LEN_PREFIX + BODY_HEADER + EventFrame::MAX_LEN;
 
 /// A home identifier on the fleet wire.
 pub type HomeId = u32;
@@ -277,6 +281,8 @@ mod tests {
             );
         }
         assert_eq!(&batch[..], expected.concat().as_slice());
+        let longest = expected.iter().map(|bytes| bytes.len()).max();
+        assert_eq!(longest, Some(MAX_ENCODED_FRAME));
     }
 
     #[test]

@@ -15,19 +15,24 @@
 //! Every flushed batch carries a causal lineage block — a contiguous
 //! range of monotone ids stamped at this boundary — plus its enqueue tick,
 //! so the shard side can attribute wall-clock to pipeline stages (§5l).
+//!
+//! Batch buffers circulate: once a shard has ingested a batch it hands the
+//! buffer back to the sender through a bounded spare queue, and the sender
+//! refills a spare instead of allocating, so a warm hand-off neither
+//! allocates nor copies per batch.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
 use dice_core::{DiceModel, FaultReport, LineageStamp};
 use dice_telemetry::{shard_label, Gauge, Telemetry};
 use dice_types::{Event, TimeDelta, Timestamp};
 
-use crate::frame::{encode_frame_into, frame_home, HomeId, MAX_FRAME_BODY};
+use crate::frame::{encode_frame_into, frame_home, HomeId, MAX_ENCODED_FRAME};
 use crate::router::{default_shards, shard_for_home};
 use crate::shard::{ShardEngine, ShardFinish};
 use crate::trace::{SenderShardTrace, TraceClock};
@@ -43,7 +48,9 @@ pub struct FleetConfig {
     /// Shard (thread) count; 0 means [`default_shards`] — one per core.
     pub shards: usize,
     /// Bounded depth of each shard's batch queue; a send beyond it blocks
-    /// and counts a back-pressure wait.
+    /// and counts a back-pressure wait. It also bounds each shard's pool of
+    /// spare batch buffers on their way back to the sender, at twice the
+    /// capacity plus one: every buffer that can be away from the sender.
     pub queue_capacity: usize,
     /// Frames packed per batch buffer before it is flushed to the shard.
     pub frames_per_batch: usize,
@@ -139,8 +146,9 @@ pub struct FleetRun {
 /// is untouched: lineage never crosses the (simulated) socket.
 #[derive(Debug)]
 pub(crate) struct ShardBatch {
-    /// The packed wire frames.
-    pub bytes: Bytes,
+    /// The packed wire frames, in the sender's staging buffer itself; the
+    /// shard returns the buffer once it has ingested them.
+    pub bytes: BytesMut,
     /// Lineage id of the batch's first frame; the batch covers
     /// `lineage .. lineage + frames`.
     pub lineage: u64,
@@ -159,6 +167,9 @@ pub(crate) struct ShardBatch {
 #[derive(Debug)]
 pub struct FleetSender<'a> {
     txs: &'a [Sender<ShardBatch>],
+    /// Each shard's returned batch buffers, reused before allocating;
+    /// empty when no buffer can come back before the feed ends.
+    spares: Vec<Receiver<BytesMut>>,
     staging: Vec<BytesMut>,
     counts: Vec<usize>,
     frames_per_batch: usize,
@@ -166,6 +177,9 @@ pub struct FleetSender<'a> {
     clock: TraceClock,
     tracing: bool,
     trace: Vec<Option<SenderShardTrace>>,
+    /// The last home sent and its shard: consecutive frames of one home
+    /// are routed once.
+    route: Option<(HomeId, usize)>,
     next_lineage: u64,
     frames: u64,
     backpressure_waits: u64,
@@ -173,10 +187,18 @@ pub struct FleetSender<'a> {
 }
 
 impl FleetSender<'_> {
-    /// Encodes and routes one event for `home`. The frame lands on its
-    /// home's shard queue once the shard's staging batch fills.
+    /// Encodes and routes one event for `home` (routed once per run of
+    /// that home's events). The frame lands on its home's shard queue once
+    /// the shard's staging batch fills.
     pub fn send(&mut self, home: HomeId, event: &Event) {
-        let shard = shard_for_home(home, self.txs.len());
+        let shard = match self.route {
+            Some((last, shard)) if last == home => shard,
+            _ => {
+                let shard = shard_for_home(home, self.txs.len());
+                self.route = Some((home, shard));
+                shard
+            }
+        };
         encode_frame_into(home, event, &mut self.staging[shard]);
         self.staged(shard);
     }
@@ -215,8 +237,21 @@ impl FleetSender<'_> {
         if self.counts[shard] == 0 {
             return;
         }
-        let capacity = self.staging[shard].len().max(MAX_FRAME_BODY);
-        let batch = std::mem::replace(&mut self.staging[shard], BytesMut::with_capacity(capacity));
+        let next = match self.spares.get(shard).map(Receiver::try_recv) {
+            Some(Some(mut spare)) => {
+                spare.clear();
+                spare
+            }
+            // Room for as many frames as this batch, each the longest
+            // `send` encodes, so a buffer seldom has to grow (and keep a
+            // doubled capacity) while it circulates.
+            Some(None) => BytesMut::with_capacity(self.counts[shard] * MAX_ENCODED_FRAME),
+            // No spare can come back (a preloaded run): the buffer stays
+            // queued until the feed ends, so it gets room for this
+            // batch's bytes, not the worst case.
+            None => BytesMut::with_capacity(self.staging[shard].len()),
+        };
+        let bytes = std::mem::replace(&mut self.staging[shard], next);
         let frames = u32::try_from(self.counts[shard]).unwrap_or(u32::MAX);
         self.counts[shard] = 0;
         // The batch's frames take the contiguous id block
@@ -225,15 +260,17 @@ impl FleetSender<'_> {
         let lineage = self.next_lineage;
         self.next_lineage += u64::from(frames);
 
-        let first_attempt_ns = self.clock.now_ns();
+        // The clock is read up front only when tracing records the enqueue
+        // tick; otherwise only back-pressure reads it, to time the wait.
+        let first_attempt_ns = self.tracing.then(|| self.clock.now_ns());
         let mut item = ShardBatch {
-            bytes: batch.freeze(),
+            bytes,
             lineage,
             frames,
-            enqueue_ns: first_attempt_ns,
+            enqueue_ns: first_attempt_ns.unwrap_or(0),
             enqueue_wait_ns: 0,
         };
-        let mut blocked = false;
+        let mut blocked_since: Option<u64> = None;
         loop {
             match self.txs[shard].try_send(item) {
                 Ok(()) => break,
@@ -242,25 +279,25 @@ impl FleetSender<'_> {
                     // shed), re-stamping the ticks so the successful
                     // attempt carries the true enqueue time and wait.
                     item = back;
-                    if !blocked {
-                        blocked = true;
+                    let since = *blocked_since.get_or_insert_with(|| {
                         self.backpressure_waits += 1;
                         if let Some(rec) = self.telemetry.recorder() {
                             rec.metrics.fleet.backpressure_waits_total.inc();
                         }
-                    }
+                        first_attempt_ns.unwrap_or_else(|| self.clock.now_ns())
+                    });
                     std::thread::sleep(BACKPRESSURE_RETRY);
                     let now = self.clock.now_ns();
                     item.enqueue_ns = now;
-                    item.enqueue_wait_ns = now.saturating_sub(first_attempt_ns);
+                    item.enqueue_wait_ns = now.saturating_sub(since);
                 }
                 // The shard only hangs up early if it panicked, in which
                 // case the join in `run` surfaces it.
                 Err(TrySendError::Disconnected(_)) => return,
             }
         }
-        let waited_ns = if blocked {
-            let waited = self.clock.now_ns().saturating_sub(first_attempt_ns);
+        let waited_ns = if let Some(since) = blocked_since {
+            let waited = self.clock.now_ns().saturating_sub(since);
             self.backpressure_wait_ns += waited;
             if let Some(trace) = &self.trace[shard] {
                 trace.waits.inc();
@@ -382,34 +419,55 @@ impl Fleet {
 
         let mut txs = Vec::with_capacity(shards);
         let mut rxs = Vec::with_capacity(shards);
+        let mut spare_txs = Vec::with_capacity(shards);
+        let mut spare_rxs = Vec::with_capacity(shards);
+        let queue_capacity = self.config.queue_capacity.max(1);
         for _ in 0..shards {
             let (tx, rx) = if preloaded {
                 unbounded::<ShardBatch>()
             } else {
-                bounded::<ShardBatch>(self.config.queue_capacity.max(1))
+                bounded::<ShardBatch>(queue_capacity)
             };
             txs.push(tx);
             rxs.push(rx);
+            // Room for every buffer that can be away from the sender at
+            // once: a full queue, a full drain on the shard (the receiver
+            // takes its queue whole), and the batch the sender is blocked
+            // on. No returned buffer is then dropped while the sender
+            // lives, so however the threads interleave, a run creates at
+            // most this many buffers per shard plus the staging buffer.
+            let (spare_tx, spare_rx) = bounded::<BytesMut>(2 * queue_capacity + 1);
+            spare_txs.push(spare_tx);
+            spare_rxs.push(spare_rx);
         }
 
-        // One shard's whole life: build its engine, drain its queue, and
-        // close out its homes.
-        let serve_shard =
-            |shard: usize, rx: Receiver<ShardBatch>, homes: Vec<(HomeId, Arc<DiceModel>)>| {
-                let mut engine = ShardEngine::new(
-                    shard,
-                    homes,
-                    self.config.batch_windows,
-                    self.config.alarm_cooldown,
-                    from,
-                    to,
-                    telemetry.clone(),
-                    self.config.tracing,
-                    self.config.clock.clone(),
-                );
-                drain_shard(&mut engine, &rx, telemetry, shard, self.config.stall);
-                engine.finish()
-            };
+        // One shard's whole life: build its engine, drain its queue
+        // (returning each batch buffer to the sender), and close out its
+        // homes.
+        let serve_shard = |shard: usize,
+                           (rx, spares): (Receiver<ShardBatch>, Sender<BytesMut>),
+                           homes: Vec<(HomeId, Arc<DiceModel>)>| {
+            let mut engine = ShardEngine::new(
+                shard,
+                homes,
+                self.config.batch_windows,
+                self.config.alarm_cooldown,
+                from,
+                to,
+                telemetry.clone(),
+                self.config.tracing,
+                self.config.clock.clone(),
+            );
+            drain_shard(
+                &mut engine,
+                &rx,
+                &spares,
+                telemetry,
+                shard,
+                self.config.stall,
+            );
+            engine.finish()
+        };
 
         let mut run = FleetRun {
             stats: FleetStats {
@@ -421,19 +479,24 @@ impl Fleet {
             alarms: Vec::with_capacity(self.homes.len()),
             lineage: Vec::with_capacity(shards),
         };
-        let shard_inputs = rxs.into_iter().zip(shard_homes).enumerate();
+        let shard_inputs = rxs.into_iter().zip(spare_txs).zip(shard_homes).enumerate();
         if preloaded {
-            feed_shards(&self.config, txs, feed, &mut run.stats);
-            for (shard, (rx, homes)) in shard_inputs {
-                absorb_shard(&mut run, serve_shard(shard, rx, homes));
+            // The shards drain only once the whole feed is queued, so the
+            // sender gets no spare queues to wait on.
+            drop(spare_rxs);
+            feed_shards(&self.config, txs, Vec::new(), feed, &mut run.stats);
+            for (shard, (queues, homes)) in shard_inputs {
+                absorb_shard(&mut run, serve_shard(shard, queues, homes));
             }
         } else {
             std::thread::scope(|scope| {
                 let serve_shard = &serve_shard;
                 let handles: Vec<_> = shard_inputs
-                    .map(|(shard, (rx, homes))| scope.spawn(move || serve_shard(shard, rx, homes)))
+                    .map(|(shard, (queues, homes))| {
+                        scope.spawn(move || serve_shard(shard, queues, homes))
+                    })
                     .collect();
-                feed_shards(&self.config, txs, feed, &mut run.stats);
+                feed_shards(&self.config, txs, spare_rxs, feed, &mut run.stats);
                 for handle in handles {
                     absorb_shard(&mut run, handle.join().expect("shard thread panicked"));
                 }
@@ -444,12 +507,14 @@ impl Fleet {
     }
 }
 
-/// Runs `feed` through an ingestion handle over `txs`, flushes the
-/// partial batches, copies the sender's counters into `stats`, and hangs
-/// up the queues so the shards can finish draining.
+/// Runs `feed` through an ingestion handle over `txs` (reusing the batch
+/// buffers that come back on `spares`), flushes the partial batches,
+/// copies the sender's counters into `stats`, and hangs up the queues so
+/// the shards can finish draining.
 fn feed_shards(
     config: &FleetConfig,
     txs: Vec<Sender<ShardBatch>>,
+    spares: Vec<Receiver<BytesMut>>,
     feed: impl FnOnce(&mut FleetSender<'_>),
     stats: &mut FleetStats,
 ) {
@@ -457,6 +522,7 @@ fn feed_shards(
     let shards = txs.len();
     let mut sender = FleetSender {
         txs: &txs,
+        spares,
         staging: (0..shards).map(|_| BytesMut::new()).collect(),
         counts: vec![0; shards],
         frames_per_batch: config.frames_per_batch.max(1),
@@ -466,6 +532,7 @@ fn feed_shards(
         trace: (0..shards)
             .map(|shard| SenderShardTrace::resolve(telemetry, shard))
             .collect(),
+        route: None,
         next_lineage: 0,
         frames: 0,
         backpressure_waits: 0,
@@ -480,9 +547,12 @@ fn feed_shards(
 
 /// One shard's receive loop: track queue depth, honor the fault-injection
 /// stall, and ingest until every sender is gone and the queue is drained.
+/// Each ingested batch's buffer goes back to the sender on `spares`, or is
+/// dropped once the sender has gone.
 fn drain_shard(
     engine: &mut ShardEngine,
     rx: &Receiver<ShardBatch>,
+    spares: &Sender<BytesMut>,
     telemetry: &Telemetry,
     shard: usize,
     stall: Option<(usize, u64)>,
@@ -509,6 +579,7 @@ fn drain_shard(
             std::thread::sleep(Duration::from_millis(ms));
         }
         engine.ingest_wire_batch(&batch);
+        let _ = spares.try_send(batch.bytes);
     }
 }
 
@@ -528,4 +599,64 @@ fn absorb_shard(run: &mut FleetRun, (homes, shard, records): ShardFinish) {
             .into_iter()
             .map(|(home, reports)| HomeAlarms { home, reports }),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dice_types::{SensorId, SensorReading};
+
+    /// Feeds `frames` equal-length frames through one shard queue with
+    /// `spares` and returns the queued batches.
+    fn queued_batches(frames: i64, spares: Vec<Receiver<BytesMut>>) -> Vec<ShardBatch> {
+        let (tx, rx) = unbounded::<ShardBatch>();
+        let config = FleetConfig {
+            shards: 1,
+            frames_per_batch: 4,
+            clock: TraceClock::manual().0,
+            ..FleetConfig::default()
+        };
+        let mut stats = FleetStats::default();
+        feed_shards(
+            &config,
+            vec![tx],
+            spares,
+            |sender| {
+                for second in 0..frames {
+                    let at = Timestamp::from_secs(second);
+                    let reading = SensorReading::new(SensorId::new(1), at, true.into());
+                    sender.send(7, &Event::Sensor(reading));
+                }
+            },
+            &mut stats,
+        );
+        assert_eq!(stats.frames, frames as u64);
+        std::iter::from_fn(|| rx.try_recv()).collect()
+    }
+
+    #[test]
+    fn batch_buffers_without_spares_hold_just_their_frames() {
+        // No buffer can come back (a preloaded run): after the first,
+        // which grows from empty, each batch is sized like the one before,
+        // so equal frames fill it exactly.
+        let batches = queued_batches(40, Vec::new());
+        assert_eq!(batches.len(), 10);
+        for batch in &batches[1..] {
+            assert_eq!(batch.bytes.capacity(), batch.bytes.len());
+        }
+    }
+
+    #[test]
+    fn flushes_take_a_waiting_spare_before_allocating() {
+        let (spare_tx, spare_rx) = bounded::<BytesMut>(1);
+        let spare = BytesMut::with_capacity(4 * MAX_ENCODED_FRAME);
+        let storage = spare.as_ptr();
+        assert!(spare_tx.try_send(spare).is_ok());
+        let batches = queued_batches(8, vec![spare_rx]);
+        // The first flush swaps the spare in as the staging buffer, so the
+        // second batch is written into it, in place.
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[1].bytes.as_ptr(), storage);
+        assert_eq!(batches[1].bytes.capacity(), 4 * MAX_ENCODED_FRAME);
+    }
 }

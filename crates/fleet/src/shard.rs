@@ -96,6 +96,9 @@ struct ReadyWindow {
 pub struct ShardEngine {
     homes: Vec<HomeState>,
     slots: BTreeMap<HomeId, usize>,
+    /// The last registered home ingested and its slot: consecutive frames
+    /// of one home look the home up once.
+    last: Option<(HomeId, usize)>,
     ready: Vec<ReadyWindow>,
     /// Observation pool: `obs[i]` is ready window `i`, binarized when its
     /// home's clock closed it. Slots are reused across sweeps.
@@ -195,6 +198,7 @@ impl ShardEngine {
         ShardEngine {
             homes: states,
             slots,
+            last: None,
             ready: Vec::new(),
             obs: Vec::new(),
             bin_scratch: BinarizeScratch::default(),
@@ -306,13 +310,20 @@ impl ShardEngine {
         }
     }
 
-    /// Ingests one decoded frame: routes it to its home, closes windows
-    /// the home's stream has passed, and sweeps a batch when enough
-    /// windows are ready. Frames for unregistered homes or outside
-    /// `[from, to)` are dropped.
+    /// Ingests one decoded frame: routes it to its home (looked up once
+    /// per run of that home's frames), closes windows the home's stream
+    /// has passed, and sweeps a batch when enough windows are ready.
+    /// Frames for unregistered homes or outside `[from, to)` are dropped.
     pub fn ingest(&mut self, frame: FleetFrame) {
-        let Some(&slot) = self.slots.get(&frame.home) else {
-            return;
+        let slot = match self.last {
+            Some((home, slot)) if home == frame.home => slot,
+            _ => {
+                let Some(&slot) = self.slots.get(&frame.home) else {
+                    return;
+                };
+                self.last = Some((frame.home, slot));
+                slot
+            }
         };
         let at = frame.event.at();
         if !self.homes[slot].clock.admits(at) {

@@ -89,6 +89,18 @@ impl BytesMut {
         self.data.len()
     }
 
+    /// Bytes the buffer holds room for without reallocating.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Discards the written bytes, keeping the allocation for reuse.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
     /// Whether nothing has been written.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -312,6 +324,25 @@ mod tests {
         buf[..2].copy_from_slice(&body.to_be_bytes());
         assert_eq!(&buf[..], &[0, 1, 0xAB]);
         assert_eq!(buf.freeze().as_slice(), &[0, 1, 0xAB]);
+    }
+
+    #[test]
+    fn clear_keeps_the_allocation_for_new_writes() {
+        let mut buf = BytesMut::with_capacity(12);
+        buf.put_u64(1);
+        buf.put_u32(2);
+        let storage = buf.as_ptr();
+        let capacity = buf.capacity();
+        buf.clear();
+        assert_eq!(buf.len(), 0);
+        assert!(buf.is_empty());
+        assert_eq!(buf.capacity(), capacity);
+        // Refilling to the old length writes into the same allocation.
+        buf.put_u16(0x0102);
+        buf.put_u64(3);
+        buf.put_u16(0x0405);
+        assert_eq!(buf.as_ptr(), storage);
+        assert_eq!(&buf[..], &[1, 2, 0, 0, 0, 0, 0, 0, 0, 3, 4, 5]);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dice_core::{ContextExtractor, DiceConfig, DiceEngine, DiceModel, FaultReport};
 use dice_fleet::{
-    decode_frame_slice, decode_frames, encode_frame, Fleet, FleetConfig, FleetFrameError, FleetRun,
-    ModelCache, TraceClock,
+    decode_frame_slice, decode_frames, encode_frame, shard_for_home, Fleet, FleetConfig,
+    FleetFrameError, FleetRun, ModelCache, TraceClock,
 };
 use dice_gateway::{
     decode_event, encode_event, partition_by_device, EventFrame, FrameError, GatewayStats,
@@ -189,6 +189,90 @@ fn alarms_are_invariant_under_shard_count() {
     }
     assert_eq!(one.stats.windows, 24 * 30);
     assert_eq!(eight.stats.shards, 8);
+}
+
+/// Serves `frames` on three shards, in the order given.
+fn run_frames(frames: &[(u32, Event)], homes: &[u32], plans: &[Arc<DiceModel>; 2]) -> FleetRun {
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 3,
+        queue_capacity: 4,
+        frames_per_batch: 5,
+        batch_windows: 7,
+        clock: TraceClock::manual().0,
+        ..FleetConfig::default()
+    });
+    for &home in homes {
+        fleet.register_home(home, Arc::clone(&plans[home as usize % 2]));
+    }
+    fleet.run(Timestamp::ZERO, Timestamp::from_mins(30), |sender| {
+        for (home, event) in frames {
+            sender.send(*home, event);
+        }
+    })
+}
+
+/// The sender routes, and each shard looks up, a home once per run of its
+/// frames. A stream that switches home on every frame, opens with a frame
+/// for the unregistered home 0 (which must not match before the first
+/// lookup), and puts an unregistered home between two frames of one
+/// registered home must serve exactly as the same frames fed one home at
+/// a time.
+#[test]
+fn home_runs_of_one_frame_serve_like_whole_home_streams() {
+    let _cpu = cpu_shared();
+    let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
+    // Two registered homes per shard, so each shard also switches home on
+    // every frame while both of its homes have frames left.
+    let mut homes = Vec::new();
+    for shard in 0..3 {
+        homes.extend((1..).filter(|&h| shard_for_home(h, 3) == shard).take(2));
+    }
+    let streams: Vec<Vec<Event>> = homes
+        .iter()
+        .map(|&home| {
+            let sensors = &plan_devices(home as usize % 2).1;
+            live_events(sensors, 30, home % 3 == 0)
+        })
+        .collect();
+    let stray = streams[0][0];
+    let mut interleaved: Vec<(u32, Event)> = vec![(0, stray)];
+    for i in 0..streams.iter().map(Vec::len).max().unwrap() {
+        for (&home, events) in homes.iter().zip(&streams) {
+            if let Some(&event) = events.get(i) {
+                interleaved.push((home, event));
+            }
+        }
+    }
+    // Home 999 is unregistered: homes[0] → 999 → homes[0].
+    let at = interleaved
+        .iter()
+        .position(|&(home, _)| home == homes[0])
+        .unwrap();
+    interleaved.insert(at + 1, (999, stray));
+    interleaved.insert(at + 2, (homes[0], stray));
+    for pair in interleaved.windows(2) {
+        assert_ne!(pair[0].0, pair[1].0, "the stream switches home every frame");
+    }
+
+    // The reference feeds the unregistered homes' frames last, behind
+    // registered ones.
+    let mut one_home_at_a_time = interleaved.clone();
+    one_home_at_a_time.sort_by_key(|&(home, _)| (!homes.contains(&home), home));
+    let switching = run_frames(&interleaved, &homes, &plans);
+    let whole = run_frames(&one_home_at_a_time, &homes, &plans);
+    assert_eq!(switching.alarms, whole.alarms);
+    assert_eq!(switching.stats.frames, whole.stats.frames);
+    assert_eq!(switching.stats.events, whole.stats.events);
+    assert_eq!(switching.stats.windows, whole.stats.windows);
+    assert_eq!(switching.stats.frames, interleaved.len() as u64);
+    // Only the registered homes' frames are served, and the faulty homes
+    // alarm.
+    assert_eq!(
+        switching.stats.events,
+        streams.iter().map(|s| s.len() as u64).sum::<u64>() + 1
+    );
+    assert_eq!(switching.stats.windows, 6 * 30);
+    assert!(switching.stats.alarms > 0);
 }
 
 #[test]

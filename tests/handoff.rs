@@ -2,19 +2,20 @@
 //! event frame, moving it through a bounded channel, and decoding it on
 //! the gateway thread never touch the heap once the channel's buffers are
 //! warm; a warm fleet shard decodes, windows, binarizes and judges frames
-//! without allocating either. Property checks pin the inline frame to the
-//! packed wire layout and keep its decoder panic-free.
+//! without allocating either, and the fleet sender reuses the batch
+//! buffers its shards hand back, so its allocations do not grow with the
+//! batch count. Property checks pin the inline frame to the packed wire
+//! layout and keep its decoder panic-free.
 #![allow(unsafe_code)] // the counting global allocator below
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::BytesMut;
 use crossbeam::channel::bounded;
 use dice_core::{ContextExtractor, DiceConfig, DiceModel};
-use dice_fleet::{encode_frame_into, ShardEngine, TraceClock};
+use dice_fleet::{encode_frame_into, Fleet, FleetConfig, ShardEngine, TraceClock};
 use dice_gateway::{decode_event, encode_event, encode_event_into, EventFrame};
 use dice_telemetry::Telemetry;
 use dice_types::{
@@ -23,20 +24,30 @@ use dice_types::{
 };
 use proptest::prelude::*;
 
-/// Counts heap allocations made by threads that opted in, so tests running
-/// in parallel in this binary do not pollute the count.
+/// Counts heap allocations per thread, and only on threads that opted in,
+/// so tests running in parallel in this binary do not pollute each
+/// other's counts.
 struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_allocation() {
     if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
+}
+
+/// Runs `f`, returning its result and the heap allocations it made on
+/// this thread.
+fn count_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    COUNTED.with(|c| c.set(true));
+    let out = f();
+    COUNTED.with(|c| c.set(false));
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -98,24 +109,24 @@ fn warm_gateway_handoff_allocates_nothing() {
         }
     }
 
-    std::thread::scope(|scope| {
+    let allocations = std::thread::scope(|scope| {
         let producer = scope.spawn(move || {
-            COUNTED.with(|c| c.set(true));
-            for i in 0..EVENTS {
-                tx.send(encode_event(&event(i))).unwrap();
-            }
-            COUNTED.with(|c| c.set(false));
+            count_allocations(|| {
+                for i in 0..EVENTS {
+                    tx.send(encode_event(&event(i))).unwrap();
+                }
+            })
+            .1
         });
-        COUNTED.with(|c| c.set(true));
-        for i in 0..EVENTS {
-            let frame = rx.recv().expect("the producer sends every event");
-            assert_eq!(decode_event(frame), Ok(event(i)));
-        }
-        COUNTED.with(|c| c.set(false));
-        producer.join().expect("producer thread panicked");
+        let ((), consumed) = count_allocations(|| {
+            for i in 0..EVENTS {
+                let frame = rx.recv().expect("the producer sends every event");
+                assert_eq!(decode_event(frame), Ok(event(i)));
+            }
+        });
+        consumed + producer.join().expect("producer thread panicked")
     });
     assert!(rx.recv().is_err(), "the producer hung up");
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
         allocations, 0,
         "a warm hand-off must not allocate ({allocations} allocations over {EVENTS} events)"
@@ -198,13 +209,11 @@ fn warm_shard_allocates_nothing_per_window() {
         shard.ingest_batch(batch);
     }
     let warm_windows = shard.stats().windows;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTED.with(|c| c.set(true));
-    for batch in &batches[WARM_MINUTES..] {
-        shard.ingest_batch(batch);
-    }
-    COUNTED.with(|c| c.set(false));
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let ((), allocations) = count_allocations(|| {
+        for batch in &batches[WARM_MINUTES..] {
+            shard.ingest_batch(batch);
+        }
+    });
     let windows = shard.stats().windows - warm_windows;
     assert_eq!(windows, u64::from(HOMES) * (MINUTES - WARM_MINUTES) as u64);
     assert_eq!(
@@ -214,6 +223,67 @@ fn warm_shard_allocates_nothing_per_window() {
     let (alarms, stats, _) = shard.finish();
     assert_eq!(stats.windows, u64::from(HOMES) * MINUTES as u64);
     assert!(alarms.iter().all(|(_, reports)| reports.is_empty()));
+}
+
+#[test]
+fn warm_sender_allocates_per_run_not_per_batch() {
+    const HOMES: u32 = 8;
+    const SHARDS: usize = 2;
+    const CAPACITY: usize = 4;
+    const FRAMES_PER_BATCH: usize = 2;
+    const WARM_MINUTES: usize = 120;
+    const MINUTES: usize = 1_080;
+    let (model, sensors) = plan(3);
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: SHARDS,
+        queue_capacity: CAPACITY,
+        frames_per_batch: FRAMES_PER_BATCH,
+        telemetry: Telemetry::noop(),
+        clock: TraceClock::manual().0,
+        ..FleetConfig::default()
+    });
+    for home in 0..HOMES {
+        fleet.register_home(home, Arc::clone(&model));
+    }
+    let schedule: Vec<Vec<Event>> = (0..MINUTES)
+        .map(|minute| plan_minute(&sensors, minute as i64))
+        .collect();
+    let feed_minutes = |sender: &mut dice_fleet::FleetSender<'_>, minutes: &[Vec<Event>]| {
+        let mut frames = 0;
+        for events in minutes {
+            for home in 0..HOMES {
+                for event in events {
+                    sender.send(home, event);
+                    frames += 1;
+                }
+            }
+        }
+        frames
+    };
+    // `Fleet::run` calls the feed on this thread, so the count covers the
+    // whole sender side: encoding, flushing, queueing and buffer reuse.
+    let mut counted = (0, 0);
+    let run = fleet.run(
+        Timestamp::ZERO,
+        Timestamp::from_mins(MINUTES as i64),
+        |sender| {
+            let (warm, rest) = schedule.split_at(WARM_MINUTES);
+            feed_minutes(sender, warm);
+            counted = count_allocations(|| feed_minutes(sender, rest));
+        },
+    );
+    let (frames, allocations) = counted;
+    let batches = frames / FRAMES_PER_BATCH - SHARDS;
+    assert!(batches >= 5_000, "only {batches} batches were counted");
+    assert_eq!(run.stats.windows, u64::from(HOMES) * MINUTES as u64);
+    // Per shard: at most one buffer for each slot of the spare pool
+    // (twice the queue capacity plus one) and the staging buffer, and two
+    // growths of the queue's two swapped `VecDeque`s to the capacity.
+    let bound = SHARDS as u64 * (2 * CAPACITY as u64 + 2 + 2);
+    assert!(
+        allocations <= bound,
+        "the sender allocated {allocations} times over {batches} batches (bound {bound})"
+    );
 }
 
 fn event_strategy() -> impl Strategy<Value = Event> {
