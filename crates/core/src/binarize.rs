@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use dice_types::{ActuatorId, DeviceRegistry, Event, SensorClass, SensorValue, Timestamp};
 
 use crate::bitset::BitSet;
-use crate::layout::BitLayout;
+use crate::layout::{BitLayout, NUMERIC_SPAN_WIDTH};
 use crate::stats::{MeanAccumulator, WindowStats};
 
 /// Per-sensor `valueThre` thresholds (Eq. 3.4), learned from fault-free data.
@@ -68,8 +68,8 @@ impl Thresholds {
 /// [`ThresholdTrainer::finish`]. Internally each sensor's mean is an exact
 /// [`MeanAccumulator`], so trainers over disjoint chunks of the period can
 /// be [`ThresholdTrainer::merge`]d into bit-for-bit the same thresholds as
-/// one serial pass — the pass-one half of the parallel trainer
-/// (see [`crate::ParallelTrainer`]).
+/// one serial pass, which the one-pass parallel trainer relies on (see
+/// [`crate::ParallelTrainer`]).
 #[derive(Debug, Clone)]
 pub struct ThresholdTrainer {
     means: Vec<MeanAccumulator>,
@@ -93,10 +93,17 @@ impl ThresholdTrainer {
     pub fn observe(&mut self, event: &Event) {
         if let Event::Sensor(r) = event {
             if let SensorValue::Numeric(v) = r.value {
-                if let Some(m) = self.means.get_mut(r.sensor.index()) {
-                    m.push(v);
-                }
+                self.observe_numeric(r.sensor.index(), v);
             }
+        }
+    }
+
+    /// Observes one numeric reading of the sensor at `index`; unknown
+    /// sensors are ignored.
+    #[inline]
+    pub(crate) fn observe_numeric(&mut self, index: usize, value: f64) {
+        if let Some(m) = self.means.get_mut(index) {
+            m.push(value);
         }
     }
 
@@ -157,14 +164,114 @@ impl Default for WindowObservation {
 
 /// Reusable scratch for allocation-free binarization; see
 /// [`Binarizer::binarize_into`].
+///
+/// Holds one [`WindowStats`] per sensor. Between calls every entry is
+/// empty: the kernel resets each entry it filled as it reads it back.
 #[derive(Debug, Clone, Default)]
 pub struct BinarizeScratch {
-    numeric: Vec<Option<WindowStats>>,
+    numeric: Vec<WindowStats>,
 }
 
-/// Relative margin of the Eq. 3.4 level comparison (see
-/// [`Binarizer::binarize`]).
+/// Relative margin of the Eq. 3.4 level comparison (see [`level_cutoff`]).
 const LEVEL_EPSILON: f64 = 1e-6;
+
+/// The value a window mean must exceed to set the Eq. 3.4 level bit of a
+/// sensor whose `valueThre` is `thre`. A relative epsilon keeps the
+/// comparison off the knife edge for sensors that rest exactly at their
+/// training mean (their empirical mean differs from the resting value only
+/// by accumulated measurement noise).
+#[inline]
+pub(crate) fn level_cutoff(thre: f64) -> f64 {
+    thre + thre.abs().max(1.0) * LEVEL_EPSILON
+}
+
+/// The binarization kernel shared by [`Binarizer::binarize_into`] and the
+/// one-pass trainer ([`crate::ParallelTrainer`]).
+///
+/// Reads `events` once. Active binary readings set their sensor's bit
+/// (Eq. 3.1), actuator `on` events are collected (sorted, deduplicated),
+/// and every numeric reading of a known sensor is handed to `sample` and
+/// accumulated into `scratch`. Then each numeric-span sensor with samples
+/// gets its skewness (Eq. 3.2) and trend (Eq. 3.3) bits, and its window
+/// mean is handed to `level`, which says whether to set the level bit
+/// (Eq. 3.4). `state` must arrive cleared to the layout's width and
+/// `actuators` empty.
+#[inline]
+pub(crate) fn binarize_window(
+    layout: &BitLayout,
+    events: &[Event],
+    scratch: &mut BinarizeScratch,
+    state: &mut BitSet,
+    actuators: &mut Vec<ActuatorId>,
+    mut sample: impl FnMut(usize, f64),
+    mut level: impl FnMut(usize, f64) -> bool,
+) {
+    let num_sensors = layout.num_sensors();
+    let numeric = &mut scratch.numeric;
+    if numeric.len() != num_sensors {
+        numeric.clear();
+        numeric.resize(num_sensors, WindowStats::default());
+    }
+
+    for event in events {
+        match event {
+            Event::Sensor(r) => {
+                let idx = r.sensor.index();
+                if idx >= num_sensors {
+                    continue; // unknown sensor: not part of the context
+                }
+                match r.value {
+                    SensorValue::Binary(active) => {
+                        if active {
+                            // Bit-wise OR over the window (Eq. 3.1).
+                            state.set(layout.span(r.sensor).start, true);
+                        }
+                    }
+                    SensorValue::Numeric(v) => {
+                        numeric[idx].push(v);
+                        sample(idx, v);
+                    }
+                }
+            }
+            Event::Actuator(a) => {
+                if a.active {
+                    actuators.push(a.actuator);
+                }
+            }
+        }
+    }
+
+    for (idx, slot) in numeric.iter_mut().enumerate() {
+        if slot.is_empty() {
+            continue;
+        }
+        let stats = std::mem::take(slot);
+        let span = layout.span(dice_types::SensorId::new(idx as u32));
+        if span.width != NUMERIC_SPAN_WIDTH {
+            continue; // numeric reading from a binary-declared sensor: ignore
+        }
+        // Eq. 3.2: skewness exceeds zero.
+        if stats.skewness_positive() {
+            state.set(span.start, true);
+        }
+        // Eq. 3.3: increasing trend over the window.
+        if stats.trend().is_some_and(|t| t > 0.0) {
+            state.set(span.start + 1, true);
+        }
+        // Eq. 3.4: mean exceeds valueThre.
+        if stats.mean().is_some_and(|mean| level(idx, mean)) {
+            state.set(span.start + 2, true);
+        }
+    }
+
+    actuators.sort_unstable();
+    actuators.dedup();
+    debug_assert_eq!(
+        state.len(),
+        layout.num_bits(),
+        "binarized state set must span exactly the layout's bits"
+    );
+}
 
 /// Converts raw window events into [`WindowObservation`]s.
 ///
@@ -254,76 +361,18 @@ impl Binarizer {
         out.end = end;
         out.state.clear_to(self.layout.num_bits());
         out.activated_actuators.clear();
-
-        let state = &mut out.state;
-        let actuators = &mut out.activated_actuators;
-        let numeric = &mut scratch.numeric;
-        if numeric.len() == self.layout.num_sensors() {
-            numeric.fill(None);
-        } else {
-            numeric.clear();
-            numeric.resize(self.layout.num_sensors(), None);
-        }
-
-        for event in events {
-            match event {
-                Event::Sensor(r) => {
-                    let idx = r.sensor.index();
-                    if idx >= self.layout.num_sensors() {
-                        continue; // unknown sensor: not part of the context
-                    }
-                    match r.value {
-                        SensorValue::Binary(active) => {
-                            if active {
-                                // Bit-wise OR over the window (Eq. 3.1).
-                                state.set(self.layout.span(r.sensor).start, true);
-                            }
-                        }
-                        SensorValue::Numeric(v) => {
-                            numeric[idx].get_or_insert_with(WindowStats::new).push(v);
-                        }
-                    }
-                }
-                Event::Actuator(a) => {
-                    if a.active {
-                        actuators.push(a.actuator);
-                    }
-                }
-            }
-        }
-
-        for (idx, stats) in numeric.iter().enumerate() {
-            let Some(stats) = stats else { continue };
-            let sensor = dice_types::SensorId::new(idx as u32);
-            let span = self.layout.span(sensor);
-            if span.width != 3 {
-                continue; // numeric reading from a binary-declared sensor: ignore
-            }
-            // Eq. 3.2: skewness exceeds zero.
-            if stats.skewness().is_some_and(|s| s > 0.0) {
-                state.set(span.start, true);
-            }
-            // Eq. 3.3: increasing trend over the window.
-            if stats.trend().is_some_and(|t| t > 0.0) {
-                state.set(span.start + 1, true);
-            }
-            // Eq. 3.4: mean exceeds valueThre. A relative epsilon keeps the
-            // comparison off the knife edge for sensors that rest exactly at
-            // their training mean (their empirical mean differs from the
-            // resting value only by accumulated measurement noise).
-            if let (Some(mean), Some(thre)) = (stats.mean(), self.thresholds.value_thre(sensor)) {
-                if mean > thre + thre.abs().max(1.0) * LEVEL_EPSILON {
-                    state.set(span.start + 2, true);
-                }
-            }
-        }
-
-        actuators.sort_unstable();
-        actuators.dedup();
-        debug_assert_eq!(
-            state.len(),
-            self.layout.num_bits(),
-            "binarized state set must span exactly the layout's bits"
+        binarize_window(
+            &self.layout,
+            events,
+            scratch,
+            &mut out.state,
+            &mut out.activated_actuators,
+            |_, _| {},
+            |idx, mean| {
+                self.thresholds
+                    .value_thre(dice_types::SensorId::new(idx as u32))
+                    .is_some_and(|thre| mean > level_cutoff(thre))
+            },
         );
     }
 }
@@ -565,6 +614,207 @@ mod tests {
                 &mut out,
             );
             assert_eq!(out, expected);
+        }
+    }
+
+    /// The binarizer as it was before [`WindowStats`] went flat: one
+    /// `Option<Stats>` per sensor, `first`/`last` as options, the level
+    /// comparison inline. Kept here as the reference the flat kernel must
+    /// match bit for bit.
+    mod option_reference {
+        use super::*;
+
+        #[derive(Default)]
+        struct Stats {
+            n: u64,
+            mean: f64,
+            m2: f64,
+            m3: f64,
+            first: Option<f64>,
+            last: Option<f64>,
+        }
+
+        impl Stats {
+            fn push(&mut self, value: f64) {
+                let n0 = self.n as f64;
+                self.n += 1;
+                let n = self.n as f64;
+                let delta = value - self.mean;
+                let delta_n = delta / n;
+                let term1 = delta * delta_n * n0;
+                self.mean += delta_n;
+                self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
+                self.m2 += term1;
+                if self.first.is_none() {
+                    self.first = Some(value);
+                }
+                self.last = Some(value);
+            }
+
+            fn skewness(&self) -> Option<f64> {
+                if self.n < 2 {
+                    return None;
+                }
+                let n = self.n as f64;
+                let variance = self.m2 / n;
+                if variance <= f64::EPSILON * self.mean.abs().max(1.0) {
+                    return None;
+                }
+                Some((self.m3 / n) / variance.powf(1.5))
+            }
+
+            fn trend(&self) -> Option<f64> {
+                match (self.first, self.last) {
+                    (Some(f), Some(l)) => Some(l - f),
+                    _ => None,
+                }
+            }
+        }
+
+        pub(super) fn binarize(b: &Binarizer, events: &[Event]) -> (BitSet, Vec<ActuatorId>) {
+            let layout = b.layout();
+            let mut state = BitSet::new(layout.num_bits());
+            let mut actuators = Vec::new();
+            let mut numeric: Vec<Option<Stats>> = Vec::new();
+            numeric.resize_with(layout.num_sensors(), || None);
+            for event in events {
+                match event {
+                    Event::Sensor(r) => {
+                        let idx = r.sensor.index();
+                        if idx >= layout.num_sensors() {
+                            continue;
+                        }
+                        match r.value {
+                            SensorValue::Binary(active) => {
+                                if active {
+                                    state.set(layout.span(r.sensor).start, true);
+                                }
+                            }
+                            SensorValue::Numeric(v) => {
+                                numeric[idx].get_or_insert_with(Stats::default).push(v);
+                            }
+                        }
+                    }
+                    Event::Actuator(a) => {
+                        if a.active {
+                            actuators.push(a.actuator);
+                        }
+                    }
+                }
+            }
+            for (idx, stats) in numeric.iter().enumerate() {
+                let Some(stats) = stats else { continue };
+                let sensor = SensorId::new(idx as u32);
+                let span = layout.span(sensor);
+                if span.width != 3 {
+                    continue;
+                }
+                if stats.skewness().is_some_and(|s| s > 0.0) {
+                    state.set(span.start, true);
+                }
+                if stats.trend().is_some_and(|t| t > 0.0) {
+                    state.set(span.start + 1, true);
+                }
+                let mean = (stats.n > 0).then_some(stats.mean);
+                if let (Some(mean), Some(thre)) = (mean, b.thresholds().value_thre(sensor)) {
+                    if mean > thre + thre.abs().max(1.0) * LEVEL_EPSILON {
+                        state.set(span.start + 2, true);
+                    }
+                }
+            }
+            actuators.sort_unstable();
+            actuators.dedup();
+            (state, actuators)
+        }
+    }
+
+    /// Sensors 0-2 numeric, 3-4 binary; ids 5 and 6 are unknown.
+    fn kernel_home() -> (DeviceRegistry, Vec<SensorId>, Vec<ActuatorId>) {
+        let mut reg = DeviceRegistry::new();
+        let sensors = vec![
+            reg.add_sensor(SensorKind::Temperature, "t", Room::Kitchen),
+            reg.add_sensor(SensorKind::Light, "l", Room::Kitchen),
+            reg.add_sensor(SensorKind::Humidity, "h", Room::Kitchen),
+            reg.add_sensor(SensorKind::Motion, "m", Room::Kitchen),
+            reg.add_sensor(SensorKind::Contact, "c", Room::Kitchen),
+        ];
+        let actuators = vec![
+            reg.add_actuator(ActuatorKind::SmartBulb, "hue", Room::Kitchen),
+            reg.add_actuator(ActuatorKind::SmartBulb, "lamp", Room::Kitchen),
+        ];
+        (reg, sensors, actuators)
+    }
+
+    /// One random event: `kind` picks numeric (0-5), binary (6-7) or
+    /// actuator (8-9); `pick` picks a special value (±inf, NaN, a shared
+    /// constant) or `value`.
+    fn kernel_event(
+        (kind, sensor, pick, value): (u8, u32, u8, f64),
+        constant: Option<f64>,
+        actuators: &[ActuatorId],
+        second: i64,
+    ) -> Event {
+        let at = Timestamp::from_secs(second);
+        match kind {
+            0..=5 => {
+                let v = constant.unwrap_or(match pick {
+                    0 => f64::INFINITY,
+                    1 => f64::NEG_INFINITY,
+                    2 => f64::NAN,
+                    3 => 7.5,
+                    _ => value,
+                });
+                SensorReading::new(SensorId::new(sensor), at, v.into()).into()
+            }
+            6 | 7 => SensorReading::new(SensorId::new(sensor), at, (pick % 2 == 0).into()).into(),
+            _ => ActuatorEvent::new(actuators[sensor as usize % 2], at, pick % 2 == 0).into(),
+        }
+    }
+
+    proptest::proptest! {
+        /// The flat-stats kernel binarizes every window exactly as the
+        /// `Option<WindowStats>` binarizer did, over single-sample and
+        /// constant windows, non-finite samples, numeric readings on
+        /// binary sensors, unknown sensor ids and actuator on/off events,
+        /// with one scratch reused across the windows of a case.
+        #[test]
+        fn flat_kernel_matches_the_option_stats_binarizer(
+            training in proptest::collection::vec((0u32..4, -40.0f64..40.0, 0u8..12), 0..12),
+            windows in proptest::collection::vec(
+                (
+                    0u8..4,
+                    -30.0f64..30.0,
+                    proptest::collection::vec((0u8..10, 0u32..7, 0u8..10, -50.0f64..50.0), 0..30),
+                ),
+                1..6,
+            ),
+        ) {
+            let (reg, _, actuators) = kernel_home();
+            let mut trainer = ThresholdTrainer::new(&reg);
+            for &(sensor, value, pick) in &training {
+                let v = if pick == 0 { f64::INFINITY } else { value };
+                let at = Timestamp::ZERO;
+                trainer.observe(&SensorReading::new(SensorId::new(sensor), at, v.into()).into());
+            }
+            let b = Binarizer::new(BitLayout::for_registry(&reg), trainer.finish());
+            let mut scratch = BinarizeScratch::default();
+            let mut out = WindowObservation::default();
+            for (mode, constant, raw) in &windows {
+                // Mode 0: every numeric sample is one constant. Mode 1:
+                // only the first event. Otherwise the events as drawn.
+                let constant = (*mode == 0).then_some(*constant);
+                let raw = if *mode == 1 { &raw[..raw.len().min(1)] } else { &raw[..] };
+                let events: Vec<Event> = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &e)| kernel_event(e, constant, &actuators, i as i64))
+                    .collect();
+                let end = Timestamp::from_mins(1);
+                b.binarize_into(Timestamp::ZERO, end, &events, &mut scratch, &mut out);
+                let (state, activated) = option_reference::binarize(&b, &events);
+                proptest::prop_assert_eq!(&out.state, &state);
+                proptest::prop_assert_eq!(&out.activated_actuators, &activated);
+            }
         }
     }
 

@@ -216,6 +216,24 @@ impl BitSet {
         &self.words
     }
 
+    /// Overwrites the backing words in place, keeping the length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word count differs from this set's.
+    #[inline]
+    pub(crate) fn copy_from_words(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
+        debug_assert!(
+            self.len.is_multiple_of(WORD_BITS)
+                || self
+                    .words
+                    .last()
+                    .is_none_or(|&w| w >> (self.len % WORD_BITS) == 0),
+            "bits set beyond length"
+        );
+    }
+
     /// Reconstructs a bit set from its backing words.
     ///
     /// # Panics

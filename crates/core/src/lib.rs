@@ -125,6 +125,6 @@ pub use trace::{
     DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SNAPSHOT_LAST, DEFAULT_TRACE_TOP_K, TRACE_KIND,
     TRACE_SCHEMA,
 };
-pub use train_par::{merge_partials, ChunkExtractor, ParallelTrainer, PartialModel};
+pub use train_par::{merge_partials, ChunkPass, ParallelTrainer, PartialModel};
 pub use transition::{TransitionCounts, TransitionModel};
 pub use weights::DeviceWeights;

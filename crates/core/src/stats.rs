@@ -5,14 +5,18 @@
 //! of them in a single pass over the window's readings.
 
 /// Accumulator for the per-window statistics of one numeric sensor.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Flat: emptiness is `n == 0`, so `first`/`last` are plain values that
+/// mean nothing until the first sample, and a slice of these resets with
+/// one store of [`WindowStats::default`] per touched sensor.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowStats {
     n: u64,
     mean: f64,
     m2: f64,
     m3: f64,
-    first: Option<f64>,
-    last: Option<f64>,
+    first: f64,
+    last: f64,
 }
 
 impl WindowStats {
@@ -22,7 +26,11 @@ impl WindowStats {
     }
 
     /// Adds one sample (in arrival order).
+    #[inline]
     pub fn push(&mut self, value: f64) {
+        if self.n == 0 {
+            self.first = value;
+        }
         // Welford-style central-moment update (third order).
         let n0 = self.n as f64;
         self.n += 1;
@@ -33,10 +41,7 @@ impl WindowStats {
         self.mean += delta_n;
         self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
-        if self.first.is_none() {
-            self.first = Some(value);
-        }
-        self.last = Some(value);
+        self.last = value;
     }
 
     /// Number of samples seen.
@@ -74,28 +79,56 @@ impl WindowStats {
         }
         let n = self.n as f64;
         let variance = self.m2 / n;
-        if variance <= f64::EPSILON * self.mean.abs().max(1.0) {
+        if self.is_flat(variance) {
             return None;
         }
         Some((self.m3 / n) / variance.powf(1.5))
     }
 
+    /// Whether `variance` is too small for the window to have a shape.
+    fn is_flat(&self, variance: f64) -> bool {
+        variance <= f64::EPSILON * self.mean.abs().max(1.0)
+    }
+
+    /// Whether the skewness is defined and positive: the Eq. 3.2 bit.
+    ///
+    /// Equal to `skewness().is_some_and(|s| s > 0.0)`, but decides most
+    /// windows without the `powf`. The skewness divides `m3 / n` by
+    /// `variance^1.5`, which is positive once the variance passes the
+    /// constant-window test, so it cannot exceed zero unless `m3 / n`
+    /// does. And for a variance of at most `1e200` the divisor is finite
+    /// and at most `1e300`, so a third moment of at least `1e-15` leaves a
+    /// quotient of at least `1e-315`, still above zero. Other windows take
+    /// the exact division.
+    pub(crate) fn skewness_positive(&self) -> bool {
+        if self.n < 2 {
+            return false;
+        }
+        let n = self.n as f64;
+        let third = self.m3 / n;
+        let variance = self.m2 / n;
+        if third.is_nan() || third <= 0.0 || self.is_flat(variance) {
+            return false;
+        }
+        if third >= 1e-15 && variance <= 1e200 {
+            return true;
+        }
+        self.skewness().is_some_and(|s| s > 0.0)
+    }
+
     /// The first sample of the window (`S_t` in Eq. 3.3).
     pub fn first(&self) -> Option<f64> {
-        self.first
+        (self.n > 0).then_some(self.first)
     }
 
     /// The last sample of the window (`S_{t+d}` in Eq. 3.3).
     pub fn last(&self) -> Option<f64> {
-        self.last
+        (self.n > 0).then_some(self.last)
     }
 
     /// The trend `S_{t+d} - S_t` (Eq. 3.3), or `None` if empty.
     pub fn trend(&self) -> Option<f64> {
-        match (self.first, self.last) {
-            (Some(f), Some(l)) => Some(l - f),
-            _ => None,
-        }
+        (self.n > 0).then_some(self.last - self.first)
     }
 }
 
@@ -386,6 +419,35 @@ mod tests {
     fn skewness_undefined_for_constant_or_single() {
         assert_eq!(stats(&[5.0]).skewness(), None);
         assert_eq!(stats(&[5.0, 5.0, 5.0]).skewness(), None);
+    }
+
+    #[test]
+    fn skewness_positive_agrees_with_skewness() {
+        let cases: [&[f64]; 13] = [
+            &[],
+            &[5.0],
+            &[5.0, 5.0, 5.0],
+            &[1.0, 1.0, 1.0, 1.0, 10.0],
+            &[10.0, 10.0, 10.0, 10.0, 1.0],
+            &[1.0, 2.0, 3.0],
+            &[1.0, f64::NAN, 3.0],
+            &[1.0, f64::INFINITY, 2.0],
+            &[1e300, -1e300, 1e300, 7.0],
+            // Variance past 1e200: the divisor overflows to infinity.
+            &[0.0, 0.0, 0.0, 1e110],
+            // A tiny positive third moment over a large variance.
+            &[0.0, 0.0, 1e-5, 1e-5 + 1e-21],
+            &[1e-3, 2e-3, 2e-3, 3e-3 + 1e-9],
+            &[-1e150, 1e150, 1e150],
+        ];
+        for values in cases {
+            let s = stats(values);
+            assert_eq!(
+                s.skewness_positive(),
+                s.skewness().is_some_and(|k| k > 0.0),
+                "{values:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,22 +1,29 @@
-//! Parallel map-reduce precomputation: chunked extraction with a
-//! deterministic model merge.
+//! Parallel map-reduce precomputation in one pass over the training log.
 //!
-//! [`ParallelTrainer`] runs the same two-pass precomputation as
-//! [`ContextExtractor`](crate::ContextExtractor), but splits the training
-//! log into time-contiguous chunks and extracts them on worker threads:
+//! [`ParallelTrainer`] learns the same model as the two-pass
+//! [`ContextExtractor`](crate::ContextExtractor), but reads each training
+//! event once. The log is split into time-contiguous chunks of windows,
+//! which run on worker threads:
 //!
-//! * **Pass one** accumulates per-chunk [`ThresholdTrainer`]s and folds them
-//!   with [`ThresholdTrainer::merge`]. The per-sensor means are exact
-//!   integer accumulators, so the merged `valueThre` thresholds are
-//!   bit-for-bit the serial ones regardless of chunking.
-//! * **Pass two** runs one [`ChunkExtractor`] per chunk of consecutive
-//!   windows, producing a [`PartialModel`] with chunk-local group ids.
-//!   [`merge_partials`] then replays the chunks in time order: group states
-//!   are assigned global ids in first-seen-in-time order (exactly the serial
-//!   assignment), transition counts are remapped through the local→global
-//!   id map, and the one transition that crosses each chunk boundary — last
-//!   window of chunk *k* to first window of chunk *k+1* — is stitched in
-//!   explicitly.
+//! * **Read.** A [`ChunkPass`] reads each window's events once. It feeds
+//!   the chunk's [`ThresholdTrainer`] and the binarization kernel, which
+//!   sets every threshold-free bit (binary Eq. 3.1, skewness Eq. 3.2,
+//!   trend Eq. 3.3). The level bit (Eq. 3.4) needs the final `valueThre`,
+//!   so the pass keeps each numeric sensor's window mean instead — the
+//!   same `f64` the binarizer would compare.
+//! * **Merge thresholds.** The per-chunk trainers fold with
+//!   [`ThresholdTrainer::merge`]. Their means are exact integer
+//!   accumulators, so the `valueThre` thresholds are bit-for-bit the
+//!   serial ones regardless of chunking.
+//! * **Resolve.** Each chunk sets its windows' level bits against the
+//!   merged thresholds, with the binarizer's own comparison, and assigns
+//!   chunk-local groups and transitions into a [`PartialModel`].
+//! * **Merge partials.** [`merge_partials`] replays the chunks in time
+//!   order: group states get global ids in first-seen-in-time order
+//!   (exactly the serial assignment), transition counts are remapped
+//!   through the local→global id map, and the one transition that crosses
+//!   each chunk boundary — last window of chunk *k* to first window of
+//!   chunk *k+1* — is stitched in explicitly.
 //!
 //! The result is **bit-identical** to the serial extractor: same group ids,
 //! same counts, same serialized bytes (`tests/properties.rs` proves this
@@ -31,41 +38,19 @@ use dice_telemetry::{saturating_ns, Telemetry};
 use dice_types::{ActuatorId, DeviceRegistry, Event, EventLog, GroupId, TimeDelta, Timestamp};
 use rayon::prelude::*;
 
-use crate::binarize::{BinarizeScratch, Binarizer, ThresholdTrainer, WindowObservation};
+use crate::binarize::{
+    binarize_window, level_cutoff, BinarizeScratch, Binarizer, ThresholdTrainer, Thresholds,
+};
+use crate::bitset::BitSet;
 use crate::config::DiceConfig;
 use crate::error::DiceError;
 use crate::groups::GroupTable;
-use crate::layout::BitLayout;
+use crate::layout::{BitLayout, NUMERIC_SPAN_WIDTH};
 use crate::model::DiceModel;
 use crate::transition::TransitionModel;
 
-/// The window tiling a training run extracts: `count` windows of `duration`
-/// starting at `origin`, optionally clipped to end no later than `clip`.
-#[derive(Debug, Clone, Copy)]
-struct WindowPlan {
-    origin: Timestamp,
-    duration: TimeDelta,
-    count: u64,
-    clip: Option<Timestamp>,
-}
-
-impl WindowPlan {
-    /// Start and (exclusive) end of window `index`.
-    fn bounds(&self, index: u64) -> (Timestamp, Timestamp) {
-        let start =
-            Timestamp::from_secs(self.origin.as_secs() + index as i64 * self.duration.as_secs());
-        let mut end = start + self.duration;
-        if let Some(clip) = self.clip {
-            if clip < end {
-                end = clip;
-            }
-        }
-        (start, end)
-    }
-}
-
 /// The extraction of one chunk of consecutive windows, with chunk-local
-/// group ids. Produced by [`ChunkExtractor::finish`], consumed by
+/// group ids. Built by the trainer's resolve step, consumed by
 /// [`merge_partials`].
 #[derive(Debug, Clone)]
 pub struct PartialModel {
@@ -77,6 +62,16 @@ pub struct PartialModel {
 }
 
 impl PartialModel {
+    fn new(num_bits: usize) -> Self {
+        PartialModel {
+            groups: GroupTable::new(num_bits),
+            transitions: TransitionModel::new(),
+            first: None,
+            last: None,
+            windows: 0,
+        }
+    }
+
     /// The chunk-local group table (ids dense in first-seen-in-chunk order).
     pub fn groups(&self) -> &GroupTable {
         &self.groups
@@ -93,68 +88,188 @@ impl PartialModel {
     }
 }
 
-/// Extracts one time-contiguous chunk of windows into a [`PartialModel`].
+/// One chunk of the one-pass precomputation, handed to the `fill` callback
+/// of [`ParallelTrainer::train_chunked`].
 ///
-/// Feed the chunk's windows in time order via
-/// [`ChunkExtractor::observe_window`] — the observation logic mirrors
-/// [`ModelBuilder::observe_binarized`](crate::ModelBuilder) exactly, except
-/// that group ids are chunk-local and the boundary windows are remembered so
-/// [`merge_partials`] can stitch the cross-chunk transitions.
-#[derive(Debug, Clone)]
-pub struct ChunkExtractor<'a> {
-    binarizer: &'a Binarizer,
+/// Feed it the chunk's events with [`ChunkPass::observe_tiling`]. Each
+/// window is read once: its events train the thresholds, its
+/// threshold-free bits and actuator activations are stored, and its
+/// numeric sensors' means are kept until the merged thresholds can resolve
+/// the level bits. The deferred means cost 8 bytes per numeric sensor per
+/// window.
+#[derive(Debug)]
+pub struct ChunkPass<'a> {
+    layout: &'a BitLayout,
+    duration: TimeDelta,
+    trainer: ThresholdTrainer,
+    /// Each sensor's slot among the numeric spans (meaningless for binary
+    /// sensors, which never reach the level hook).
+    slot: Vec<usize>,
+    num_numeric: usize,
     scratch: BinarizeScratch,
-    obs: WindowObservation,
-    partial: PartialModel,
+    state: BitSet,
+    window_actuators: Vec<ActuatorId>,
+    /// Threshold-free state words, one state set's worth per window.
+    words: Vec<u64>,
+    /// Window means in numeric-span order, one block per window; NaN
+    /// where the sensor had no sample (a NaN never exceeds a cutoff, just
+    /// as an empty sensor never sets its level bit).
+    means: Vec<f64>,
+    /// Activated actuators of all windows, concatenated.
+    actuators: Vec<ActuatorId>,
+    /// End of each window's run in `actuators`.
+    actuator_ends: Vec<usize>,
 }
 
-impl<'a> ChunkExtractor<'a> {
-    /// Creates an extractor binarizing against `binarizer`.
-    pub fn new(binarizer: &'a Binarizer) -> Self {
-        let num_bits = binarizer.layout().num_bits();
-        ChunkExtractor {
-            binarizer,
+impl<'a> ChunkPass<'a> {
+    fn new(registry: &DeviceRegistry, layout: &'a BitLayout, duration: TimeDelta) -> Self {
+        let mut slot = vec![0; layout.num_sensors()];
+        let mut num_numeric = 0;
+        for (sensor, span) in layout.spans() {
+            if span.width == NUMERIC_SPAN_WIDTH {
+                slot[sensor.index()] = num_numeric;
+                num_numeric += 1;
+            }
+        }
+        ChunkPass {
+            layout,
+            duration,
+            trainer: ThresholdTrainer::new(registry),
+            slot,
+            num_numeric,
             scratch: BinarizeScratch::default(),
-            obs: WindowObservation::default(),
-            partial: PartialModel {
-                groups: GroupTable::new(num_bits),
-                transitions: TransitionModel::new(),
-                first: None,
-                last: None,
-                windows: 0,
-            },
+            state: BitSet::new(layout.num_bits()),
+            window_actuators: Vec::new(),
+            words: Vec::new(),
+            means: Vec::new(),
+            actuators: Vec::new(),
+            actuator_ends: Vec::new(),
         }
     }
 
-    /// Observes one window of raw events (must be fed in time order).
-    pub fn observe_window(&mut self, start: Timestamp, end: Timestamp, events: &[Event]) {
-        let ChunkExtractor {
-            binarizer,
+    /// Observes the windows tiling `[from, to)` — windows of the trainer's
+    /// duration from `from`, the last one clipped to end at `to` — over
+    /// `events`, which must be sorted by time. Events before `from` or at
+    /// or after `to` lie in no window and count toward the thresholds
+    /// only. Tilings must be fed in time order, and consecutive calls and
+    /// chunks must join without gaps, so that the chunks concatenate into
+    /// the serial tiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from > to`.
+    pub fn observe_tiling(&mut self, events: &[Event], from: Timestamp, to: Timestamp) {
+        assert!(from <= to, "tiling range must not be reversed");
+        let windows = window_count(from, to, self.duration);
+        self.words.reserve(windows * self.state.as_words().len());
+        self.means.reserve(windows * self.num_numeric);
+        self.actuator_ends.reserve(windows);
+        let lo = events.partition_point(|e| e.at() < from);
+        let hi = lo + events[lo..].partition_point(|e| e.at() < to);
+        for event in events[..lo].iter().chain(&events[hi..]) {
+            self.trainer.observe(event);
+        }
+        let mut cursor = lo;
+        let mut start = from;
+        while start < to {
+            let end = (start + self.duration).min(to);
+            let begin = cursor;
+            while cursor < hi && events[cursor].at() < end {
+                cursor += 1;
+            }
+            self.observe_window(&events[begin..cursor]);
+            start = end;
+        }
+    }
+
+    /// Reads one window's events once: thresholds, threshold-free bits,
+    /// actuator activations and deferred means.
+    fn observe_window(&mut self, events: &[Event]) {
+        let ChunkPass {
+            layout,
+            trainer,
+            slot,
+            num_numeric,
             scratch,
-            obs,
-            partial,
+            state,
+            window_actuators,
+            words,
+            means,
+            actuators,
+            actuator_ends,
+            ..
         } = self;
-        binarizer.binarize_into(start, end, events, scratch, obs);
-        let group = partial.groups.observe(&obs.state);
-        if let Some((prev_group, prev_actuators)) = &partial.last {
-            partial.transitions.record_g2g(*prev_group, group);
-            for &a in &obs.activated_actuators {
-                partial.transitions.record_g2a(*prev_group, a);
-            }
-            for &a in prev_actuators {
-                partial.transitions.record_a2g(a, group);
-            }
-        }
-        if partial.first.is_none() {
-            partial.first = Some((group, obs.activated_actuators.clone()));
-        }
-        partial.last = Some((group, obs.activated_actuators.clone()));
-        partial.windows += 1;
+        let base = means.len();
+        means.resize(base + *num_numeric, f64::NAN);
+        state.clear();
+        window_actuators.clear();
+        binarize_window(
+            layout,
+            events,
+            scratch,
+            state,
+            window_actuators,
+            |idx, value| trainer.observe_numeric(idx, value),
+            |idx, mean| {
+                means[base + slot[idx]] = mean;
+                false
+            },
+        );
+        words.extend_from_slice(state.as_words());
+        actuators.extend_from_slice(window_actuators);
+        actuator_ends.push(actuators.len());
     }
 
-    /// Finalizes the chunk.
-    pub fn finish(self) -> PartialModel {
-        self.partial
+    /// Sets each window's level bits against the merged thresholds, then
+    /// assigns chunk-local groups and transitions exactly as
+    /// [`ModelBuilder::observe_binarized`](crate::ModelBuilder) records
+    /// consecutive windows.
+    fn resolve(&self, thresholds: &Thresholds) -> PartialModel {
+        // (level bit, cutoff) per numeric span; a sensor without a
+        // threshold gets a NaN cutoff, which no mean exceeds.
+        let cutoffs: Vec<(usize, f64)> = self
+            .layout
+            .spans()
+            .filter(|(_, span)| span.width == NUMERIC_SPAN_WIDTH)
+            .map(|(sensor, span)| {
+                let cutoff = thresholds.value_thre(sensor).map_or(f64::NAN, level_cutoff);
+                (span.start + 2, cutoff)
+            })
+            .collect();
+        let mut partial = PartialModel::new(self.layout.num_bits());
+        let mut state = BitSet::new(self.layout.num_bits());
+        let words_per_window = state.as_words().len();
+        let mut prev: Option<(GroupId, &[ActuatorId])> = None;
+        let mut actuators_from = 0;
+        for (window, &actuators_to) in self.actuator_ends.iter().enumerate() {
+            state.copy_from_words(&self.words[window * words_per_window..][..words_per_window]);
+            let means = &self.means[window * self.num_numeric..][..self.num_numeric];
+            for (&mean, &(bit, cutoff)) in means.iter().zip(&cutoffs) {
+                if mean > cutoff {
+                    state.set(bit, true);
+                }
+            }
+            let activated = &self.actuators[actuators_from..actuators_to];
+            actuators_from = actuators_to;
+
+            let group = partial.groups.observe(&state);
+            if let Some((prev_group, prev_actuators)) = prev {
+                partial.transitions.record_g2g(prev_group, group);
+                for &a in activated {
+                    partial.transitions.record_g2a(prev_group, a);
+                }
+                for &a in prev_actuators {
+                    partial.transitions.record_a2g(a, group);
+                }
+            }
+            if partial.first.is_none() {
+                partial.first = Some((group, activated.to_vec()));
+            }
+            prev = Some((group, activated));
+            partial.windows += 1;
+        }
+        partial.last = prev.map(|(group, activated)| (group, activated.to_vec()));
+        partial
     }
 }
 
@@ -189,7 +304,6 @@ pub fn merge_partials(
         &Telemetry::global(),
     )
 }
-
 fn merge_partials_inner(
     config: DiceConfig,
     binarizer: Binarizer,
@@ -258,6 +372,14 @@ fn merge_partials_inner(
     ))
 }
 
+/// Number of windows of `duration` tiling `[from, to)`, counting a clipped
+/// last window.
+fn window_count(from: Timestamp, to: Timestamp, duration: TimeDelta) -> usize {
+    let span = (to - from).as_secs();
+    let step = duration.as_secs();
+    (span.div_euclid(step) + i64::from(span.rem_euclid(step) != 0)) as usize
+}
+
 /// Splits `n` items into `chunks` contiguous `(lo, hi)` ranges in order;
 /// the first `n % chunks` ranges take the remainder. Ranges may be empty
 /// when `n < chunks`.
@@ -277,8 +399,8 @@ fn split_ranges(n: usize, chunks: usize) -> Vec<(usize, usize)> {
 
 /// Deterministic parallel context extraction.
 ///
-/// A drop-in for [`ContextExtractor`](crate::ContextExtractor) that chunks
-/// both precomputation passes across worker threads and merges the partial
+/// A drop-in for [`ContextExtractor`](crate::ContextExtractor) that reads
+/// the log once, in chunks across worker threads, and merges the partial
 /// results into a model that is bit-identical to the serial one.
 ///
 /// # Example
@@ -345,12 +467,6 @@ impl ParallelTrainer {
         self
     }
 
-    fn chunk_count(&self) -> usize {
-        self.chunks
-            .unwrap_or_else(rayon::current_num_threads)
-            .max(1)
-    }
-
     /// Runs the full precomputation over `log`, tiling windows exactly like
     /// [`ContextExtractor::extract`](crate::ContextExtractor::extract):
     /// windows of `config.window()` from the first event's aligned-down
@@ -372,23 +488,19 @@ impl ParallelTrainer {
             return Err(DiceError::EmptyTrainingData);
         };
         let duration = self.config.window();
-        let origin = first.align_down(duration);
-        let count = (last - origin).as_secs().div_euclid(duration.as_secs()) as u64 + 1;
-        let plan = WindowPlan {
-            origin,
-            duration,
-            count,
-            clip: None,
-        };
-        self.run(registry, log.events(), plan)
+        let from = first.align_down(duration);
+        let count = (last - from).as_secs().div_euclid(duration.as_secs()) + 1;
+        let to = Timestamp::from_secs(from.as_secs() + count * duration.as_secs());
+        self.run(registry, log.events(), from, to)
     }
 
     /// Runs the full precomputation over the windows tiling `[from, to)`,
     /// exactly like feeding `log.windows_between(from, to, window)` to a
-    /// [`ModelBuilder`](crate::ModelBuilder). Unlike
-    /// [`ParallelTrainer::extract`], an empty log is allowed: every window
-    /// is observed as the all-quiet state (the partitioned trainer relies
-    /// on this so silent partitions still learn their silent context).
+    /// [`ModelBuilder`](crate::ModelBuilder) whose thresholds were trained
+    /// on the whole log. Unlike [`ParallelTrainer::extract`], an empty log
+    /// is allowed: every window is observed as the all-quiet state (the
+    /// partitioned trainer relies on this so silent partitions still learn
+    /// their silent context).
     ///
     /// # Errors
     ///
@@ -408,81 +520,115 @@ impl ParallelTrainer {
             return Err(DiceError::NoSensors);
         }
         assert!(from < to, "window range must be non-empty");
-        let duration = self.config.window();
-        let span = (to - from).as_secs();
-        let count = span.div_euclid(duration.as_secs()) as u64
-            + u64::from(span.rem_euclid(duration.as_secs()) != 0);
-        let plan = WindowPlan {
-            origin: from,
-            duration,
-            count,
-            clip: Some(to),
-        };
-        self.run(registry, log.events(), plan)
+        self.run(registry, log.events(), from, to)
     }
 
+    /// Splits the windows tiling `[from, to)` into the configured number
+    /// of chunks and trains on them. The first and last chunk also carry
+    /// the events outside `[from, to)`, which train the thresholds only.
     fn run(
         &self,
         registry: &DeviceRegistry,
         events: &[Event],
-        plan: WindowPlan,
+        from: Timestamp,
+        to: Timestamp,
     ) -> Result<DiceModel, DiceError> {
-        let wall_started = Instant::now();
-        let chunks = self.chunk_count();
+        let duration = self.config.window().as_secs();
+        let chunks = self
+            .chunks
+            .unwrap_or_else(rayon::current_num_threads)
+            .max(1);
+        let ranges = split_ranges(window_count(from, to, self.config.window()), chunks);
+        let bound =
+            |window: usize| Timestamp::from_secs(from.as_secs() + window as i64 * duration).min(to);
+        self.train_chunked(registry, ranges.len(), |k, pass| {
+            let (lo, hi) = ranges[k];
+            let (start, end) = (bound(lo), bound(hi));
+            let first = if k == 0 {
+                0
+            } else {
+                events.partition_point(|e| e.at() < start)
+            };
+            let last = if k + 1 == ranges.len() {
+                events.len()
+            } else {
+                events.partition_point(|e| e.at() < end)
+            };
+            pass.observe_tiling(&events[first..last], start, end);
+        })
+    }
 
-        // Pass 1: per-chunk threshold accumulation, merged exactly.
-        let trained: Vec<(ThresholdTrainer, u64)> = split_ranges(events.len(), chunks)
+    /// Trains on `chunks` consecutive pieces of the precomputation period
+    /// in one pass over their events.
+    ///
+    /// `fill(k, pass)` runs on the worker pool and feeds chunk `k`'s
+    /// events through [`ChunkPass::observe_tiling`]. The chunks' tilings,
+    /// in index order, must concatenate into the serial window tiling.
+    /// `fill` may produce its events on demand — the evaluation runner
+    /// simulates each six-hour chunk inside it — so the whole log need
+    /// never exist at once. The model is bit-identical to a serial
+    /// [`ModelBuilder`](crate::ModelBuilder) run over the concatenated
+    /// tiling with thresholds trained on every event fed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DiceError::NoSensors`] for an empty registry and
+    /// [`DiceError::EmptyTrainingData`] if no chunk observed a window.
+    pub fn train_chunked<F>(
+        &self,
+        registry: &DeviceRegistry,
+        chunks: usize,
+        fill: F,
+    ) -> Result<DiceModel, DiceError>
+    where
+        F: Fn(usize, &mut ChunkPass<'_>) + Sync,
+    {
+        if registry.num_sensors() == 0 {
+            return Err(DiceError::NoSensors);
+        }
+        let wall_started = Instant::now();
+        let layout = BitLayout::for_registry(registry);
+        let duration = self.config.window();
+
+        // Read: every chunk's events once, on the worker pool.
+        let passes: Vec<(ChunkPass<'_>, u64)> = (0..chunks)
             .into_par_iter()
-            .map(|(lo, hi)| {
+            .map(|k| {
                 let chunk_started = Instant::now();
-                let mut trainer = ThresholdTrainer::new(registry);
-                for event in &events[lo..hi] {
-                    trainer.observe(event);
-                }
-                (trainer, saturating_ns(chunk_started.elapsed().as_nanos()))
+                let mut pass = ChunkPass::new(registry, &layout, duration);
+                fill(k, &mut pass);
+                (pass, saturating_ns(chunk_started.elapsed().as_nanos()))
             })
             .collect();
+
+        // Merge thresholds, exactly.
         let mut busy_ns = 0u64;
         let mut trainer = ThresholdTrainer::new(registry);
-        for (partial, ns) in &trained {
-            trainer.merge(partial);
+        for (pass, ns) in &passes {
+            trainer.merge(&pass.trainer);
             busy_ns += ns;
         }
-        let binarizer = Binarizer::new(BitLayout::for_registry(registry), trainer.finish());
+        let thresholds = trainer.finish();
 
-        // Pass 2: per-chunk window extraction with chunk-local group ids.
-        let extracted: Vec<(PartialModel, u64)> = split_ranges(plan.count as usize, chunks)
+        // Resolve level bits, then chunk-local groups and transitions.
+        let resolved: Vec<(PartialModel, u64)> = passes
             .into_par_iter()
-            .map(|(lo, hi)| {
+            .map(|(pass, _)| {
                 let chunk_started = Instant::now();
-                let mut extractor = ChunkExtractor::new(&binarizer);
-                if lo < hi {
-                    let (chunk_start, _) = plan.bounds(lo as u64);
-                    let mut cursor = events.partition_point(|e| e.at() < chunk_start);
-                    for index in lo..hi {
-                        let (start, end) = plan.bounds(index as u64);
-                        let begin = cursor;
-                        while cursor < events.len() && events[cursor].at() < end {
-                            cursor += 1;
-                        }
-                        extractor.observe_window(start, end, &events[begin..cursor]);
-                    }
-                }
-                (
-                    extractor.finish(),
-                    saturating_ns(chunk_started.elapsed().as_nanos()),
-                )
+                let partial = pass.resolve(&thresholds);
+                drop(pass);
+                (partial, saturating_ns(chunk_started.elapsed().as_nanos()))
             })
             .collect();
-        let mut partials = Vec::with_capacity(extracted.len());
-        for (partial, ns) in extracted {
+        let mut partials = Vec::with_capacity(resolved.len());
+        for (partial, ns) in resolved {
             busy_ns += ns;
             partials.push(partial);
         }
 
         let model = merge_partials_inner(
             self.config.clone(),
-            binarizer,
+            Binarizer::new(layout, thresholds),
             registry.num_actuators(),
             &partials,
             &self.telemetry,
@@ -565,11 +711,70 @@ mod tests {
     }
 
     #[test]
+    fn deferred_level_bits_match_the_serial_binarizer_on_awkward_samples() {
+        // Non-finite samples, numeric readings on a binary sensor, unknown
+        // sensor ids, a numeric sensor that never reports, and a resting
+        // sensor whose one raised window lies above its training mean but
+        // inside the level epsilon.
+        let mut reg = DeviceRegistry::new();
+        let motion = reg.add_sensor(SensorKind::Motion, "m", Room::Kitchen);
+        let temp = reg.add_sensor(SensorKind::Temperature, "t", Room::Kitchen);
+        let light = reg.add_sensor(SensorKind::Light, "l", Room::Kitchen);
+        let _silent = reg.add_sensor(SensorKind::Humidity, "h", Room::Kitchen);
+        let resting = reg.add_sensor(SensorKind::Humidity, "r", Room::Kitchen);
+        let bulb = reg.add_actuator(ActuatorKind::SmartBulb, "hue", Room::Kitchen);
+        let mut log = EventLog::new();
+        for minute in 0..30i64 {
+            let at = Timestamp::from_mins(minute);
+            let temp_value = match minute {
+                7 => f64::NAN,
+                11 => f64::INFINITY,
+                _ => 20.0,
+            };
+            log.push_sensor(SensorReading::new(temp, at, temp_value.into()));
+            let rest_value = if minute == 3 { 20.00001 } else { 20.0 };
+            log.push_sensor(SensorReading::new(resting, at, rest_value.into()));
+            log.push_sensor(SensorReading::new(
+                light,
+                at + TimeDelta::from_secs(5),
+                (100.0 + (minute % 4) as f64).into(),
+            ));
+            if minute % 5 == 0 {
+                log.push_sensor(SensorReading::new(motion, at, 3.5.into()));
+                log.push_sensor(SensorReading::new(
+                    dice_types::SensorId::new(9),
+                    at,
+                    1.0.into(),
+                ));
+                log.push_actuator(ActuatorEvent::new(bulb, at, minute % 10 == 0));
+            }
+        }
+        // The temperature threshold is NaN, which `PartialEq` never matches, so
+        // compare the serialized models.
+        let bytes = |model: &DiceModel| {
+            let mut out = Vec::new();
+            crate::model_io::write_model(model, &mut out).unwrap();
+            out
+        };
+        let serial = ContextExtractor::new(DiceConfig::default())
+            .extract(&reg, &mut log.clone())
+            .unwrap();
+        for chunks in [1, 3, 30] {
+            let parallel = ParallelTrainer::new(DiceConfig::default())
+                .with_chunks(chunks)
+                .extract(&reg, &mut log.clone())
+                .unwrap();
+            assert_eq!(bytes(&parallel), bytes(&serial), "chunks={chunks}");
+        }
+    }
+
+    #[test]
     fn extract_between_matches_the_serial_builder() {
         let (reg, motion, temp, bulb) = mixed_home();
         let config = DiceConfig::default();
-        let mut log = mixed_log(motion, temp, bulb, 30);
-        let from = Timestamp::ZERO;
+        // Events before `from` and after `to` train the thresholds only.
+        let mut log = mixed_log(motion, temp, bulb, 40);
+        let from = Timestamp::from_mins(5);
         let to = Timestamp::from_mins(30) + TimeDelta::from_secs(30); // forces a clipped last window
         let mut trainer = ThresholdTrainer::new(&reg);
         for event in log.events() {
@@ -580,7 +785,7 @@ mod tests {
             builder.observe_window(window.start, window.end, window.events);
         }
         let serial = builder.finish().unwrap();
-        for chunks in [1, 3, 8] {
+        for chunks in [1, 3, 8, 40] {
             let parallel = ParallelTrainer::new(config.clone())
                 .with_chunks(chunks)
                 .extract_between(&reg, &mut log, from, to)
@@ -625,10 +830,8 @@ mod tests {
             BitLayout::for_registry(&reg),
             ThresholdTrainer::new(&reg).finish(),
         );
-        let partials = vec![
-            ChunkExtractor::new(&binarizer).finish(),
-            ChunkExtractor::new(&binarizer).finish(),
-        ];
+        let num_bits = binarizer.layout().num_bits();
+        let partials = vec![PartialModel::new(num_bits), PartialModel::new(num_bits)];
         let err = merge_partials(DiceConfig::default(), binarizer, 1, &partials);
         assert_eq!(err.unwrap_err(), DiceError::EmptyTrainingData);
     }

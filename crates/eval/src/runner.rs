@@ -8,8 +8,7 @@
 use std::collections::BTreeMap;
 
 use dice_core::{
-    merge_partials, Binarizer, BitLayout, CheckKind, ChunkExtractor, CostProfile, DiceConfig,
-    DiceEngine, DiceModel, FaultReport, PartialModel, ThresholdTrainer,
+    CheckKind, CostProfile, DiceConfig, DiceEngine, DiceModel, FaultReport, ParallelTrainer,
 };
 use dice_datasets::{DatasetId, SegmentPlan, TimeRange};
 use dice_faults::{
@@ -194,29 +193,11 @@ pub fn train_scenario(spec: ScenarioSpec, cfg: &RunnerConfig) -> TrainedDataset 
     }
 }
 
-/// Runs `body` as one chunk of a parallel training pass, adding its
-/// wall-clock duration to the trainer's worker-busy counter.
-fn timed_train_chunk<T>(body: impl FnOnce() -> T) -> T {
-    let telemetry = Telemetry::global();
-    let Some(recorder) = telemetry.recorder() else {
-        return body();
-    };
-    let start = std::time::Instant::now();
-    let result = body();
-    recorder
-        .metrics
-        .train
-        .worker_busy_ns
-        .add(saturating_ns(start.elapsed().as_nanos()));
-    result
-}
-
-/// Runs the two-pass precomputation phase over the training range as a
-/// parallel map-reduce: per-chunk simulation + extraction on the worker
-/// pool, then a deterministic merge. The merged model is bit-identical to
-/// one serial pass over the whole range.
+/// Runs the precomputation phase over the training range in one pass:
+/// each six-hour chunk is simulated once on the worker pool and read by
+/// [`ParallelTrainer::train_chunked`], which merges the chunks into a
+/// model bit-identical to one serial two-pass run over the whole range.
 fn train_model(sim: &Simulator, plan: &SegmentPlan, cfg: &RunnerConfig) -> DiceModel {
-    let registry = sim.registry();
     let training = plan.training();
     let window = cfg.dice.window();
     // Chunk boundaries must fall on window boundaries so the per-chunk
@@ -228,61 +209,13 @@ fn train_model(sim: &Simulator, plan: &SegmentPlan, cfg: &RunnerConfig) -> DiceM
         training.len()
     };
     let ranges = chunk_ranges(training, chunk);
-    let wall_started = std::time::Instant::now();
-
-    // Pass 1: per-chunk threshold accumulation, merged exactly.
-    let trained: Vec<ThresholdTrainer> = ranges
-        .par_iter()
-        .map(|range| {
-            timed_train_chunk(|| {
-                let mut log = sim.log_between(range.start, range.end);
-                let mut trainer = ThresholdTrainer::new(registry);
-                for event in log.events() {
-                    trainer.observe(event);
-                }
-                trainer
-            })
+    ParallelTrainer::new(cfg.dice.clone())
+        .train_chunked(sim.registry(), ranges.len(), |k, pass| {
+            let range = ranges[k];
+            let mut log = sim.log_between(range.start, range.end);
+            pass.observe_tiling(log.events(), range.start, range.end);
         })
-        .collect();
-    let mut trainer = ThresholdTrainer::new(registry);
-    for partial in &trained {
-        trainer.merge(partial);
-    }
-    let binarizer = Binarizer::new(BitLayout::for_registry(registry), trainer.finish());
-
-    // Pass 2: per-chunk window extraction with chunk-local group ids,
-    // stitched back together by the deterministic merge.
-    let partials: Vec<PartialModel> = ranges
-        .par_iter()
-        .map(|range| {
-            timed_train_chunk(|| {
-                let mut log = sim.log_between(range.start, range.end);
-                let mut extractor = ChunkExtractor::new(&binarizer);
-                for w in log.windows_between(range.start, range.end, window) {
-                    extractor.observe_window(w.start, w.end, w.events);
-                }
-                extractor.finish()
-            })
-        })
-        .collect();
-    let model = merge_partials(
-        cfg.dice.clone(),
-        binarizer,
-        registry.num_actuators(),
-        &partials,
-    )
-    .expect("training range is non-empty");
-
-    if let Some(recorder) = Telemetry::global().recorder() {
-        let train = &recorder.metrics.train;
-        train.windows_total.add(model.training_windows());
-        train.chunks_total.add(ranges.len() as u64);
-        train
-            .wall_ns
-            .add(saturating_ns(wall_started.elapsed().as_nanos()));
-        train.workers.set_max(rayon::current_num_threads() as i64);
-    }
-    model
+        .expect("training range is non-empty")
 }
 
 fn chunk_ranges(range: TimeRange, chunk: TimeDelta) -> Vec<TimeRange> {
@@ -707,7 +640,7 @@ fn record_actuator_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dice_core::ModelBuilder;
+    use dice_core::{ModelBuilder, ThresholdTrainer};
     use dice_sim::testbed;
 
     fn quick_cfg() -> RunnerConfig {
