@@ -24,7 +24,7 @@ use crate::detect::{CheckKind, CheckResult, Detector, PrevWindow, TransitionCase
 use crate::groups::Candidate;
 use crate::identify::{Identifier, IntersectionTracker};
 use crate::model::DiceModel;
-use crate::scan_sliced::ScanProfile;
+use crate::scan::ScanProfile;
 use crate::trace::{
     DecisionTrace, FlightRecorder, LineageStamp, SharedTraceSink, TraceOptions, TracePhase,
     TraceTransition, TraceVerdict,
@@ -692,13 +692,6 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
                 .set(crate::fingerprint::gauge_value(
                     model.borrow().layout().fingerprint(),
                 ));
-            // And which SIMD kernel the scan index dispatched to, so a
-            // snapshot records the hardware path its scan counters came from.
-            recorder
-                .metrics
-                .engine
-                .scan_backend
-                .set(model.borrow().scan().backend().gauge_value());
         }
         let tel_batch = options
             .telemetry
@@ -726,11 +719,6 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
     /// The model in use.
     pub fn model(&self) -> &DiceModel {
         self.model.borrow()
-    }
-
-    /// The SIMD backend the model's candidate-scan index dispatches to.
-    pub fn scan_backend(&self) -> crate::ScanBackend {
-        self.model.borrow().scan().backend()
     }
 
     /// Accumulated wall-clock cost profile.
@@ -824,7 +812,7 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
     /// Judges one window the caller already binarized, correlation-checked
     /// and — on a correlation violation — candidate-scanned, typically for
     /// many homes at once (see
-    /// [`crate::SlicedScanIndex::candidates_batch_into`]). The checks,
+    /// [`crate::ScanIndex::candidates_batch_into`]). The checks,
     /// identification and the report are bit-identical to
     /// [`DiceEngine::process_window`] on the same events.
     ///
@@ -980,9 +968,6 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
                         m.correlation_violations_total.inc();
                         m.scan_rows_total.add(u64::from(scan_profile.rows));
                         m.scan_rows_pruned_total.add(u64::from(scan_profile.pruned));
-                        m.scan_blocks_total.add(u64::from(scan_profile.blocks));
-                        m.scan_early_stops_total
-                            .add(u64::from(scan_profile.early_stops));
                         m.scan_candidates_total.add(candidates.len() as u64);
                     }
                     CheckResult::TransitionViolation { cases, .. } => {
@@ -1760,18 +1745,8 @@ mod tests {
             snapshot.counter("dice_engine_reports_total"),
             Some(reports.len() as u64)
         );
-        // Scan stats: every correlation violation scanned rows (this small
-        // model scans row-major, so block counters stay zero), and the
-        // snapshot names the dispatched backend.
+        // Scan stats: every correlation violation scanned rows.
         assert!(snapshot.counter("dice_engine_scan_rows_total").unwrap() > 0);
-        assert_eq!(snapshot.counter("dice_engine_scan_blocks_total"), Some(0));
-        assert!(snapshot
-            .counter("dice_engine_scan_early_stops_total")
-            .is_some());
-        assert_eq!(
-            snapshot.gauge("dice_engine_scan_backend"),
-            Some(engine.scan_backend().gauge_value())
-        );
         // The check-latency sketches see the same windows and nanoseconds
         // CostProfile does.
         let cost = engine.cost_profile();

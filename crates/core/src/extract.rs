@@ -18,7 +18,7 @@ use crate::error::DiceError;
 use crate::groups::GroupTable;
 use crate::layout::BitLayout;
 use crate::model::DiceModel;
-use crate::scan_sliced::SlicedScanIndex;
+use crate::scan::ScanIndex;
 use crate::transition::TransitionModel;
 
 /// Streaming builder for a [`DiceModel`].
@@ -36,7 +36,7 @@ pub struct ModelBuilder {
     windows: u64,
     /// For a resumed build: the source model's scan index and window count,
     /// so `finish` can skip the index rebuild when nothing was observed.
-    resumed: Option<(SlicedScanIndex, u64)>,
+    resumed: Option<(ScanIndex, u64)>,
 }
 
 impl ModelBuilder {

@@ -55,10 +55,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the bit-sliced scan kernels (`scan_sliced`)
-// are the single sanctioned exception, opting in at module level for the
-// runtime-dispatched `std::arch` SIMD intrinsics.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod attest;
@@ -78,16 +75,10 @@ mod layout;
 mod model;
 mod model_io;
 mod partition;
-mod scan_sliced;
-// Tests of `SlicedScanIndex`'s row-major small-table mode and of its switch
-// to bit-sliced planes, named after the `ScanIndex` / `RoutedScanIndex` types
-// whose behaviour the one index took over.
-#[cfg(test)]
-#[path = "scan_row_major_tests.rs"]
 mod scan;
 #[cfg(test)]
-#[path = "scan_mode_tests.rs"]
-mod scan_routed;
+#[path = "scan_sliced_tests.rs"]
+mod scan_sliced;
 mod stats;
 pub mod trace;
 mod train_par;
@@ -113,10 +104,7 @@ pub use model_io::{
     read_model, read_model_unverified, write_model, ModelIoError, MODEL_FORMAT_VERSION, MODEL_MAGIC,
 };
 pub use partition::{Partition, PartitionedEngine, PartitionedModel};
-pub use scan_sliced::{
-    ScanBackend, ScanProfile, SlicedScanIndex, BLOCK_LANES, MAX_SLICED_DISTANCE, SCAN_BACKEND_ENV,
-    SCAN_CROSSOVER_GROUPS,
-};
+pub use scan::{ScanBackend, ScanIndex, ScanProfile};
 pub use stats::{ExactSum, MeanAccumulator, RunningMean, WindowStats};
 pub use trace::{
     parse_trace_jsonl, render_explain, write_header_line, write_trace_jsonl, write_trace_line,

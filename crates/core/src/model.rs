@@ -8,7 +8,7 @@ use crate::binarize::Binarizer;
 use crate::config::DiceConfig;
 use crate::groups::GroupTable;
 use crate::layout::BitLayout;
-use crate::scan_sliced::SlicedScanIndex;
+use crate::scan::ScanIndex;
 use crate::transition::TransitionModel;
 
 /// Everything DICE precomputes (Figure 3.2, left half): the binarizer with
@@ -26,11 +26,10 @@ pub struct DiceModel {
     transitions: TransitionModel,
     num_actuators: usize,
     training_windows: u64,
-    /// Scan mirror of `groups` for the hot candidate scan — row-major below
-    /// the crossover, bit-sliced at or above it; derived state, rebuilt from
-    /// the table on construction and after deserialization.
+    /// Scan mirror of `groups` for the hot candidate scan; derived state,
+    /// rebuilt from the table on construction and after deserialization.
     #[serde(skip)]
-    scan: SlicedScanIndex,
+    scan: ScanIndex,
 }
 
 impl DiceModel {
@@ -45,7 +44,7 @@ impl DiceModel {
         num_actuators: usize,
         training_windows: u64,
     ) -> Self {
-        let scan = SlicedScanIndex::build(&groups);
+        let scan = ScanIndex::build(&groups);
         DiceModel {
             config,
             binarizer,
@@ -82,9 +81,8 @@ impl DiceModel {
         &self.transitions
     }
 
-    /// The candidate-scan index over the group table (see
-    /// [`SlicedScanIndex`] for its two size modes).
-    pub fn scan(&self) -> &SlicedScanIndex {
+    /// The candidate-scan index over the group table (see [`ScanIndex`]).
+    pub fn scan(&self) -> &ScanIndex {
         &self.scan
     }
 
@@ -140,7 +138,7 @@ impl DiceModel {
     /// group map and the packed scan index.
     pub fn rebuild_index(&mut self) {
         self.groups.rebuild_index_public();
-        self.scan = SlicedScanIndex::build(&self.groups);
+        self.scan = ScanIndex::build(&self.groups);
     }
 
     /// Fraction of training windows that fell in `group`, an empirical prior
@@ -168,7 +166,7 @@ impl DiceModel {
         Binarizer,
         GroupTable,
         TransitionModel,
-        SlicedScanIndex,
+        ScanIndex,
     ) {
         (
             self.config,
@@ -192,7 +190,7 @@ impl DiceModel {
         transitions: TransitionModel,
         num_actuators: usize,
         training_windows: u64,
-        scan: SlicedScanIndex,
+        scan: ScanIndex,
     ) -> Self {
         debug_assert_eq!(
             scan.len(),

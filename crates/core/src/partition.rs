@@ -243,15 +243,6 @@ impl<'m> PartitionedEngine<'m> {
         }
     }
 
-    /// The SIMD backend the partition engines' scan indexes dispatch to.
-    /// Dispatch is per-process (one CPU, one detection), so every partition
-    /// shares one backend.
-    pub fn scan_backend(&self) -> crate::ScanBackend {
-        self.engines
-            .first()
-            .map_or_else(crate::ScanBackend::detect, |(_, e)| e.scan_backend())
-    }
-
     /// Processes one window across all partitions; returns every report
     /// (device ids global) raised in this window.
     pub fn process_window(

@@ -1,8 +1,7 @@
 //! The `bench-json` command: a tracked benchmark baseline.
 //!
 //! Measures the candidate-scan hot path — the naive [`GroupTable`] scan
-//! against the model's [`SlicedScanIndex`] (single-query and batched, with
-//! the dispatched SIMD backend recorded) —
+//! against the model's [`ScanIndex`] (single-query and batched) —
 //! at hh102 width (33 binary + 79 numeric sensors = 270 state bits) across
 //! group-table sizes, plus parallel training, static analysis, and the
 //! telemetry, time-series and fleet-tracing overheads (all three on one
@@ -18,7 +17,7 @@ use std::time::Instant;
 
 use dice_core::{
     BitSet, DiceConfig, DiceEngine, DiceModel, EngineOptions, GroupTable, ParallelTrainer,
-    ScanBackend, SlicedScanIndex, SCAN_CROSSOVER_GROUPS,
+    ScanIndex,
 };
 use dice_fleet::{FleetConfig, ModelCache};
 use dice_sim::testbed;
@@ -44,7 +43,6 @@ struct ScanRow {
     naive_ns: f64,
     index_ns: f64,
     batch_ns: f64,
-    backend: &'static str,
 }
 
 impl ScanRow {
@@ -125,12 +123,11 @@ fn time_ns(mut f: impl FnMut() -> usize) -> f64 {
 fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
     let queries = synthetic_queries(num_bits, 32);
     let query_refs: Vec<&BitSet> = queries.iter().collect();
-    let backend = ScanBackend::detect().name();
     sizes
         .iter()
         .map(|&groups| {
             let table = synthetic_table(num_bits, groups);
-            let index = SlicedScanIndex::build(&table);
+            let index = ScanIndex::build(&table);
             let mut scratch = Vec::new();
             let mut batch_scratch: Vec<Vec<_>> = Vec::new();
             let naive_sweep = time_ns(|| {
@@ -165,7 +162,6 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
                 naive_ns: naive_sweep / queries.len() as f64,
                 index_ns: index_sweep / queries.len() as f64,
                 batch_ns: batch_sweep / queries.len() as f64,
-                backend,
             }
         })
         .collect()
@@ -551,23 +547,22 @@ fn render_json(
     tracing: &Overhead,
 ) -> String {
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": 2,\n");
+    json.push_str("{\n  \"schema\": 3,\n");
     let _ = writeln!(
         json,
-        "  \"candidate_scan\": {{\n    \"num_bits\": {HH102_BITS},\n    \"max_distance\": {MAX_DISTANCE},\n    \"crossover_groups\": {SCAN_CROSSOVER_GROUPS},\n    \"rows\": ["
+        "  \"candidate_scan\": {{\n    \"num_bits\": {HH102_BITS},\n    \"max_distance\": {MAX_DISTANCE},\n    \"rows\": ["
     );
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "      {{\"groups\": {}, \"naive_ns_per_scan\": {:.0}, \"index_ns_per_scan\": {:.0}, \"speedup_index\": {:.2}, \"batch_ns_per_query\": {:.0}, \"speedup_batch\": {:.2}, \"backend\": \"{}\"}}{comma}",
+            "      {{\"groups\": {}, \"naive_ns_per_scan\": {:.0}, \"index_ns_per_scan\": {:.0}, \"speedup_index\": {:.2}, \"batch_ns_per_query\": {:.0}, \"speedup_batch\": {:.2}}}{comma}",
             row.groups,
             row.naive_ns,
             row.index_ns,
             row.speedup_index(),
             row.batch_ns,
-            row.speedup_batch(),
-            row.backend
+            row.speedup_batch()
         );
     }
     json.push_str("    ]\n  },\n");
@@ -645,20 +640,15 @@ pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     for row in &rows {
         let _ = writeln!(
             out,
-            "  {:>6} groups: naive {:>9.0} ns/scan, index[{}] {:>7.0} ns/scan ({:.2}x), batch {:>7.0} ns/query ({:.2}x)",
+            "  {:>6} groups: naive {:>9.0} ns/scan, index {:>7.0} ns/scan ({:.2}x), batch {:>7.0} ns/query ({:.2}x)",
             row.groups,
             row.naive_ns,
-            row.backend,
             row.index_ns,
             row.speedup_index(),
             row.batch_ns,
             row.speedup_batch()
         );
     }
-    let _ = writeln!(
-        out,
-        "scan crossover: row-major below {SCAN_CROSSOVER_GROUPS} groups, bit-sliced at or above"
-    );
     let _ = writeln!(
         out,
         "training (hh102 scale, {} windows, {} events): serial {:.1} ms, {} workers {:.1} ms ({:.2}x, {} cores available)",
@@ -706,7 +696,7 @@ mod tests {
     #[test]
     fn naive_and_indexed_scans_agree_on_synthetic_tables() {
         let table = synthetic_table(HH102_BITS, 200);
-        let index = SlicedScanIndex::build(&table);
+        let index = ScanIndex::build(&table);
         let queries = synthetic_queries(HH102_BITS, 8);
         for query in &queries {
             assert_eq!(
@@ -729,7 +719,6 @@ mod tests {
             naive_ns: 1000.0,
             index_ns: 50.0,
             batch_ns: 40.0,
-            backend: "avx2",
         }];
         let telemetry = Overhead {
             base: 1800.0,
@@ -784,12 +773,12 @@ mod tests {
                 "training"
             ]
         );
-        assert!(json.contains("\"schema\": 2"));
+        assert!(json.contains("\"schema\": 3"));
         assert!(json.contains("\"index_ns_per_scan\": 50"));
         assert!(json.contains("\"speedup_index\": 20.00"));
         assert!(json.contains("\"batch_ns_per_query\": 40"));
         assert!(json.contains("\"speedup_batch\": 25.00"));
-        assert!(json.contains("\"backend\": \"avx2\""));
+        assert!(!json.contains("backend") && !json.contains("crossover"));
         assert!(json.contains("\"speedup\": 3.00"));
         assert!(json.contains("\"available_parallelism\": 8"));
         assert!(json.contains("\"verify_ms\": 1.25"));
@@ -797,7 +786,6 @@ mod tests {
         assert!(json.contains("\"overhead_pct\": 2.00"));
         assert!(json.contains("\"sampled_ns_per_window\": 1857"));
         assert!(json.contains("\"overhead_pct\": 3.17"));
-        assert!(json.contains("\"crossover_groups\""));
         assert!(json.contains("\"homes\": 256, \"shards\": 4, \"minutes\": 30"));
         assert!(json.contains("\"untraced_ms\": 200.0"));
         assert!(json.contains("\"traced_ms\": 204.0"));

@@ -9,7 +9,7 @@ use crate::runner::{batched_window_scans, train_dataset, RunnerConfig};
 /// Replays faultless segments and describes every violating window.
 ///
 /// Each segment is binarized up front so the candidate scans and
-/// nearest-group fallbacks run through the bit-sliced index's batch entry
+/// nearest-group fallbacks run through the scan index's batch entry
 /// points; only the prev-chained transition check stays sequential.
 ///
 /// # Errors

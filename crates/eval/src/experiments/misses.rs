@@ -10,7 +10,7 @@ use crate::runner::{batched_window_scans, run_faulty_segment, train_dataset, Run
 /// Counts violating windows in a log range (detector-only, no engine).
 ///
 /// Binarizes the whole range first so the candidate scans and nearest-group
-/// fallbacks run through the bit-sliced index's batch entry points; only the
+/// fallbacks run through the scan index's batch entry points; only the
 /// prev-chained transition check stays sequential.
 fn count_violations(
     td: &crate::runner::TrainedDataset,

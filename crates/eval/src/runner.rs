@@ -113,7 +113,7 @@ pub(crate) struct WindowScan {
 /// The correlation outcome, candidate list, and nearest-group fallback
 /// depend only on each window's own state set — not on the previous-window
 /// chain — so a replay can binarize every window first and answer all scan
-/// queries through [`SlicedScanIndex`](dice_core::SlicedScanIndex)'s batch
+/// queries through [`ScanIndex`](dice_core::ScanIndex)'s batch
 /// entry points: one `candidates_batch_into` over the violating windows,
 /// then one `nearest_batch_into` over the slots that came back empty.
 /// Returns `None` for windows with an exact group match.

@@ -13,8 +13,8 @@
 //!   one `Arc<DiceModel>`, so model memory scales with distinct plans,
 //!   not homes.
 //! - **Batched detection** ([`shard`]): each shard collects ready windows
-//!   across its homes and resolves their candidate scans through the
-//!   bit-sliced batch scan entry points, then drives per-home engines
+//!   across its homes and resolves their candidate scans through the scan
+//!   index's batch entry points, then drives per-home engines
 //!   bit-identically to the unbatched path.
 //! - **The service** ([`service`]): thread-per-shard with bounded queues
 //!   and back-pressure accounting; alarm output is invariant under the

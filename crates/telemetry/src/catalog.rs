@@ -50,14 +50,6 @@ pub struct EngineMetrics {
     pub scan_rows_total: Arc<Counter>,
     /// Group rows skipped by the popcount prefilter before any XOR work.
     pub scan_rows_pruned_total: Arc<Counter>,
-    /// Bit-sliced blocks visited by candidate scans.
-    pub scan_blocks_total: Arc<Counter>,
-    /// Bit-sliced blocks abandoned early, every lane saturated past the
-    /// distance threshold.
-    pub scan_early_stops_total: Arc<Counter>,
-    /// SIMD backend the active engine's scan index dispatches to
-    /// (0 = scalar, 1 = SSE2, 2 = AVX2).
-    pub scan_backend: Arc<Gauge>,
     /// Candidate groups admitted by candidate scans.
     pub scan_candidates_total: Arc<Counter>,
     /// Fault reports emitted.
@@ -116,18 +108,6 @@ impl EngineMetrics {
             scan_rows_pruned_total: r.counter(
                 "dice_engine_scan_rows_pruned_total",
                 "Group rows pruned by the popcount prefilter",
-            ),
-            scan_blocks_total: r.counter(
-                "dice_engine_scan_blocks_total",
-                "Bit-sliced blocks visited by candidate scans",
-            ),
-            scan_early_stops_total: r.counter(
-                "dice_engine_scan_early_stops_total",
-                "Bit-sliced blocks abandoned early with every lane saturated",
-            ),
-            scan_backend: r.gauge(
-                "dice_engine_scan_backend",
-                "Scan SIMD backend (0 scalar, 1 SSE2, 2 AVX2)",
             ),
             scan_candidates_total: r.counter(
                 "dice_engine_scan_candidates_total",

@@ -12,8 +12,9 @@ use crate::ring::{EventRing, TelemetryEvent};
 /// The JSON snapshot schema version. Bump when keys change shape.
 /// Schema 2 added the `sketches` and `families` sections; schema 3 added
 /// `sketch_families`; schema 4 dropped the fixed-bucket section, every
-/// distribution now being a sketch.
-pub const SNAPSHOT_SCHEMA: u32 = 4;
+/// distribution now being a sketch; schema 5 dropped the bit-sliced scan's
+/// block counters and backend gauge.
+pub const SNAPSHOT_SCHEMA: u32 = 5;
 
 /// Whether `name` is a valid Prometheus metric name
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
@@ -869,6 +870,35 @@ mod tests {
             );
         let err = validate_snapshot_json(&schema_3).unwrap_err();
         assert!(err.contains("schema version 3"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_schema_4_documents() {
+        // A well-formed schema-4 export: every current metric plus the
+        // retired scan-block counters and backend gauge. Only the version
+        // tells them apart.
+        let (registry, events) = sample();
+        let current = Snapshot::collect(&registry, &events).to_json();
+        validate_snapshot_json(&current).unwrap();
+        let schema_4 = current
+            .replacen(
+                &format!("\"schema\": {SNAPSHOT_SCHEMA}"),
+                "\"schema\": 4",
+                1,
+            )
+            .replacen(
+                "\"counters\": {\n",
+                "\"counters\": {\n    \"dice_engine_scan_blocks_total\": 0,\n    \
+                 \"dice_engine_scan_early_stops_total\": 0,\n",
+                1,
+            )
+            .replacen(
+                "\"gauges\": {\n",
+                "\"gauges\": {\n    \"dice_engine_scan_backend\": 2,\n",
+                1,
+            );
+        let err = validate_snapshot_json(&schema_4).unwrap_err();
+        assert!(err.contains("schema version 4"), "{err}");
     }
 
     #[test]

@@ -58,21 +58,6 @@ pub enum RuleCheck {
         /// Crit at or above this rate.
         crit: f64,
     },
-    /// The ratio `numerator / denominator` collapsing *below* the
-    /// thresholds (e.g. a prefilter that stopped pruning).
-    CounterRatioBelow {
-        /// Counter whose collapse is the symptom.
-        numerator: &'static str,
-        /// Counter providing the base volume.
-        denominator: &'static str,
-        /// Warn at or below this ratio.
-        warn: f64,
-        /// Crit at or below this ratio.
-        crit: f64,
-        /// Below this denominator the rule reports Ok with an
-        /// "insufficient data" note instead of judging noise.
-        min_denominator: u64,
-    },
     /// A gauge rising past the thresholds.
     GaugeAbove {
         /// The gauge name.
@@ -171,18 +156,6 @@ pub fn standard_rules() -> Vec<HealthRule> {
             },
         },
         HealthRule {
-            id: "scan_early_stop_collapse",
-            help: "bit-sliced scan early-stop ratio collapsed",
-            deterministic: true,
-            check: RuleCheck::CounterRatioBelow {
-                numerator: "dice_engine_scan_early_stops_total",
-                denominator: "dice_engine_scan_blocks_total",
-                warn: 0.01,
-                crit: 0.001,
-                min_denominator: 1_000,
-            },
-        },
-        HealthRule {
             id: "channel_depth_high_water",
             help: "aggregator channels close to capacity at a window close",
             deterministic: false,
@@ -247,16 +220,6 @@ fn grade_above_f64(value: f64, warn: f64, crit: f64) -> HealthStatus {
     }
 }
 
-fn grade_below_f64(value: f64, warn: f64, crit: f64) -> HealthStatus {
-    if value <= crit {
-        HealthStatus::Crit
-    } else if value <= warn {
-        HealthStatus::Warn
-    } else {
-        HealthStatus::Ok
-    }
-}
-
 /// The median of `values` (mean of the middle pair for even sizes).
 /// Returns 0 for an empty slice.
 fn median_f64(values: &mut [f64]) -> f64 {
@@ -286,28 +249,6 @@ fn check_rule(check: &RuleCheck, snapshot: &Snapshot) -> (HealthStatus, String) 
             (
                 grade_above_f64(rate, *warn, *crit),
                 format!("{rate:.4} ({dropped} dropped of {total})"),
-            )
-        }
-        RuleCheck::CounterRatioBelow {
-            numerator,
-            denominator,
-            warn,
-            crit,
-            min_denominator,
-        } => {
-            let num = snapshot.counter(numerator).unwrap_or(0);
-            let den = snapshot.counter(denominator).unwrap_or(0);
-            if den < *min_denominator {
-                return (
-                    HealthStatus::Ok,
-                    format!("insufficient data ({den} < {min_denominator})"),
-                );
-            }
-            #[allow(clippy::cast_precision_loss)]
-            let ratio = num as f64 / den as f64;
-            (
-                grade_below_f64(ratio, *warn, *crit),
-                format!("{ratio:.4} ({num} of {den})"),
             )
         }
         RuleCheck::GaugeAbove { name, warn, crit } => {
@@ -603,31 +544,6 @@ mod tests {
             .find(|r| r.id == "fleet_shard_depth_straggler")
             .unwrap();
         assert_eq!(row.status, Some(HealthStatus::Crit), "{}", row.observed);
-    }
-
-    #[test]
-    fn ratio_collapse_needs_volume() {
-        let telemetry = Telemetry::recording();
-        let recorder = telemetry.recorder().unwrap();
-        // Below min_denominator: insufficient data, Ok.
-        recorder.metrics.engine.scan_blocks_total.add(10);
-        let report = evaluate(&standard_rules(), &telemetry.snapshot().unwrap(), false);
-        let row = report
-            .rows
-            .iter()
-            .find(|r| r.id == "scan_early_stop_collapse")
-            .unwrap();
-        assert_eq!(row.status, Some(HealthStatus::Ok));
-        assert!(row.observed.contains("insufficient data"));
-        // Volume without early stops: collapse, Crit.
-        recorder.metrics.engine.scan_blocks_total.add(10_000);
-        let report = evaluate(&standard_rules(), &telemetry.snapshot().unwrap(), false);
-        let row = report
-            .rows
-            .iter()
-            .find(|r| r.id == "scan_early_stop_collapse")
-            .unwrap();
-        assert_eq!(row.status, Some(HealthStatus::Crit));
     }
 
     #[test]

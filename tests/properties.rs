@@ -3,9 +3,8 @@
 use dice_core::{
     parse_trace_jsonl, read_model, write_model, write_trace_jsonl, BitSet, ContextExtractor,
     DecisionTrace, DiceConfig, DiceEngine, DiceModel, EngineOptions, FaultReport, GroupTable,
-    ParallelTrainer, ScanBackend, ScanProfile, SlicedScanIndex, TraceHeader, TraceLog,
-    TraceOptions, TracePhase, TraceTransition, TraceVerdict, TransitionCase, TransitionCounts,
-    BLOCK_LANES, SCAN_CROSSOVER_GROUPS,
+    ParallelTrainer, ScanIndex, ScanProfile, TraceHeader, TraceLog, TraceOptions, TracePhase,
+    TraceTransition, TraceVerdict, TransitionCase, TransitionCounts,
 };
 use dice_telemetry::Telemetry;
 use dice_types::{
@@ -131,82 +130,51 @@ fn bitset_strategy(len: usize) -> impl Strategy<Value = BitSet> {
     })
 }
 
-/// Checks every [`SlicedScanIndex`] entry point against the naive scan of
-/// `table` on each available backend: candidates, nearest ties, batch
-/// results, and profiles that match across backends and sum over a batch.
-/// `planes` is whether `table` is at or above the bit-sliced crossover;
-/// `stored` is a state of the table, so its candidate scan has a hit.
+/// Checks every [`ScanIndex`] entry point against the naive scan of
+/// `table`: candidates, nearest ties, batch results, and profiles that sum
+/// over a batch. `stored` is a state of the table, so its candidate scan
+/// has a hit.
 fn assert_scans_match_naive(
     table: &GroupTable,
     query: &BitSet,
     near: &BitSet,
     stored: &BitSet,
     max_distance: u32,
-    planes: bool,
 ) {
-    assert_eq!(table.len() >= SCAN_CROSSOVER_GROUPS, planes);
     let naive_candidates = table.candidates(query, max_distance);
     let naive_nearest = table.nearest(query);
     let batch_queries = [query, near, stored];
-    let mut reference_profiles = None;
-    for backend in ScanBackend::available() {
-        let index = SlicedScanIndex::with_backend(table, backend);
-        assert_eq!(index.len(), table.len());
-        assert_eq!(index.backend(), backend);
+    let index = ScanIndex::build(table);
+    assert_eq!(index.len(), table.len());
 
-        let mut candidates = Vec::new();
-        let profile = index.candidates_into(query, max_distance, &mut candidates);
-        assert_eq!(&candidates, &naive_candidates);
-        let mut nearest = Vec::new();
-        let nearest_profile = index.nearest_into(query, &mut nearest);
-        assert_eq!(&nearest, &naive_nearest);
-        match reference_profiles {
-            None => reference_profiles = Some((profile, nearest_profile)),
-            Some((p, np)) => {
-                assert_eq!(
-                    p,
-                    profile,
-                    "candidate profile differs on {}",
-                    backend.name()
-                );
-                assert_eq!(
-                    np,
-                    nearest_profile,
-                    "nearest profile differs on {}",
-                    backend.name()
-                );
-            }
-        }
-        // Bit planes run exactly when the table is at or above the crossover.
-        let mut scratch = Vec::new();
-        let stored_profile = index.candidates_into(stored, max_distance, &mut scratch);
-        assert_eq!(
-            stored_profile.blocks > 0,
-            planes,
-            "mode on {}",
-            backend.name()
-        );
+    let mut candidates = Vec::new();
+    let _ = index.candidates_into(query, max_distance, &mut candidates);
+    assert_eq!(&candidates, &naive_candidates);
+    let mut nearest = Vec::new();
+    let _ = index.nearest_into(query, &mut nearest);
+    assert_eq!(&nearest, &naive_nearest);
+    let mut scratch = Vec::new();
+    let _ = index.candidates_into(stored, max_distance, &mut scratch);
 
-        // Scratch reuse: a dirty buffer from a previous query must not leak
-        // into the next result.
-        let _ = index.candidates_into(query, max_distance, &mut scratch);
-        assert_eq!(&scratch, &naive_candidates);
+    // Scratch reuse: a dirty buffer from a previous query must not leak
+    // into the next result.
+    let _ = index.candidates_into(query, max_distance, &mut scratch);
+    assert_eq!(&scratch, &naive_candidates);
 
-        let mut candidate_batch = Vec::new();
-        let batch_profile =
-            index.candidates_batch_into(&batch_queries, max_distance, &mut candidate_batch);
-        let mut summed = ScanProfile::default();
-        for (q, slots) in batch_queries.iter().zip(&candidate_batch) {
-            assert_eq!(slots, &table.candidates(q, max_distance));
-            summed.absorb(index.candidates_into(q, max_distance, &mut scratch));
-        }
-        assert_eq!(batch_profile, summed, "batch profile is the sum of singles");
+    let mut candidate_batch = Vec::new();
+    let batch_profile =
+        index.candidates_batch_into(&batch_queries, max_distance, &mut candidate_batch);
+    let mut summed = ScanProfile::default();
+    for (q, slots) in batch_queries.iter().zip(&candidate_batch) {
+        assert_eq!(slots, &table.candidates(q, max_distance));
+        summed.absorb(index.candidates_into(q, max_distance, &mut scratch));
+    }
+    assert_eq!(batch_profile, summed, "batch profile is the sum of singles");
 
-        let mut nearest_batch = Vec::new();
-        let _ = index.nearest_batch_into(&batch_queries, &mut nearest_batch);
-        for (q, slots) in batch_queries.iter().zip(&nearest_batch) {
-            assert_eq!(slots, &table.nearest(q));
-        }
+    let mut nearest_batch = Vec::new();
+    let _ = index.nearest_batch_into(&batch_queries, &mut nearest_batch);
+    for (q, slots) in batch_queries.iter().zip(&nearest_batch) {
+        assert_eq!(slots, &table.nearest(q));
     }
 }
 
@@ -276,16 +244,15 @@ proptest! {
 
     /// The scan index agrees exactly with the naive group-table scan for any
     /// table, query, and threshold — including the ordering of candidates
-    /// and nearest-tie sets — on every backend this CPU supports. Each case
-    /// checks both size modes: a small row-major table (`states`) and one
-    /// at or above the crossover whose bit planes span two blocks (`states`
-    /// plus `extra`). Width 130 exercises multi-word rows.
+    /// and nearest-tie sets. Each case checks two table sizes: a small one
+    /// (`states`) and one of at least 160 groups (`states` plus `extra`).
+    /// Width 130 exercises multi-word rows.
     #[test]
     fn scan_index_matches_naive_table(
         states in prop::collection::vec(bitset_strategy(130), 1..50),
         extra in prop::collection::vec(
             bitset_strategy(130),
-            SCAN_CROSSOVER_GROUPS..BLOCK_LANES + 64,
+            160..320,
         ),
         query in bitset_strategy(130),
         flips in prop::collection::vec(0usize..130, 1..6),
@@ -300,11 +267,11 @@ proptest! {
         for state in &states {
             table.observe(state);
         }
-        assert_scans_match_naive(&table, &query, &near, &states[0], max_distance, false);
+        assert_scans_match_naive(&table, &query, &near, &states[0], max_distance);
         for state in &extra {
             table.observe(state);
         }
-        assert_scans_match_naive(&table, &query, &near, &states[0], max_distance, true);
+        assert_scans_match_naive(&table, &query, &near, &states[0], max_distance);
     }
 
     /// Transition probabilities per row sum to one (over observed columns).
