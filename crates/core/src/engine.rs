@@ -325,20 +325,82 @@ pub struct WindowPrescan<'a> {
     pub profile: ScanProfile,
 }
 
+/// The identification phase of one home's state machine. The
+/// `Identifying` payload is boxed, so a monitoring home — nearly every home
+/// nearly all the time — pays one pointer for it.
 #[derive(Debug, Clone)]
 enum Phase {
     Monitoring,
-    Identifying {
-        detected_at: Timestamp,
-        detected_by: CheckKind,
-        detail: Option<DetectionDetail>,
-        tracker: IntersectionTracker,
-        windows_since_detection: usize,
-        violations_seen: usize,
-    },
+    Identifying(Box<Identifying>),
 }
 
-/// The online detection & identification engine.
+impl Phase {
+    /// The phase as a trace discriminant.
+    fn traced(&self) -> TracePhase {
+        match self {
+            Phase::Monitoring => TracePhase::Monitoring,
+            Phase::Identifying(_) => TracePhase::Identifying,
+        }
+    }
+}
+
+/// A detected, not yet reported fault being narrowed down (Section 3.4).
+#[derive(Debug, Clone)]
+struct Identifying {
+    detected_at: Timestamp,
+    detected_by: CheckKind,
+    detail: Option<DetectionDetail>,
+    tracker: IntersectionTracker,
+    windows_since_detection: usize,
+    violations_seen: usize,
+}
+
+/// What one home's engine remembers between windows: the identification
+/// phase, the previous window's summary, stale suspects, and the decision
+/// tracer. Everything else an engine needs — options, scratch buffers, the
+/// [`CostProfile`] and telemetry buffers — lives in [`EngineMachinery`],
+/// which one thread shares across every session it judges.
+///
+/// Sessions come from [`EngineMachinery::session`]. A session is only
+/// ever judged against the model it was created for.
+#[derive(Debug, Clone)]
+pub struct EngineSession {
+    phase: Phase,
+    prev: Option<PrevWindow>,
+    /// An unconfirmed detection whose confirmation horizon expired: the
+    /// suspected devices and when/how they were first implicated. A later
+    /// violation implicating one of the same devices confirms it — slow
+    /// faults (a stuck sensor noticed only at context changes) violate
+    /// hours apart but always point at the same device, while unrelated
+    /// context blips implicate unrelated devices.
+    stale: Option<Box<StaleSuspects>>,
+    /// Flight recorder + sink; `None` when tracing is disabled, making the
+    /// disabled path a single branch per window. The ring is this home's
+    /// alarm evidence, so it is never shared between sessions.
+    tracer: Option<Box<Tracer>>,
+}
+
+/// What a thread needs once to judge windows for any number of
+/// [`EngineSession`]s: the engine options, the reusable observation,
+/// binarize and candidate buffers, the [`CostProfile`], and the
+/// telemetry batch. A [`DiceEngine`] owns one machinery and one session; a
+/// fleet shard owns one machinery and one session per home.
+#[derive(Debug, Clone)]
+pub struct EngineMachinery {
+    options: EngineOptions,
+    cost: CostProfile,
+    /// Reusable window-observation buffer; with `bin_scratch` and
+    /// `cand_scratch` it makes the steady-state window path allocation-free.
+    obs_scratch: WindowObservation,
+    bin_scratch: BinarizeScratch,
+    cand_scratch: Vec<Candidate>,
+    /// Local batching buffers for the every-window metrics; `None` when
+    /// telemetry is disabled.
+    tel_batch: Option<TelBatch>,
+}
+
+/// The online detection & identification engine: one [`EngineMachinery`]
+/// judging one [`EngineSession`] against one model.
 ///
 /// Generic over any handle to a [`DiceModel`] (`&DiceModel`,
 /// `Arc<DiceModel>`, `Box<DiceModel>`, ...).
@@ -369,31 +431,11 @@ enum Phase {
 #[derive(Debug, Clone)]
 pub struct DiceEngine<M: Borrow<DiceModel>> {
     model: M,
-    options: EngineOptions,
-    phase: Phase,
-    prev: Option<PrevWindow>,
-    cost: CostProfile,
-    /// An unconfirmed detection whose confirmation horizon expired: the
-    /// suspected devices and when/how they were first implicated. A later
-    /// violation implicating one of the same devices confirms it — slow
-    /// faults (a stuck sensor noticed only at context changes) violate
-    /// hours apart but always point at the same device, while unrelated
-    /// context blips implicate unrelated devices.
-    stale: Option<StaleSuspects>,
-    /// Reusable window-observation buffer; with `bin_scratch` and
-    /// `cand_scratch` it makes the steady-state window path allocation-free.
-    obs_scratch: WindowObservation,
-    bin_scratch: BinarizeScratch,
-    cand_scratch: Vec<Candidate>,
-    /// Local batching buffers for the every-window metrics; `None` when
-    /// telemetry is disabled.
-    tel_batch: Option<TelBatch>,
-    /// Flight recorder + sink; `None` when tracing is disabled, making the
-    /// disabled path a single branch per window.
-    tracer: Option<Tracer>,
+    machinery: EngineMachinery,
+    session: EngineSession,
 }
 
-/// Engine-local telemetry buffers for the metrics touched on every window
+/// Machinery-local telemetry buffers for the metrics touched on every window
 /// (the three check-latency sketches, whole-window detection time, and the
 /// windows / main-group-hit counters): the hot path does plain integer
 /// bumps, published every [`TelBatch::FLUSH_EVERY`] windows, at stream
@@ -448,7 +490,7 @@ impl TelBatch {
 
 impl Clone for TelBatch {
     /// A clone starts with empty buffers against the same shared metrics:
-    /// buffered samples belong to the engine that measured them.
+    /// buffered samples belong to the machinery that measured them.
     fn clone(&self) -> Self {
         TelBatch {
             corr_ns: LocalSketch::new(Arc::clone(self.corr_ns.shared())),
@@ -509,9 +551,9 @@ struct StaleSuspects {
     devices: std::collections::BTreeSet<DeviceId>,
 }
 
-/// Per-engine tracing state: the flight recorder plus the knobs and sinks
-/// from [`TraceOptions`]. `None` on the engine when tracing is disabled, so
-/// the steady-state cost of "off" is one `Option` discriminant check.
+/// Per-session tracing state: the flight recorder plus the knobs and sinks
+/// from [`TraceOptions`]. `None` on the session when tracing is disabled,
+/// so the steady-state cost of "off" is one `Option` discriminant check.
 struct Tracer {
     recorder: FlightRecorder,
     top_k: usize,
@@ -681,38 +723,12 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
 
     /// Creates an engine with explicit options.
     pub fn with_options(model: M, options: EngineOptions) -> Self {
-        if let Some(recorder) = options.telemetry.recorder() {
-            // Publish the model's layout fingerprint so telemetry snapshots
-            // are checkable against the model/trace artifacts they were
-            // recorded with (dice-lint's cross-artifact mode).
-            recorder
-                .metrics
-                .engine
-                .model_layout_fingerprint
-                .set(crate::fingerprint::gauge_value(
-                    model.borrow().layout().fingerprint(),
-                ));
-        }
-        let tel_batch = options
-            .telemetry
-            .recorder()
-            .map(|r| TelBatch::new(&r.metrics.engine));
-        let tracer = options
-            .trace
-            .enabled
-            .then(|| Tracer::new(&options.trace, &options.telemetry));
+        let machinery = EngineMachinery::new(options);
+        let session = machinery.session(model.borrow());
         DiceEngine {
             model,
-            options,
-            phase: Phase::Monitoring,
-            prev: None,
-            cost: CostProfile::default(),
-            stale: None,
-            obs_scratch: WindowObservation::default(),
-            bin_scratch: BinarizeScratch::default(),
-            cand_scratch: Vec::new(),
-            tel_batch,
-            tracer,
+            machinery,
+            session,
         }
     }
 
@@ -723,20 +739,20 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
 
     /// Accumulated wall-clock cost profile.
     pub fn cost_profile(&self) -> CostProfile {
-        self.cost
+        self.machinery.cost
     }
 
     /// Resets phase, previous-window context, and cost accounting.
     pub fn reset(&mut self) {
-        self.phase = Phase::Monitoring;
-        self.prev = None;
-        self.cost = CostProfile::default();
-        self.stale = None;
+        self.session.phase = Phase::Monitoring;
+        self.session.prev = None;
+        self.session.stale = None;
+        self.machinery.cost = CostProfile::default();
     }
 
     /// Whether the engine is currently narrowing down a detected fault.
     pub fn is_identifying(&self) -> bool {
-        matches!(self.phase, Phase::Identifying { .. })
+        matches!(self.session.phase, Phase::Identifying(_))
     }
 
     /// Flushes a pending identification, e.g. at the end of a replayed
@@ -744,42 +760,7 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
     /// intersection has not narrowed below `numThre` yet, the current
     /// intersection is reported as inconclusive.
     pub fn flush(&mut self) -> Option<FaultReport> {
-        if let Some(batch) = self.tel_batch.as_mut() {
-            batch.flush();
-        }
-        let confirm = self.model.borrow().config().confirmation_violations();
-        let phase = std::mem::replace(&mut self.phase, Phase::Monitoring);
-        match phase {
-            Phase::Monitoring => None,
-            Phase::Identifying {
-                detected_at,
-                detected_by,
-                detail,
-                tracker,
-                windows_since_detection,
-                violations_seen,
-            } => {
-                if violations_seen < confirm {
-                    return None; // unconfirmed blip
-                }
-                let devices = tracker.current().cloned().unwrap_or_default();
-                let mut report = FaultReport {
-                    detected_at,
-                    identified_at: detected_at,
-                    detected_by,
-                    devices: devices.into_iter().collect(),
-                    conclusive: false,
-                    windows_examined: windows_since_detection,
-                    detail,
-                    evidence: Vec::new(),
-                    lineage: None,
-                };
-                if let Some(tracer) = self.tracer.as_ref() {
-                    report.evidence = tracer.recorder.last_n(tracer.snapshot_last);
-                }
-                Some(report)
-            }
-        }
+        self.machinery.flush(self.model.borrow(), &mut self.session)
     }
 
     /// Processes one window of raw events; returns a report when
@@ -795,18 +776,8 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         end: Timestamp,
         events: &[Event],
     ) -> Option<FaultReport> {
-        // Binarization counts toward the correlation check's cost.
-        let laps = Laps::started();
-        let model = self.model.borrow();
-        let mut obs = std::mem::take(&mut self.obs_scratch);
-        model
-            .binarizer()
-            .binarize_into(start, end, events, &mut self.bin_scratch, &mut obs);
-        let main = Detector::new(model).correlation_check(&obs);
-        let report = self.judge(&obs, main, None, laps);
-        // Reclaim the scratch buffer (capacity survives for the next window).
-        self.obs_scratch = obs;
-        report
+        self.machinery
+            .process_window(self.model.borrow(), &mut self.session, start, end, events)
     }
 
     /// Judges one window the caller already binarized, correlation-checked
@@ -823,9 +794,310 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         obs: &WindowObservation,
         prescan: WindowPrescan<'_>,
     ) -> Option<FaultReport> {
+        self.machinery
+            .process_observation(self.model.borrow(), &mut self.session, obs, prescan)
+    }
+
+    /// Convenience: processes every `config.window()`-sized window of a log,
+    /// collecting all reports. Windows are aligned to the log's first event.
+    pub fn process_log(&mut self, log: &mut dice_types::EventLog) -> Vec<FaultReport> {
+        let duration = self.model.borrow().config().window();
+        // Collect windows eagerly to avoid borrowing `log` across `self`.
+        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
+            .windows(duration)
+            .map(|w| (w.start, w.end, w.events.to_vec()))
+            .collect();
+        self.process_collected(windows)
+    }
+
+    /// Processes every window tiling exactly `[from, to)`, including silent
+    /// windows with no events — a quiet home is itself a context, so gaps
+    /// must be checked too.
+    pub fn process_range(
+        &mut self,
+        log: &mut dice_types::EventLog,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Vec<FaultReport> {
+        let duration = self.model.borrow().config().window();
+        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
+            .windows_between(from, to, duration)
+            .map(|w| (w.start, w.end, w.events.to_vec()))
+            .collect();
+        self.process_collected(windows)
+    }
+
+    fn process_collected(
+        &mut self,
+        windows: Vec<(Timestamp, Timestamp, Vec<Event>)>,
+    ) -> Vec<FaultReport> {
+        let mut reports = Vec::new();
+        for (start, end, events) in windows {
+            if let Some(report) = self.process_window(start, end, &events) {
+                reports.push(report);
+            }
+        }
+        // Publish batched samples at the stream boundary so a snapshot
+        // taken right after a replay sees every window.
+        self.machinery.flush_telemetry();
+        reports
+    }
+}
+
+impl EngineSession {
+    /// Runs the phase state machine for one checked window.
+    fn advance_phase(
+        &mut self,
+        model: &DiceModel,
+        options: &EngineOptions,
+        obs: &WindowObservation,
+        result: &CheckResult,
+        window_end: Timestamp,
+    ) -> Option<FaultReport> {
+        let identifier = Identifier::new(model);
+        let num_thre = model.config().num_thre();
+        let budget = model.config().max_identification_windows();
+        let confirm = model.config().confirmation_violations();
+        let horizon = model.config().confirmation_horizon_windows();
+
+        let phase = std::mem::replace(&mut self.phase, Phase::Monitoring);
+        match phase {
+            Phase::Monitoring => {
+                let kind = result.violated_check()?;
+                let detail = detection_detail(model, result);
+                let probable = identifier.probable_devices(self.prev.as_ref(), obs, result);
+
+                // A fresh violation implicating a stale suspect confirms it.
+                if let Some(stale) = &self.stale {
+                    let overlap: std::collections::BTreeSet<DeviceId> = stale
+                        .devices
+                        .intersection(&probable.devices)
+                        .copied()
+                        .collect();
+                    if !overlap.is_empty() {
+                        // Report evidence credits the original detection.
+                        let (detected_at, detected_by, detail) =
+                            (stale.detected_at, stale.detected_by, stale.detail);
+                        self.stale = None;
+                        let mut tracker = IntersectionTracker::new();
+                        tracker.feed(&overlap);
+                        if tracker.converged(num_thre) {
+                            let devices = tracker.current().cloned().unwrap_or_default();
+                            return Some(FaultReport {
+                                detected_at,
+                                identified_at: window_end,
+                                detected_by,
+                                devices: devices.into_iter().collect(),
+                                conclusive: true,
+                                windows_examined: 2,
+                                detail,
+                                evidence: Vec::new(),
+                                lineage: None,
+                            });
+                        }
+                        self.phase = Phase::Identifying(Box::new(Identifying {
+                            detected_at,
+                            detected_by,
+                            detail,
+                            tracker,
+                            windows_since_detection: 2,
+                            violations_seen: confirm.max(2),
+                        }));
+                        return None;
+                    }
+                }
+
+                let mut tracker = IntersectionTracker::new();
+                tracker.feed(&probable.devices);
+                if confirm <= 1 && tracker.converged(num_thre) {
+                    // "When there is only one probable group, DICE ends the
+                    // identification step" — immediate identification.
+                    let devices = tracker.current().cloned().unwrap_or_default();
+                    return Some(FaultReport {
+                        detected_at: window_end,
+                        identified_at: window_end,
+                        detected_by: kind,
+                        devices: devices.into_iter().collect(),
+                        conclusive: true,
+                        windows_examined: 1,
+                        detail,
+                        evidence: Vec::new(),
+                        lineage: None,
+                    });
+                }
+                self.phase = Phase::Identifying(Box::new(Identifying {
+                    detected_at: window_end,
+                    detected_by: kind,
+                    detail,
+                    tracker,
+                    windows_since_detection: 1,
+                    violations_seen: 1,
+                }));
+                None
+            }
+            Phase::Identifying(mut id) => {
+                id.windows_since_detection += 1;
+                if result.is_violation() {
+                    id.violations_seen += 1;
+                    let probable = identifier.probable_devices(self.prev.as_ref(), obs, result);
+                    id.tracker.feed(&probable.devices);
+                }
+
+                // An unconfirmed violation that stays quiet for the whole
+                // confirmation horizon is stashed: if it was a context blip
+                // nothing more happens, but a slow fault will implicate the
+                // same devices again later.
+                if id.violations_seen < confirm {
+                    if id.windows_since_detection >= horizon {
+                        if let Some(devices) = id.tracker.current() {
+                            self.stale = Some(Box::new(StaleSuspects {
+                                detected_at: id.detected_at,
+                                detected_by: id.detected_by,
+                                detail: id.detail,
+                                devices: devices.clone(),
+                            }));
+                        }
+                        return None; // back to Monitoring
+                    }
+                    self.phase = Phase::Identifying(id);
+                    return None;
+                }
+
+                // Early fire on weighted devices (Section VI).
+                if let (Some(threshold), Some(current)) =
+                    (options.early_fire_threshold, id.tracker.current())
+                {
+                    let heavy = options.weights.over_threshold(current.iter(), threshold);
+                    if !heavy.is_empty() {
+                        return Some(FaultReport {
+                            detected_at: id.detected_at,
+                            identified_at: window_end,
+                            detected_by: id.detected_by,
+                            devices: heavy,
+                            conclusive: false,
+                            windows_examined: id.windows_since_detection,
+                            detail: id.detail,
+                            evidence: Vec::new(),
+                            lineage: None,
+                        });
+                    }
+                }
+
+                let converged = id.tracker.converged(num_thre);
+                if converged || id.windows_since_detection >= budget {
+                    let devices = id.tracker.current().cloned().unwrap_or_default();
+                    return Some(FaultReport {
+                        detected_at: id.detected_at,
+                        identified_at: window_end,
+                        detected_by: id.detected_by,
+                        devices: devices.into_iter().collect(),
+                        conclusive: converged,
+                        windows_examined: id.windows_since_detection,
+                        detail: id.detail,
+                        evidence: Vec::new(),
+                        lineage: None,
+                    });
+                }
+
+                self.phase = Phase::Identifying(id);
+                None
+            }
+        }
+    }
+
+    /// Updates the previous-window summary in place: the main group when
+    /// matched, else the best candidate as an inexact stand-in. The engine
+    /// guarantees a correlation violation's candidate list already contains
+    /// the nearest group(s) when the threshold admitted none, so no rescan
+    /// happens here.
+    fn update_prev(&mut self, obs: &WindowObservation, result: &CheckResult) {
+        let (group, exact) = match result {
+            CheckResult::Normal { group } | CheckResult::TransitionViolation { group, .. } => {
+                (*group, true)
+            }
+            CheckResult::CorrelationViolation { candidates } => (
+                candidates.first().map_or(GroupId::new(0), |c| c.group),
+                false,
+            ),
+        };
+        match &mut self.prev {
+            Some(prev) => {
+                prev.group = group;
+                prev.exact = exact;
+                prev.activated_actuators.clear();
+                prev.activated_actuators
+                    .extend_from_slice(&obs.activated_actuators);
+            }
+            None => {
+                self.prev = Some(PrevWindow {
+                    group,
+                    exact,
+                    activated_actuators: obs.activated_actuators.clone(),
+                });
+            }
+        }
+    }
+}
+
+impl EngineMachinery {
+    /// Machinery with these options. Telemetry buffers are allocated only
+    /// when `options.telemetry` is recording.
+    pub fn new(options: EngineOptions) -> Self {
+        let tel_batch = options
+            .telemetry
+            .recorder()
+            .map(|r| TelBatch::new(&r.metrics.engine));
+        EngineMachinery {
+            options,
+            cost: CostProfile::default(),
+            obs_scratch: WindowObservation::default(),
+            bin_scratch: BinarizeScratch::default(),
+            cand_scratch: Vec::new(),
+            tel_batch,
+        }
+    }
+
+    /// A fresh session judged against `model`: monitoring, with no
+    /// previous window, and with its own flight recorder when the options
+    /// enable tracing. A recording telemetry sink is told the model's
+    /// layout fingerprint.
+    pub fn session(&self, model: &DiceModel) -> EngineSession {
+        let options = &self.options;
+        if let Some(recorder) = options.telemetry.recorder() {
+            // Publish the model's layout fingerprint so telemetry snapshots
+            // are checkable against the model/trace artifacts they were
+            // recorded with (dice-lint's cross-artifact mode).
+            recorder
+                .metrics
+                .engine
+                .model_layout_fingerprint
+                .set(crate::fingerprint::gauge_value(
+                    model.layout().fingerprint(),
+                ));
+        }
+        EngineSession {
+            phase: Phase::Monitoring,
+            prev: None,
+            stale: None,
+            tracer: options
+                .trace
+                .enabled
+                .then(|| Box::new(Tracer::new(&options.trace, &options.telemetry))),
+        }
+    }
+
+    /// [`DiceEngine::process_observation`] for `session`, which must have
+    /// been created for `model`.
+    pub fn process_observation(
+        &mut self,
+        model: &DiceModel,
+        session: &mut EngineSession,
+        obs: &WindowObservation,
+        prescan: WindowPrescan<'_>,
+    ) -> Option<FaultReport> {
         debug_assert_eq!(
             prescan.main,
-            Detector::new(self.model.borrow()).correlation_check(obs),
+            Detector::new(model).correlation_check(obs),
             "the caller's correlation verdict must match the model's"
         );
         let laps = if self.options.telemetry.recorder().is_some() {
@@ -834,6 +1106,8 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             Laps::off()
         };
         self.judge(
+            model,
+            session,
             obs,
             prescan.main,
             Some((prescan.candidates, prescan.profile)),
@@ -841,17 +1115,86 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         )
     }
 
+    /// [`DiceEngine::flush`] for `session`, which must have been created
+    /// for `model`. Also publishes the buffered telemetry.
+    pub fn flush(&mut self, model: &DiceModel, session: &mut EngineSession) -> Option<FaultReport> {
+        self.flush_telemetry();
+        let confirm = model.config().confirmation_violations();
+        let Phase::Identifying(id) = std::mem::replace(&mut session.phase, Phase::Monitoring)
+        else {
+            return None;
+        };
+        if id.violations_seen < confirm {
+            return None; // unconfirmed blip
+        }
+        let Identifying {
+            detected_at,
+            detected_by,
+            detail,
+            tracker,
+            windows_since_detection,
+            ..
+        } = *id;
+        let devices = tracker.current().cloned().unwrap_or_default();
+        let mut report = FaultReport {
+            detected_at,
+            identified_at: detected_at,
+            detected_by,
+            devices: devices.into_iter().collect(),
+            conclusive: false,
+            windows_examined: windows_since_detection,
+            detail,
+            evidence: Vec::new(),
+            lineage: None,
+        };
+        if let Some(tracer) = session.tracer.as_ref() {
+            report.evidence = tracer.recorder.last_n(tracer.snapshot_last);
+        }
+        Some(report)
+    }
+
+    /// Publishes the batched every-window metrics.
+    fn flush_telemetry(&mut self) {
+        if let Some(batch) = self.tel_batch.as_mut() {
+            batch.flush();
+        }
+    }
+
+    /// Binarizes into the machinery's scratch, runs the correlation check
+    /// and judges the observation; every window is timed.
+    fn process_window(
+        &mut self,
+        model: &DiceModel,
+        session: &mut EngineSession,
+        start: Timestamp,
+        end: Timestamp,
+        events: &[Event],
+    ) -> Option<FaultReport> {
+        // Binarization counts toward the correlation check's cost.
+        let laps = Laps::started();
+        let mut obs = std::mem::take(&mut self.obs_scratch);
+        model
+            .binarizer()
+            .binarize_into(start, end, events, &mut self.bin_scratch, &mut obs);
+        let main = Detector::new(model).correlation_check(&obs);
+        let report = self.judge(model, session, &obs, main, None, laps);
+        // Reclaim the scratch buffer (capacity survives for the next window).
+        self.obs_scratch = obs;
+        report
+    }
+
     /// The one judging path behind both entry points: the candidate scan
     /// (unless `prescan` resolved it), the transition check, identification,
     /// tracing and telemetry for a correlation-checked observation.
     fn judge(
         &mut self,
+        model: &DiceModel,
+        session: &mut EngineSession,
         obs: &WindowObservation,
         main: Option<GroupId>,
         prescan: Option<(&[Candidate], ScanProfile)>,
         mut laps: Laps,
     ) -> Option<FaultReport> {
-        let model = self.model.borrow();
         let detector = Detector::new(model);
         let mut scan_profile = ScanProfile::default();
         // The transition check runs once, for the verdict, and is timed in
@@ -888,7 +1231,7 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             }
             Some(group) => {
                 corr_ns = laps.lap();
-                let cases = match self.prev.as_ref() {
+                let cases = match session.prev.as_ref() {
                     Some(prev) => {
                         let cases = detector.transition_check(prev, group, obs);
                         trans_ns = laps.lap();
@@ -906,8 +1249,8 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         };
 
         // Identification.
-        let phase_before = self.trace_phase();
-        let mut report = self.advance_phase(obs, &result, obs.end);
+        let phase_before = session.phase.traced();
+        let mut report = session.advance_phase(model, &self.options, obs, &result, obs.end);
         let ident_ns = laps.lap();
         if laps.timed() {
             self.cost.correlation_ns += corr_ns;
@@ -919,31 +1262,22 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         // Decision tracing. Disabled (the default) costs this one branch;
         // enabled refills a recycled ring slot — before `update_prev` so the
         // trace can name the G2G row the transition check consulted.
-        if self.tracer.is_some() {
-            let phase_after = self.trace_phase();
-            let DiceEngine {
+        if let Some(tracer) = session.tracer.as_mut() {
+            tracer.record(
                 model,
-                tracer,
-                prev,
-                ..
-            } = self;
-            if let Some(tracer) = tracer.as_mut() {
-                tracer.record(
-                    (*model).borrow(),
-                    prev.as_ref(),
-                    obs,
-                    &result,
-                    obs.start,
-                    obs.end,
-                    phase_before,
-                    phase_after,
-                    report.as_mut(),
-                );
-            }
+                session.prev.as_ref(),
+                obs,
+                &result,
+                obs.start,
+                obs.end,
+                phase_before,
+                session.phase.traced(),
+                report.as_mut(),
+            );
         }
 
         // Update previous-window context for the next round.
-        self.update_prev(obs, &result);
+        session.update_prev(obs, &result);
 
         // Telemetry: pure observation of already-computed values — the
         // nanosecond figures are the same ones `CostProfile` accumulates
@@ -1005,291 +1339,6 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         }
 
         report
-    }
-
-    /// The identification phase as a trace discriminant.
-    fn trace_phase(&self) -> TracePhase {
-        match self.phase {
-            Phase::Monitoring => TracePhase::Monitoring,
-            Phase::Identifying { .. } => TracePhase::Identifying,
-        }
-    }
-
-    /// Runs the phase state machine for one checked window.
-    fn advance_phase(
-        &mut self,
-        obs: &WindowObservation,
-        result: &CheckResult,
-        window_end: Timestamp,
-    ) -> Option<FaultReport> {
-        let model = self.model.borrow();
-        let identifier = Identifier::new(model);
-        let num_thre = model.config().num_thre();
-        let budget = model.config().max_identification_windows();
-        let confirm = model.config().confirmation_violations();
-        let horizon = model.config().confirmation_horizon_windows();
-
-        let phase = std::mem::replace(&mut self.phase, Phase::Monitoring);
-        match phase {
-            Phase::Monitoring => {
-                let kind = result.violated_check()?;
-                let detail = detection_detail(model, result);
-                let probable = identifier.probable_devices(self.prev.as_ref(), obs, result);
-
-                // A fresh violation implicating a stale suspect confirms it.
-                if let Some(stale) = &self.stale {
-                    let overlap: std::collections::BTreeSet<DeviceId> = stale
-                        .devices
-                        .intersection(&probable.devices)
-                        .copied()
-                        .collect();
-                    if !overlap.is_empty() {
-                        // Report evidence credits the original detection.
-                        let (detected_at, detected_by, detail) =
-                            (stale.detected_at, stale.detected_by, stale.detail);
-                        self.stale = None;
-                        let mut tracker = IntersectionTracker::new();
-                        tracker.feed(&overlap);
-                        if tracker.converged(num_thre) {
-                            let devices = tracker.current().cloned().unwrap_or_default();
-                            return Some(FaultReport {
-                                detected_at,
-                                identified_at: window_end,
-                                detected_by,
-                                devices: devices.into_iter().collect(),
-                                conclusive: true,
-                                windows_examined: 2,
-                                detail,
-                                evidence: Vec::new(),
-                                lineage: None,
-                            });
-                        }
-                        self.phase = Phase::Identifying {
-                            detected_at,
-                            detected_by,
-                            detail,
-                            tracker,
-                            windows_since_detection: 2,
-                            violations_seen: confirm.max(2),
-                        };
-                        return None;
-                    }
-                }
-
-                let mut tracker = IntersectionTracker::new();
-                tracker.feed(&probable.devices);
-                if confirm <= 1 && tracker.converged(num_thre) {
-                    // "When there is only one probable group, DICE ends the
-                    // identification step" — immediate identification.
-                    let devices = tracker.current().cloned().unwrap_or_default();
-                    return Some(FaultReport {
-                        detected_at: window_end,
-                        identified_at: window_end,
-                        detected_by: kind,
-                        devices: devices.into_iter().collect(),
-                        conclusive: true,
-                        windows_examined: 1,
-                        detail,
-                        evidence: Vec::new(),
-                        lineage: None,
-                    });
-                }
-                self.phase = Phase::Identifying {
-                    detected_at: window_end,
-                    detected_by: kind,
-                    detail,
-                    tracker,
-                    windows_since_detection: 1,
-                    violations_seen: 1,
-                };
-                None
-            }
-            Phase::Identifying {
-                detected_at,
-                detected_by,
-                detail,
-                mut tracker,
-                mut windows_since_detection,
-                mut violations_seen,
-            } => {
-                windows_since_detection += 1;
-                if result.is_violation() {
-                    violations_seen += 1;
-                    let probable = identifier.probable_devices(self.prev.as_ref(), obs, result);
-                    tracker.feed(&probable.devices);
-                }
-
-                // An unconfirmed violation that stays quiet for the whole
-                // confirmation horizon is stashed: if it was a context blip
-                // nothing more happens, but a slow fault will implicate the
-                // same devices again later.
-                if violations_seen < confirm {
-                    if windows_since_detection >= horizon {
-                        if let Some(devices) = tracker.current() {
-                            self.stale = Some(StaleSuspects {
-                                detected_at,
-                                detected_by,
-                                detail,
-                                devices: devices.clone(),
-                            });
-                        }
-                        return None; // back to Monitoring
-                    }
-                    self.phase = Phase::Identifying {
-                        detected_at,
-                        detected_by,
-                        detail,
-                        tracker,
-                        windows_since_detection,
-                        violations_seen,
-                    };
-                    return None;
-                }
-
-                // Early fire on weighted devices (Section VI).
-                if let (Some(threshold), Some(current)) =
-                    (self.options.early_fire_threshold, tracker.current())
-                {
-                    let heavy = self
-                        .options
-                        .weights
-                        .over_threshold(current.iter(), threshold);
-                    if !heavy.is_empty() {
-                        return Some(FaultReport {
-                            detected_at,
-                            identified_at: window_end,
-                            detected_by,
-                            devices: heavy,
-                            conclusive: false,
-                            windows_examined: windows_since_detection,
-                            detail,
-                            evidence: Vec::new(),
-                            lineage: None,
-                        });
-                    }
-                }
-
-                if tracker.converged(num_thre) {
-                    let devices = tracker.current().cloned().unwrap_or_default();
-                    return Some(FaultReport {
-                        detected_at,
-                        identified_at: window_end,
-                        detected_by,
-                        devices: devices.into_iter().collect(),
-                        conclusive: true,
-                        windows_examined: windows_since_detection,
-                        detail,
-                        evidence: Vec::new(),
-                        lineage: None,
-                    });
-                }
-
-                if windows_since_detection >= budget {
-                    let devices = tracker.current().cloned().unwrap_or_default();
-                    return Some(FaultReport {
-                        detected_at,
-                        identified_at: window_end,
-                        detected_by,
-                        devices: devices.into_iter().collect(),
-                        conclusive: false,
-                        windows_examined: windows_since_detection,
-                        detail,
-                        evidence: Vec::new(),
-                        lineage: None,
-                    });
-                }
-
-                self.phase = Phase::Identifying {
-                    detected_at,
-                    detected_by,
-                    detail,
-                    tracker,
-                    windows_since_detection,
-                    violations_seen,
-                };
-                None
-            }
-        }
-    }
-
-    /// Updates the previous-window summary in place: the main group when
-    /// matched, else the best candidate as an inexact stand-in. The engine
-    /// guarantees a correlation violation's candidate list already contains
-    /// the nearest group(s) when the threshold admitted none, so no rescan
-    /// happens here.
-    fn update_prev(&mut self, obs: &WindowObservation, result: &CheckResult) {
-        let (group, exact) = match result {
-            CheckResult::Normal { group } | CheckResult::TransitionViolation { group, .. } => {
-                (*group, true)
-            }
-            CheckResult::CorrelationViolation { candidates } => (
-                candidates.first().map_or(GroupId::new(0), |c| c.group),
-                false,
-            ),
-        };
-        match &mut self.prev {
-            Some(prev) => {
-                prev.group = group;
-                prev.exact = exact;
-                prev.activated_actuators.clear();
-                prev.activated_actuators
-                    .extend_from_slice(&obs.activated_actuators);
-            }
-            None => {
-                self.prev = Some(PrevWindow {
-                    group,
-                    exact,
-                    activated_actuators: obs.activated_actuators.clone(),
-                });
-            }
-        }
-    }
-
-    /// Convenience: processes every `config.window()`-sized window of a log,
-    /// collecting all reports. Windows are aligned to the log's first event.
-    pub fn process_log(&mut self, log: &mut dice_types::EventLog) -> Vec<FaultReport> {
-        let duration = self.model.borrow().config().window();
-        // Collect windows eagerly to avoid borrowing `log` across `self`.
-        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
-            .windows(duration)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
-        self.process_collected(windows)
-    }
-
-    /// Processes every window tiling exactly `[from, to)`, including silent
-    /// windows with no events — a quiet home is itself a context, so gaps
-    /// must be checked too.
-    pub fn process_range(
-        &mut self,
-        log: &mut dice_types::EventLog,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Vec<FaultReport> {
-        let duration = self.model.borrow().config().window();
-        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
-            .windows_between(from, to, duration)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
-        self.process_collected(windows)
-    }
-
-    fn process_collected(
-        &mut self,
-        windows: Vec<(Timestamp, Timestamp, Vec<Event>)>,
-    ) -> Vec<FaultReport> {
-        let mut reports = Vec::new();
-        for (start, end, events) in windows {
-            if let Some(report) = self.process_window(start, end, &events) {
-                reports.push(report);
-            }
-        }
-        // Publish batched samples at the stream boundary so a snapshot
-        // taken right after a replay sees every window.
-        if let Some(batch) = self.tel_batch.as_mut() {
-            batch.flush();
-        }
-        reports
     }
 }
 
@@ -1864,6 +1913,15 @@ mod tests {
             proptest::prop_assert_eq!(by_observation.cost_profile(), CostProfile::default());
             proptest::prop_assert_eq!(by_window.cost_profile().windows, windows.len() as u64);
         }
+    }
+
+    /// A fleet keeps one session per home, so the session stays small: the
+    /// identification payload, stale suspects and tracer sit behind
+    /// pointers.
+    #[test]
+    fn a_session_fits_in_64_bytes() {
+        let size = std::mem::size_of::<EngineSession>();
+        assert!(size <= 64, "EngineSession is {size} B");
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub use config::{DiceConfig, DiceConfigBuilder};
 pub use detect::{CheckKind, CheckResult, Detector, PrevWindow, TransitionCase};
 pub use diag::{has_errors, Diagnostic, DiagnosticCode, Severity};
 pub use engine::{
-    CostProfile, DetectionDetail, DiceEngine, EngineOptions, FaultReport, WindowPrescan,
+    CostProfile, DetectionDetail, DiceEngine, EngineMachinery, EngineOptions, EngineSession,
+    FaultReport, WindowPrescan,
 };
 pub use error::DiceError;
 pub use extract::{ContextExtractor, ModelBuilder};

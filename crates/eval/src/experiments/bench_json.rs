@@ -3,9 +3,10 @@
 //! Measures the candidate-scan hot path — the naive [`GroupTable`] scan
 //! against the model's [`ScanIndex`] (single-query and batched) —
 //! at hh102 width (33 binary + 79 numeric sensors = 270 state bits) across
-//! group-table sizes, plus parallel training, static analysis, and the
-//! telemetry, time-series and fleet-tracing overheads (all three on one
-//! paired-difference method), and writes the results as JSON. CI runs this
+//! group-table sizes, plus parallel training on the `D_houseA` catalog
+//! log, static analysis, and the telemetry, time-series and
+//! fleet-tracing overheads (all three on one paired-difference method),
+//! and writes the results as JSON. CI runs this
 //! from the repo root to refresh `BENCH_core.json`. End-to-end and
 //! per-layer serving costs are perfbench's job, not this baseline's.
 //
@@ -19,8 +20,9 @@ use dice_core::{
     BitSet, DiceConfig, DiceEngine, DiceModel, EngineOptions, GroupTable, ParallelTrainer,
     ScanIndex,
 };
+use dice_datasets::DatasetId;
 use dice_fleet::{FleetConfig, ModelCache};
-use dice_sim::testbed;
+use dice_sim::{testbed, Simulator};
 use dice_telemetry::{Telemetry, TimeSeriesRecorder};
 use dice_types::{
     ActuatorEvent, ActuatorId, ActuatorKind, DeviceRegistry, Event, EventLog, Room, SensorId,
@@ -365,10 +367,12 @@ fn fleet_tracing_overhead() -> Overhead {
     traced
 }
 
-/// Parallel-training throughput: serial vs chunked extraction of an
-/// hh102-scale synthetic log.
+/// Parallel-training throughput: serial vs chunked extraction of a
+/// catalog dataset's precomputation log.
 #[derive(Debug, Clone, Copy)]
 struct TrainingBench {
+    dataset: &'static str,
+    num_bits: usize,
     windows: u64,
     events: usize,
     serial_ms: f64,
@@ -447,53 +451,58 @@ fn hh102_training_log(
     log
 }
 
-/// Measures serial vs `TRAIN_WORKERS`-chunk training on the hh102-scale
-/// log (min-of-N, interleaved), asserting the two models are identical.
+/// Measures serial vs `TRAIN_WORKERS`-chunk training on the `D_houseA`
+/// catalog log over the evaluation runner's precomputation period (300 h,
+/// about 1.7 M events): the median of `TRAIN_REPS` interleaved runs each,
+/// asserting the two models are identical. Each run trains a fresh copy of
+/// the log, made before its clock starts.
 ///
 /// The worker-pool width is pinned via `RAYON_NUM_THREADS` for each
 /// measurement; on machines with fewer cores than `TRAIN_WORKERS` the
 /// recorded `available_parallelism` explains a flat speedup.
-fn training_bench(hours: i64) -> TrainingBench {
+fn training_bench() -> TrainingBench {
     const TRAIN_WORKERS: usize = 4;
-    let (reg, binary, numeric, actuators) = hh102_home();
-    let mut log = hh102_training_log(&binary, &numeric, &actuators, hours);
-    log.normalize();
+    const TRAIN_REPS: usize = 5;
+    let dataset = DatasetId::DHouseA;
+    let cfg = RunnerConfig::default();
+    let sim = Simulator::new(dataset.scenario(cfg.seed)).expect("catalog scenario is valid");
+    let log = sim.log_between(Timestamp::ZERO, Timestamp::ZERO + cfg.precompute);
     let events = log.len();
-    let config = DiceConfig::default();
-    let serial_trainer = ParallelTrainer::new(config.clone()).with_chunks(1);
-    let parallel_trainer = ParallelTrainer::new(config).with_chunks(TRAIN_WORKERS);
+    let serial_trainer = ParallelTrainer::new(cfg.dice.clone()).with_chunks(1);
+    let parallel_trainer = ParallelTrainer::new(cfg.dice).with_chunks(TRAIN_WORKERS);
+    let time_ms = |trainer: &ParallelTrainer, workers: usize| {
+        std::env::set_var("RAYON_NUM_THREADS", workers.to_string());
+        let mut copy = log.clone();
+        let start = Instant::now();
+        let model = trainer
+            .extract(sim.registry(), &mut copy)
+            .expect("log is non-empty");
+        (start.elapsed().as_secs_f64() * 1000.0, model)
+    };
 
     let previous = std::env::var("RAYON_NUM_THREADS").ok();
-    let mut serial_ms = f64::INFINITY;
-    let mut parallel_ms = f64::INFINITY;
-    let mut windows = 0;
-    for _ in 0..3 {
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let start = Instant::now();
-        let serial = serial_trainer
-            .extract(&reg, &mut log.clone())
-            .expect("log is non-empty");
-        serial_ms = serial_ms.min(start.elapsed().as_secs_f64() * 1000.0);
-
-        std::env::set_var("RAYON_NUM_THREADS", TRAIN_WORKERS.to_string());
-        let start = Instant::now();
-        let parallel = parallel_trainer
-            .extract(&reg, &mut log.clone())
-            .expect("log is non-empty");
-        parallel_ms = parallel_ms.min(start.elapsed().as_secs_f64() * 1000.0);
-
+    let mut serial_ms = Vec::with_capacity(TRAIN_REPS);
+    let mut parallel_ms = Vec::with_capacity(TRAIN_REPS);
+    let mut shape = (0, 0);
+    for _ in 0..TRAIN_REPS {
+        let (ms, serial) = time_ms(&serial_trainer, 1);
+        serial_ms.push(ms);
+        let (ms, parallel) = time_ms(&parallel_trainer, TRAIN_WORKERS);
+        parallel_ms.push(ms);
         assert_eq!(serial, parallel, "parallel training must be bit-identical");
-        windows = serial.training_windows();
+        shape = (serial.layout().num_bits(), serial.training_windows());
     }
     match previous {
         Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
     TrainingBench {
-        windows,
+        dataset: dataset.name(),
+        num_bits: shape.0,
+        windows: shape.1,
         events,
-        serial_ms,
-        parallel_ms,
+        serial_ms: median(&mut serial_ms),
+        parallel_ms: median(&mut parallel_ms),
         workers: TRAIN_WORKERS,
         available_parallelism: std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get),
@@ -568,7 +577,9 @@ fn render_json(
     json.push_str("    ]\n  },\n");
     let _ = writeln!(
         json,
-        "  \"training\": {{\"dataset\": \"hh102-synthetic\", \"num_bits\": {HH102_BITS}, \"windows\": {}, \"events\": {}, \"serial_ms\": {:.1}, \"parallel_ms\": {:.1}, \"workers\": {}, \"available_parallelism\": {}, \"speedup\": {:.2}}},",
+        "  \"training\": {{\"dataset\": \"{}\", \"num_bits\": {}, \"windows\": {}, \"events\": {}, \"serial_ms\": {:.1}, \"parallel_ms\": {:.1}, \"workers\": {}, \"available_parallelism\": {}, \"speedup\": {:.2}}},",
+        training.dataset,
+        training.num_bits,
         training.windows,
         training.events,
         training.serial_ms,
@@ -618,7 +629,7 @@ pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     let path = path.unwrap_or("BENCH_core.json");
     let rows = candidate_scan_rows(HH102_BITS, &[100, 1000, 10_000, 100_000]);
     let [telemetry, timeseries] = engine_overheads();
-    let training = training_bench(48);
+    let training = training_bench();
     let analysis = analysis_bench(48);
     let tracing = fleet_tracing_overhead();
     let json = render_json(
@@ -651,7 +662,9 @@ pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     }
     let _ = writeln!(
         out,
-        "training (hh102 scale, {} windows, {} events): serial {:.1} ms, {} workers {:.1} ms ({:.2}x, {} cores available)",
+        "training ({}, {} bits, {} windows, {} events, median of 5): serial {:.1} ms, {} workers {:.1} ms ({:.2}x, {} cores available)",
+        training.dataset,
+        training.num_bits,
         training.windows,
         training.events,
         training.serial_ms,
@@ -725,6 +738,8 @@ mod tests {
             variant: 1836.0,
         };
         let training = TrainingBench {
+            dataset: "D_houseA",
+            num_bits: 17,
             windows: 2880,
             events: 60_000,
             serial_ms: 90.0,

@@ -14,8 +14,9 @@
 //!   not homes.
 //! - **Batched detection** ([`shard`]): each shard collects ready windows
 //!   across its homes and resolves their candidate scans through the scan
-//!   index's batch entry points, then drives per-home engines
-//!   bit-identically to the unbatched path.
+//!   index's batch entry points, then judges each home's engine session
+//!   with the shard's one engine machinery, bit-identically to the
+//!   unbatched path.
 //! - **The service** ([`service`]): thread-per-shard with bounded queues
 //!   and back-pressure accounting; alarm output is invariant under the
 //!   shard count.

@@ -58,7 +58,7 @@ pub struct FleetConfig {
     pub batch_windows: usize,
     /// Per-home alarm cooldown (see [`dice_gateway::AlarmLedger`]).
     pub alarm_cooldown: TimeDelta,
-    /// Telemetry sink shared by the shards and their engines.
+    /// Telemetry sink shared by the shards and their engine machinery.
     pub telemetry: Telemetry,
     /// Whether to stamp lineage and record per-stage latency sketches
     /// (§5l). Alarm output is bit-identical either way; the
@@ -365,7 +365,7 @@ impl Fleet {
     /// Runs the fleet over `[from, to)`: spawns the shard threads, calls
     /// `feed` with the ingestion handle, and — once `feed` returns and
     /// the queues drain — closes every home's remaining windows, flushes
-    /// the engines, and returns the merged result.
+    /// the engine sessions, and returns the merged result.
     pub fn run(
         self,
         from: Timestamp,

@@ -1,5 +1,6 @@
 //! The per-shard engine pool: every home owns its windowing state and
-//! engine, ready windows are detected in cross-home batches.
+//! engine session, the shard owns the engine machinery, and ready windows
+//! are detected in cross-home batches.
 //!
 //! A shard receives packed frame batches for its subset of homes and
 //! closes each home's windows through its [`WindowClock`] as that home's
@@ -11,20 +12,21 @@
 //! every violating window's candidate scan in one batched sweep per
 //! distinct model — the natural batches `candidates_batch_into` was built
 //! for — and then hands each observation, verdict and candidate list to
-//! its home's engine through [`DiceEngine::process_observation`], which is
-//! bit-identical to the unbatched path. Identification state, alarm
-//! cooldowns ([`AlarmLedger`]), and reports stay strictly per home, so
-//! shard composition never leaks state across homes and alarm output is
-//! invariant under the shard count. The frame, event and window counters
-//! are published once per ingested batch and once per sweep, not per
-//! frame or window.
+//! the shard's [`EngineMachinery`] with its home's [`EngineSession`] —
+//! the same judging body as [`dice_core::DiceEngine::process_observation`],
+//! bit-identical to the unbatched path. Identification state, the decision
+//! tracer, alarm cooldowns ([`AlarmLedger`]), and reports stay strictly per
+//! home, so shard composition never leaks state across homes and alarm
+//! output is invariant under the shard count. The frame, event and window
+//! counters are published once per ingested batch and once per sweep, not
+//! per frame or window.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dice_core::{
-    BinarizeScratch, BitSet, Candidate, Detector, DiceEngine, DiceModel, EngineOptions,
-    FaultReport, LineageStamp, ScanProfile, WindowObservation, WindowPrescan,
+    BinarizeScratch, BitSet, Candidate, Detector, DiceModel, EngineMachinery, EngineOptions,
+    EngineSession, FaultReport, LineageStamp, ScanProfile, WindowObservation, WindowPrescan,
 };
 use dice_gateway::{AlarmLedger, WindowClock};
 use dice_telemetry::{shard_label, SlotRing, Telemetry};
@@ -66,17 +68,13 @@ pub struct ShardStats {
     pub suppressed: u64,
 }
 
-/// One home's serving state: its engine, the window clock and open
-/// window's events, and the alarm ledger.
+/// One home's serving state: its model, engine session, the window clock
+/// and open window's events, and the alarm ledger.
 #[derive(Debug)]
 struct HomeState {
     home: HomeId,
-    /// A second handle to the engine's model, kept beside the window state
-    /// that ingest has just written: closing and sweeping a window read
-    /// the model, and on shards with many homes reading the engine's copy
-    /// instead costs a cache miss per window.
     model: Arc<DiceModel>,
-    engine: DiceEngine<Arc<DiceModel>>,
+    session: EngineSession,
     clock: WindowClock,
     /// The open window's events; cleared (capacity kept) at each close.
     events: Vec<Event>,
@@ -104,6 +102,9 @@ pub struct ShardEngine {
     /// home's clock closed it. Slots are reused across sweeps.
     obs: Vec<WindowObservation>,
     bin_scratch: BinarizeScratch,
+    /// The engine machinery every home's session is judged with: options,
+    /// scratch, cost profile and telemetry batch, once per shard.
+    machinery: EngineMachinery,
     batch_windows: usize,
     telemetry: Telemetry,
     stats: ShardStats,
@@ -162,22 +163,20 @@ impl ShardEngine {
         tracing: bool,
         clock: TraceClock,
     ) -> Self {
+        let machinery = EngineMachinery::new(EngineOptions {
+            telemetry: telemetry.clone(),
+            ..EngineOptions::default()
+        });
         let mut states = Vec::with_capacity(homes.len());
         let mut slots = BTreeMap::new();
         for (home, model) in homes {
             let clock = WindowClock::new(model.config().window(), from, to);
-            let engine = DiceEngine::with_options(
-                Arc::clone(&model),
-                EngineOptions {
-                    telemetry: telemetry.clone(),
-                    ..EngineOptions::default()
-                },
-            );
+            let session = machinery.session(&model);
             slots.insert(home, states.len());
             states.push(HomeState {
                 home,
                 model,
-                engine,
+                session,
                 clock,
                 events: Vec::new(),
                 ledger: AlarmLedger::new(alarm_cooldown),
@@ -202,6 +201,7 @@ impl ShardEngine {
             ready: Vec::new(),
             obs: Vec::new(),
             bin_scratch: BinarizeScratch::default(),
+            machinery,
             batch_windows: batch_windows.max(1),
             telemetry,
             stats: ShardStats::default(),
@@ -448,12 +448,14 @@ impl ShardEngine {
             stages.scan.record(scan_ns);
         }
 
-        // Drive the engines in arrival order (per-home window order is a
-        // suffix of arrival order, which is what the engines require).
+        // Judge the sessions in arrival order (per-home window order is a
+        // suffix of arrival order, which is what the sessions require).
         let mut publish_ns = 0u64;
         for (i, rw) in self.ready.iter().enumerate() {
             let home = &mut self.homes[rw.slot];
-            let report = home.engine.process_observation(
+            let report = self.machinery.process_observation(
+                &home.model,
+                &mut home.session,
                 &self.obs[i],
                 WindowPrescan {
                     main: self.mains[i],
@@ -547,7 +549,7 @@ impl ShardEngine {
     }
 
     /// Closes every home's remaining windows up to `to`, sweeps the final
-    /// batch, flushes the engines, and returns each home's alarm reports
+    /// batch, flushes the sessions, and returns each home's alarm reports
     /// (ascending by registration slot), the shard's counters, and the
     /// retained lineage records (oldest first).
     pub fn finish(mut self) -> ShardFinish {
@@ -562,7 +564,7 @@ impl ShardEngine {
         self.sweep();
         for slot in 0..self.homes.len() {
             let home = &mut self.homes[slot];
-            if let Some(report) = home.engine.flush() {
+            if let Some(report) = self.machinery.flush(&home.model, &mut home.session) {
                 Self::deliver(home, report, &mut self.stats, &self.telemetry);
             }
         }

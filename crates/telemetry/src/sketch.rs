@@ -156,9 +156,8 @@ impl QuantileSketch {
 /// few dozen of the 976 buckets) plus one for the sum. Buffered samples are
 /// invisible to snapshots until flushed; dropping the buffer flushes it.
 ///
-/// Pending counts are `u32` — half the memory of the shared buckets, which
-/// matters when every engine of a large fleet owns a few of these — and a
-/// bucket that reaches `u32::MAX` triggers a flush on the spot.
+/// Pending counts are `u32` — half the memory of the shared buckets — and
+/// a bucket that reaches `u32::MAX` triggers a flush on the spot.
 #[derive(Debug)]
 pub struct LocalSketch {
     shared: Arc<QuantileSketch>,

@@ -318,6 +318,11 @@ fn batched_shard_counters_match_the_fleet_stats() {
     assert_eq!(per_shard.len(), 3);
     let per_shard_sum: i128 = per_shard.iter().map(|(_, n)| n).sum();
     assert_eq!(per_shard_sum, i128::from(stats.windows));
+    // Each shard judges its homes with one engine machinery, whose one
+    // telemetry batch must publish every window exactly once.
+    assert_eq!(counter("dice_engine_windows_total"), stats.windows);
+    let (detections, _) = snapshot.sketch("dice_engine_detection_ns").unwrap();
+    assert_eq!(detections, stats.windows);
     assert_eq!(stats.windows, 24 * 30);
     assert!(stats.frames > 0 && stats.events > 0 && stats.alarms > 0);
 }

@@ -4,8 +4,9 @@
 //! warm; a warm fleet shard decodes, windows, binarizes and judges frames
 //! without allocating either, and the fleet sender reuses the batch
 //! buffers its shards hand back, so its allocations do not grow with the
-//! batch count. Property checks pin the inline frame to the packed wire
-//! layout and keep its decoder panic-free.
+//! batch count. A shard's per-home state stays within a fixed byte
+//! budget. Property checks pin the inline frame to the packed wire layout
+//! and keep its decoder panic-free.
 #![allow(unsafe_code)] // the counting global allocator below
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -24,44 +25,71 @@ use dice_types::{
 };
 use proptest::prelude::*;
 
-/// Counts heap allocations per thread, and only on threads that opted in,
-/// so tests running in parallel in this binary do not pollute each
-/// other's counts.
+/// Counts heap allocations and net heap bytes per thread, and only on
+/// threads that opted in, so tests running in parallel in this binary do
+/// not pollute each other's counts.
 struct CountingAllocator;
 
 thread_local! {
     static COUNTED: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static NET_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn note_allocation() {
-    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+fn counted() -> bool {
+    COUNTED.try_with(Cell::get).unwrap_or(false)
+}
+
+fn note_bytes(delta: i64) {
+    let _ = NET_BYTES.try_with(|n| n.set(n.get() + delta));
+}
+
+fn note_allocation(bytes: i64) {
+    if counted() {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        note_bytes(bytes);
     }
+}
+
+/// Runs `f` with this thread's allocations counted.
+fn counting<R>(f: impl FnOnce() -> R) -> R {
+    COUNTED.with(|c| c.set(true));
+    let out = f();
+    COUNTED.with(|c| c.set(false));
+    out
 }
 
 /// Runs `f`, returning its result and the heap allocations it made on
 /// this thread.
 fn count_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCATIONS.with(Cell::get);
-    COUNTED.with(|c| c.set(true));
-    let out = f();
-    COUNTED.with(|c| c.set(false));
+    let out = counting(f);
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f`, returning its result and the heap bytes it left allocated on
+/// this thread.
+fn count_heap_growth<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let before = NET_BYTES.with(Cell::get);
+    let out = counting(f);
+    (out, NET_BYTES.with(Cell::get) - before)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note_allocation(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if counted() {
+            note_bytes(-(layout.size() as i64));
+        }
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
+        note_allocation(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -223,6 +251,38 @@ fn warm_shard_allocates_nothing_per_window() {
     let (alarms, stats, _) = shard.finish();
     assert_eq!(stats.windows, u64::from(HOMES) * MINUTES as u64);
     assert!(alarms.iter().all(|(_, reports)| reports.is_empty()));
+}
+
+/// Building a shard allocates a fixed budget per home: its window and
+/// alarm state and an engine session, with the engine machinery shared by
+/// the whole shard.
+#[test]
+fn shard_state_costs_at_most_256_bytes_per_home() {
+    const HOMES: u32 = 1_000;
+    const BUDGET: i64 = 256;
+    let plans = [plan(3), plan(73)];
+    let (shard, bytes) = count_heap_growth(|| {
+        let homes = (0..HOMES)
+            .map(|home| (home, Arc::clone(&plans[home as usize % 2].0)))
+            .collect();
+        ShardEngine::new(
+            0,
+            homes,
+            FleetConfig::default().batch_windows,
+            TimeDelta::from_mins(30),
+            Timestamp::ZERO,
+            Timestamp::from_mins(60),
+            Telemetry::noop(),
+            false,
+            TraceClock::manual().0,
+        )
+    });
+    let per_home = bytes / i64::from(HOMES);
+    assert!(
+        per_home <= BUDGET,
+        "a shard of {HOMES} homes holds {bytes} B, {per_home} B per home (budget {BUDGET} B)"
+    );
+    drop(shard);
 }
 
 #[test]
