@@ -130,3 +130,61 @@ fn table_5_1_at_5_trials_matches_the_golden() {
     let table = dice_eval::experiments::run_command("table-5-1", &["5"]).expect("table-5-1 runs");
     assert_eq!(format!("{table}\n"), include_str!("golden/table_5_1_5.txt"));
 }
+
+/// Runs one `dice-repro` command and compares its stdout (hence the
+/// trailing newline) with a committed golden file byte for byte.
+fn assert_command_matches_golden(command: &str, args: &[&str], golden: &str) {
+    let out = dice_eval::experiments::run_command(command, args)
+        .unwrap_or_else(|e| panic!("{command} {args:?} fails: {e}"));
+    assert_eq!(format!("{out}\n"), golden, "{command} {args:?}");
+}
+
+/// Faultless-segment diagnostics on houseC: correlation violations, each
+/// with its nearest in-threshold group's distance and the differing bits.
+#[test]
+fn diagnose_house_c_20_matches_the_golden() {
+    assert_command_matches_golden(
+        "diagnose",
+        &["houseC", "20"],
+        include_str!("golden/diagnose_houseC_20.txt"),
+    );
+}
+
+/// Faultless-segment diagnostics on the testbed: G2G transition
+/// violations, which depend on the previous-window chain.
+#[test]
+fn diagnose_d_house_a_5_matches_the_golden() {
+    assert_command_matches_golden(
+        "diagnose",
+        &["D_houseA", "5"],
+        include_str!("golden/diagnose_D_houseA_5.txt"),
+    );
+}
+
+/// Missed-fault diagnostics: a sound sensor's fail-stop that the engine
+/// misses although the detector alone sees 8 violating windows.
+#[test]
+fn misses_d_house_a_2_matches_the_golden() {
+    assert_command_matches_golden(
+        "misses",
+        &["D_houseA", "2"],
+        include_str!("golden/misses_D_houseA_2.txt"),
+    );
+}
+
+/// The testbed's diagnostics over 20 segments and trials: G2G, G2A and A2G
+/// transition violations, and a missed spike behind 29 violating windows.
+#[test]
+#[ignore = "20 segments and 20 trials; run in release with --ignored"]
+fn diagnose_and_misses_d_house_a_20_match_the_goldens() {
+    assert_command_matches_golden(
+        "diagnose",
+        &["D_houseA", "20"],
+        include_str!("golden/diagnose_D_houseA_20.txt"),
+    );
+    assert_command_matches_golden(
+        "misses",
+        &["D_houseA", "20"],
+        include_str!("golden/misses_D_houseA_20.txt"),
+    );
+}
