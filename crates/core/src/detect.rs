@@ -14,6 +14,7 @@ use dice_types::{ActuatorId, GroupId};
 use crate::binarize::WindowObservation;
 use crate::groups::Candidate;
 use crate::model::DiceModel;
+use crate::scan::ScanProfile;
 
 /// Which real-time check detected a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -84,6 +85,42 @@ pub struct PrevWindow {
     pub activated_actuators: Vec<ActuatorId>,
 }
 
+impl PrevWindow {
+    /// Advances `prev` past a checked window: its group becomes the main
+    /// group when one matched, else the first candidate as an inexact
+    /// stand-in. A correlation violation's candidate list already holds the
+    /// nearest group(s) when the threshold admitted none (see
+    /// [`Detector::violation_candidates_into`]), so nothing is rescanned.
+    /// Reuses the existing summary's actuator buffer.
+    pub fn advance(prev: &mut Option<PrevWindow>, obs: &WindowObservation, result: &CheckResult) {
+        let (group, exact) = match result {
+            CheckResult::Normal { group } | CheckResult::TransitionViolation { group, .. } => {
+                (*group, true)
+            }
+            CheckResult::CorrelationViolation { candidates } => (
+                candidates.first().map_or(GroupId::new(0), |c| c.group),
+                false,
+            ),
+        };
+        match prev {
+            Some(prev) => {
+                prev.group = group;
+                prev.exact = exact;
+                prev.activated_actuators.clear();
+                prev.activated_actuators
+                    .extend_from_slice(&obs.activated_actuators);
+            }
+            None => {
+                *prev = Some(PrevWindow {
+                    group,
+                    exact,
+                    activated_actuators: obs.activated_actuators.clone(),
+                });
+            }
+        }
+    }
+}
+
 /// The outcome of running both real-time checks on one window.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckResult {
@@ -95,10 +132,11 @@ pub enum CheckResult {
     /// No main group within the group table: a correlation violation.
     CorrelationViolation {
         /// Candidate groups within the fault-distance threshold (none of
-        /// them at distance zero), ascending by distance. The engine
-        /// substitutes the nearest group(s) when the threshold admits none —
-        /// a grossly corrupted state set — so downstream consumers always
-        /// see the groups identification will diff against.
+        /// them at distance zero), ascending by distance. When the
+        /// threshold admits none — a grossly corrupted state set — the
+        /// nearest group(s) stand in, so downstream consumers always see
+        /// the groups identification will diff against (see
+        /// [`Detector::violation_candidates_into`]).
         candidates: Vec<Candidate>,
     },
     /// A main group exists but at least one transition has zero probability.
@@ -146,6 +184,23 @@ impl<'m> Detector<'m> {
     /// The correlation check: exact main-group lookup.
     pub fn correlation_check(&self, obs: &WindowObservation) -> Option<GroupId> {
         self.model.groups().lookup(&obs.state)
+    }
+
+    /// Fills `out` with a violating window's candidate groups: every group
+    /// within the model's candidate distance of `obs`'s state set, sorted
+    /// by `(distance, group)`, or — when none is within the threshold — the
+    /// nearest group(s). Returns the scan work of both steps.
+    pub fn violation_candidates_into(
+        &self,
+        obs: &WindowObservation,
+        out: &mut Vec<Candidate>,
+    ) -> ScanProfile {
+        let scan = self.model.scan();
+        let mut profile = scan.candidates_into(&obs.state, self.model.candidate_distance(), out);
+        if out.is_empty() {
+            profile.absorb(scan.nearest_into(&obs.state, out));
+        }
+        profile
     }
 
     /// The transition check: tests cases 1–3 for the current window given
@@ -212,10 +267,8 @@ impl<'m> Detector<'m> {
     pub fn check(&self, prev: Option<&PrevWindow>, obs: &WindowObservation) -> CheckResult {
         match self.correlation_check(obs) {
             None => {
-                let candidates = self
-                    .model
-                    .scan()
-                    .candidates(&obs.state, self.model.candidate_distance());
+                let mut candidates = Vec::new();
+                let _ = self.violation_candidates_into(obs, &mut candidates);
                 CheckResult::CorrelationViolation { candidates }
             }
             Some(group) => {
@@ -249,13 +302,16 @@ mod tests {
     /// Two motion sensors + one bulb. Training alternates:
     /// G0 = {m0}, G1 = {m1}, bulb turns on in every G1 window.
     fn trained() -> (DiceModel, DeviceRegistry) {
+        // Tiny fixture: lower the row-support gate so the transition check
+        // is active despite the short training run.
+        trained_with(DiceConfig::builder().min_row_support(1).build())
+    }
+
+    fn trained_with(config: DiceConfig) -> (DiceModel, DeviceRegistry) {
         let mut reg = DeviceRegistry::new();
         let m0 = reg.add_sensor(SensorKind::Motion, "m0", Room::Kitchen);
         let m1 = reg.add_sensor(SensorKind::Motion, "m1", Room::Bedroom);
         let bulb = reg.add_actuator(ActuatorKind::SmartBulb, "hue", Room::Bedroom);
-        // Tiny fixture: lower the row-support gate so the transition check
-        // is active despite the short training run.
-        let config = DiceConfig::builder().min_row_support(1).build();
         let mut builder =
             ModelBuilder::new(config, &reg, ThresholdTrainer::new(&reg).finish()).unwrap();
         for minute in 0..20 {
@@ -318,6 +374,55 @@ mod tests {
             other => panic!("expected correlation violation, got {other:?}"),
         }
         assert_eq!(result.violated_check(), Some(CheckKind::Correlation));
+    }
+
+    #[test]
+    fn correlation_violation_out_of_range_lists_the_nearest_groups() {
+        // A zero threshold admits no group for a state that matches none.
+        let (model, _) = trained_with(DiceConfig::builder().candidate_distance(0).build());
+        assert_eq!(model.candidate_distance(), 0);
+        let detector = Detector::new(&model);
+        let both = obs(BitSet::from_indices(2, [0, 1]), vec![]);
+        assert!(model.scan().candidates(&both.state, 0).is_empty());
+        match detector.check(None, &both) {
+            CheckResult::CorrelationViolation { candidates } => {
+                assert_eq!(candidates, model.scan().nearest(&both.state));
+                assert_eq!(candidates.len(), 2);
+                assert!(candidates.iter().all(|c| c.distance == 1));
+            }
+            other => panic!("expected correlation violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn advancing_prev_follows_the_verdict() {
+        let (model, _) = trained();
+        let detector = Detector::new(&model);
+        let bulb = dice_types::ActuatorId::new(0);
+        let mut prev = None;
+        let g1 = obs(BitSet::from_indices(2, [1]), vec![bulb]);
+        PrevWindow::advance(&mut prev, &g1, &detector.check(None, &g1));
+        assert_eq!(
+            prev,
+            Some(PrevWindow {
+                group: GroupId::new(1),
+                exact: true,
+                activated_actuators: vec![bulb],
+            })
+        );
+        // A correlation violation leaves its first candidate as an inexact
+        // stand-in.
+        let both = obs(BitSet::from_indices(2, [0, 1]), vec![]);
+        let result = detector.check(prev.as_ref(), &both);
+        PrevWindow::advance(&mut prev, &both, &result);
+        assert_eq!(
+            prev,
+            Some(PrevWindow {
+                group: GroupId::new(0),
+                exact: false,
+                activated_actuators: vec![],
+            })
+        );
     }
 
     #[test]

@@ -142,16 +142,20 @@ impl fmt::Display for FaultReport {
 }
 
 /// Wall-clock cost accounting for Figure 5.3: time spent in the correlation
-/// check (including binarization), the transition check, and identification.
+/// check (including binarization and the candidate scan), the transition
+/// check, and identification.
 ///
 /// [`DiceEngine::process_window`] times every window into it, whatever the
 /// telemetry sink. [`DiceEngine::process_observation`] reads the clock only
 /// when telemetry is recording, and then feeds this profile and the
-/// check-latency sketches from the same reads; with a no-op sink it adds
-/// nothing here, not even to `windows`.
+/// check-latency sketches from the same reads; its correlation figure
+/// covers the candidate scan but not the binarization and exact lookup its
+/// caller ran. With a no-op sink it adds nothing here, not even to
+/// `windows`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostProfile {
-    /// Nanoseconds in binarization + correlation check.
+    /// Nanoseconds in binarization + correlation check (the candidate scan
+    /// included).
     pub correlation_ns: u128,
     /// Nanoseconds in the transition check.
     pub transition_ns: u128,
@@ -299,30 +303,6 @@ impl Default for EngineOptions {
             trace: TraceOptions::global(),
         }
     }
-}
-
-/// The correlation verdict and candidate scan a caller computed for one
-/// observation, the input to [`DiceEngine::process_observation`].
-///
-/// The contract mirrors what [`DiceEngine::process_window`] computes
-/// itself: `main` is [`Detector::correlation_check`]'s verdict for the
-/// observation, and when it is `None`, `candidates` holds every group
-/// within the model's candidate distance of the window's state set sorted
-/// by `(distance, group)`, or — when none is within the threshold — the
-/// nearest group(s). `candidates` is ignored when `main` is `Some`. A fleet
-/// shard computes this for many homes' ready windows in one batched sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowPrescan<'a> {
-    /// The main group the observation matched exactly, or `None` on a
-    /// correlation violation.
-    pub main: Option<GroupId>,
-    /// The resolved candidate list for this window's state set.
-    pub candidates: &'a [Candidate],
-    /// Scan work to attribute to this window in telemetry. Batched callers
-    /// typically attribute the whole batch's profile to one window of the
-    /// batch and [`ScanProfile::default`] to the rest, keeping process
-    /// totals accurate.
-    pub profile: ScanProfile,
 }
 
 /// The identification phase of one home's state machine. The
@@ -780,10 +760,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             .process_window(self.model.borrow(), &mut self.session, start, end, events)
     }
 
-    /// Judges one window the caller already binarized, correlation-checked
-    /// and — on a correlation violation — candidate-scanned, typically for
-    /// many homes at once (see
-    /// [`crate::ScanIndex::candidates_batch_into`]). The checks,
+    /// Judges one window the caller already binarized and
+    /// correlation-checked: `main` must be [`Detector::correlation_check`]'s
+    /// verdict for `obs`. A fleet shard checks a sweep's ready windows
+    /// first, then judges them. The candidate scan, the transition check,
     /// identification and the report are bit-identical to
     /// [`DiceEngine::process_window`] on the same events.
     ///
@@ -792,10 +772,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
     pub fn process_observation(
         &mut self,
         obs: &WindowObservation,
-        prescan: WindowPrescan<'_>,
+        main: Option<GroupId>,
     ) -> Option<FaultReport> {
         self.machinery
-            .process_observation(self.model.borrow(), &mut self.session, obs, prescan)
+            .process_observation(self.model.borrow(), &mut self.session, obs, main)
     }
 
     /// Convenience: processes every `config.window()`-sized window of a log,
@@ -1004,39 +984,6 @@ impl EngineSession {
             }
         }
     }
-
-    /// Updates the previous-window summary in place: the main group when
-    /// matched, else the best candidate as an inexact stand-in. The engine
-    /// guarantees a correlation violation's candidate list already contains
-    /// the nearest group(s) when the threshold admitted none, so no rescan
-    /// happens here.
-    fn update_prev(&mut self, obs: &WindowObservation, result: &CheckResult) {
-        let (group, exact) = match result {
-            CheckResult::Normal { group } | CheckResult::TransitionViolation { group, .. } => {
-                (*group, true)
-            }
-            CheckResult::CorrelationViolation { candidates } => (
-                candidates.first().map_or(GroupId::new(0), |c| c.group),
-                false,
-            ),
-        };
-        match &mut self.prev {
-            Some(prev) => {
-                prev.group = group;
-                prev.exact = exact;
-                prev.activated_actuators.clear();
-                prev.activated_actuators
-                    .extend_from_slice(&obs.activated_actuators);
-            }
-            None => {
-                self.prev = Some(PrevWindow {
-                    group,
-                    exact,
-                    activated_actuators: obs.activated_actuators.clone(),
-                });
-            }
-        }
-    }
 }
 
 impl EngineMachinery {
@@ -1093,10 +1040,10 @@ impl EngineMachinery {
         model: &DiceModel,
         session: &mut EngineSession,
         obs: &WindowObservation,
-        prescan: WindowPrescan<'_>,
+        main: Option<GroupId>,
     ) -> Option<FaultReport> {
         debug_assert_eq!(
-            prescan.main,
+            main,
             Detector::new(model).correlation_check(obs),
             "the caller's correlation verdict must match the model's"
         );
@@ -1105,14 +1052,7 @@ impl EngineMachinery {
         } else {
             Laps::off()
         };
-        self.judge(
-            model,
-            session,
-            obs,
-            prescan.main,
-            Some((prescan.candidates, prescan.profile)),
-            laps,
-        )
+        self.judge(model, session, obs, main, laps)
     }
 
     /// [`DiceEngine::flush`] for `session`, which must have been created
@@ -1177,22 +1117,21 @@ impl EngineMachinery {
             .binarizer()
             .binarize_into(start, end, events, &mut self.bin_scratch, &mut obs);
         let main = Detector::new(model).correlation_check(&obs);
-        let report = self.judge(model, session, &obs, main, None, laps);
+        let report = self.judge(model, session, &obs, main, laps);
         // Reclaim the scratch buffer (capacity survives for the next window).
         self.obs_scratch = obs;
         report
     }
 
-    /// The one judging path behind both entry points: the candidate scan
-    /// (unless `prescan` resolved it), the transition check, identification,
-    /// tracing and telemetry for a correlation-checked observation.
+    /// The one judging path behind both entry points: the candidate scan,
+    /// the transition check, identification, tracing and telemetry for a
+    /// correlation-checked observation.
     fn judge(
         &mut self,
         model: &DiceModel,
         session: &mut EngineSession,
         obs: &WindowObservation,
         main: Option<GroupId>,
-        prescan: Option<(&[Candidate], ScanProfile)>,
         mut laps: Laps,
     ) -> Option<FaultReport> {
         let detector = Detector::new(model);
@@ -1204,27 +1143,10 @@ impl EngineMachinery {
         let mut transition_checked = false;
         let result = match main {
             None => {
+                // Identification and the previous-window summary both
+                // consume this list, nearest-group fallback included.
                 let mut candidates = std::mem::take(&mut self.cand_scratch);
-                if let Some((pre, profile)) = prescan {
-                    candidates.clear();
-                    candidates.extend_from_slice(pre);
-                    scan_profile = profile;
-                } else {
-                    scan_profile = model.scan().candidates_into(
-                        &obs.state,
-                        model.candidate_distance(),
-                        &mut candidates,
-                    );
-                    if candidates.is_empty() {
-                        // Nothing within the threshold: substitute the
-                        // nearest group(s) once, here. Identification and
-                        // the previous-window summary both consume this
-                        // list, where each used to rescan the whole table
-                        // on its own.
-                        let fallback = model.scan().nearest_into(&obs.state, &mut candidates);
-                        scan_profile.absorb(fallback);
-                    }
-                }
+                scan_profile = detector.violation_candidates_into(obs, &mut candidates);
                 // The candidate scan counts as correlation.
                 corr_ns = laps.lap();
                 CheckResult::CorrelationViolation { candidates }
@@ -1260,8 +1182,9 @@ impl EngineMachinery {
         }
 
         // Decision tracing. Disabled (the default) costs this one branch;
-        // enabled refills a recycled ring slot — before `update_prev` so the
-        // trace can name the G2G row the transition check consulted.
+        // enabled refills a recycled ring slot — before the previous-window
+        // update so the trace can name the G2G row the transition check
+        // consulted.
         if let Some(tracer) = session.tracer.as_mut() {
             tracer.record(
                 model,
@@ -1277,7 +1200,7 @@ impl EngineMachinery {
         }
 
         // Update previous-window context for the next round.
-        session.update_prev(obs, &result);
+        PrevWindow::advance(&mut session.prev, obs, &result);
 
         // Telemetry: pure observation of already-computed values — the
         // nanosecond figures are the same ones `CostProfile` accumulates
@@ -1837,9 +1760,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `process_observation` fed a caller-computed observation, verdict
-        /// and candidate list judges every window exactly as
-        /// `process_window` does. The fixed prefix guarantees a transition
+        /// `process_observation` fed a caller-computed observation and
+        /// verdict judges every window exactly as `process_window` does. The fixed prefix guarantees a transition
         /// and a correlation violation in every case; the random tail
         /// mixes in more faults.
         #[test]
@@ -1871,28 +1793,12 @@ mod tests {
             );
             let mut scratch = BinarizeScratch::default();
             let mut obs = WindowObservation::default();
-            let mut candidates = Vec::new();
             for (start, end, events) in &windows {
                 let expected = by_window.process_window(*start, *end, events);
 
                 model.binarizer().binarize_into(*start, *end, events, &mut scratch, &mut obs);
                 let main = Detector::new(&model).correlation_check(&obs);
-                let mut profile = ScanProfile::default();
-                candidates.clear();
-                if main.is_none() {
-                    profile = model.scan().candidates_into(
-                        &obs.state,
-                        model.candidate_distance(),
-                        &mut candidates,
-                    );
-                    if candidates.is_empty() {
-                        profile.absorb(model.scan().nearest_into(&obs.state, &mut candidates));
-                    }
-                }
-                let got = by_observation.process_observation(
-                    &obs,
-                    WindowPrescan { main, candidates: &candidates, profile },
-                );
+                let got = by_observation.process_observation(&obs, main);
                 proptest::prop_assert_eq!(&got, &expected, "window ending {}", end);
                 proptest::prop_assert_eq!(
                     by_observation.is_identifying(),

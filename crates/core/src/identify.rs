@@ -52,7 +52,8 @@ impl<'m> Identifier<'m> {
     /// Derives the probable faulty devices for one violating window.
     ///
     /// For a correlation violation the probable groups are the candidate
-    /// groups (distance ≤ threshold); for a G2G violation they are the legal
+    /// groups (distance ≤ threshold, or the nearest groups when none is);
+    /// for a G2G violation they are the legal
     /// successors of the previous group; G2A/A2G violations implicate the
     /// involved actuators directly.
     ///
@@ -82,15 +83,9 @@ impl<'m> Identifier<'m> {
         obs: &WindowObservation,
         candidates: &[Candidate],
     ) -> ProbableSet {
-        // Fall back to the nearest groups when nothing is inside the
-        // threshold (a grossly corrupted state set). The engine pre-fills
-        // that fallback into `candidates`, so this branch only runs for
-        // externally constructed results.
-        let mut probable: Vec<Candidate> = if candidates.is_empty() {
-            self.model.scan().nearest(&obs.state)
-        } else {
-            candidates.to_vec()
-        };
+        // `candidates` already holds the nearest groups when nothing is
+        // inside the threshold (see `Detector::violation_candidates_into`).
+        let mut probable: Vec<Candidate> = candidates.to_vec();
 
         // "If there are two or more probable groups, DICE checks the
         // transition probability from the previous group ... groups that

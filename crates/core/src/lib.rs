@@ -93,7 +93,7 @@ pub use detect::{CheckKind, CheckResult, Detector, PrevWindow, TransitionCase};
 pub use diag::{has_errors, Diagnostic, DiagnosticCode, Severity};
 pub use engine::{
     CostProfile, DetectionDetail, DiceEngine, EngineMachinery, EngineOptions, EngineSession,
-    FaultReport, WindowPrescan,
+    FaultReport,
 };
 pub use error::DiceError;
 pub use extract::{ContextExtractor, ModelBuilder};

@@ -339,29 +339,6 @@ impl ScanIndex {
         profile
     }
 
-    /// Batched [`ScanIndex::nearest_into`] over a slice of queries.
-    ///
-    /// The nearest cascade is query-adaptive (its bucket walk depends on the
-    /// running best distance), so this amortizes call overhead only.
-    /// Returns the element-wise sum of per-query profiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query width does not match the index.
-    pub fn nearest_batch_into(
-        &self,
-        queries: &[&BitSet],
-        out: &mut Vec<Vec<Candidate>>,
-    ) -> ScanProfile {
-        out.resize_with(queries.len(), Vec::new);
-        out.truncate(queries.len());
-        let mut profile = ScanProfile::default();
-        for (query, slots) in queries.iter().zip(out.iter_mut()) {
-            profile.absorb(self.nearest_into(query, slots));
-        }
-        profile
-    }
-
     /// Allocating convenience wrapper over [`ScanIndex::candidates_into`].
     pub fn candidates(&self, state: &BitSet, max_distance: u32) -> Vec<Candidate> {
         let mut out = Vec::new();

@@ -473,8 +473,8 @@ pub fn fleet_monitor(args: &[&str]) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "  detect: {} windows closed, {} batched scans, {} alarms delivered, {} suppressed",
-        run.stats.windows, run.stats.batched_scans, run.stats.alarms, run.stats.suppressed
+        "  detect: {} windows closed, {} alarms delivered, {} suppressed",
+        run.stats.windows, run.stats.alarms, run.stats.suppressed
     );
     render_shards(&mut out, &snapshot, run.stats.shards);
 

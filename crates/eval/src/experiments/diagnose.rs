@@ -1,16 +1,15 @@
 //! Faultless-segment diagnostics: what violates, when, and why.
 
-use dice_core::{Detector, DiceEngine, PrevWindow, WindowObservation};
+use dice_core::{CheckResult, Detector, DiceModel, PrevWindow, WindowObservation};
 use dice_datasets::DatasetId;
-use dice_types::Timestamp;
+use dice_types::DeviceRegistry;
 
-use crate::runner::{batched_window_scans, train_dataset, RunnerConfig};
+use crate::runner::{train_dataset, RunnerConfig};
 
 /// Replays faultless segments and describes every violating window.
 ///
-/// Each segment is binarized up front so the candidate scans and
-/// nearest-group fallbacks run through the scan index's batch entry
-/// points; only the prev-chained transition check stays sequential.
+/// Each window runs through [`Detector::check`] with the previous window
+/// advanced as the engine advances it.
 ///
 /// # Errors
 ///
@@ -27,75 +26,19 @@ pub fn diagnose(dataset: &str, segments: u64) -> Result<String, String> {
     for trial in 0..segments {
         let segment = td.plan.segment_for_trial(trial);
         let mut log = td.sim.log_between(segment.start, segment.end);
-        let mut starts: Vec<Timestamp> = Vec::new();
-        let observations: Vec<WindowObservation> = log
-            .windows_between(segment.start, segment.end, window)
-            .map(|w| {
-                starts.push(w.start);
-                td.model.binarizer().binarize(w.start, w.end, w.events)
-            })
-            .collect();
-        let exact: Vec<_> = observations
-            .iter()
-            .map(|obs| detector.correlation_check(obs))
-            .collect();
-        let scans = batched_window_scans(&td.model, &observations, &exact);
-
         let mut prev: Option<PrevWindow> = None;
         let mut violations = 0;
-        for (i, obs) in observations.iter().enumerate() {
-            let (group, exact_hit) = match exact[i] {
-                Some(group) => {
-                    let cases = prev
-                        .as_ref()
-                        .map_or_else(Vec::new, |p| detector.transition_check(p, group, obs));
-                    if !cases.is_empty() {
-                        violations += 1;
-                        if violations <= 4 {
-                            out.push_str(&format!("seg{trial} {}: TRANS {cases:?}\n", starts[i]));
-                        }
-                    }
-                    (group, true)
+        for w in log.windows_between(segment.start, segment.end, window) {
+            let obs = td.model.binarizer().binarize(w.start, w.end, w.events);
+            let result = detector.check(prev.as_ref(), &obs);
+            if result.is_violation() {
+                violations += 1;
+                if violations <= 4 {
+                    let line = describe(&td.model, td.sim.registry(), &obs, &result);
+                    out.push_str(&format!("seg{trial} {}: {line}\n", w.start));
                 }
-                None => {
-                    violations += 1;
-                    let nearest = scans[i].and_then(|s| s.first_candidate);
-                    if violations <= 4 {
-                        let diff: Vec<String> = nearest
-                            .map(|c| {
-                                obs.state
-                                    .diff_indices(td.model.groups().state(c.group))
-                                    .map(|b| {
-                                        let s = td.model.layout().sensor_of_bit(b);
-                                        format!(
-                                            "bit{b}={s}:{:?}:{:?}",
-                                            td.sim.registry().sensor(s).kind(),
-                                            td.model.layout().role_of_bit(b)
-                                        )
-                                    })
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        out.push_str(&format!(
-                            "seg{trial} {}: CORR dist{:?} diff {}\n",
-                            starts[i],
-                            nearest.map(|c| c.distance),
-                            diff.join(",")
-                        ));
-                    }
-                    (
-                        scans[i]
-                            .and_then(|s| s.standin)
-                            .unwrap_or(dice_types::GroupId::new(0)),
-                        false,
-                    )
-                }
-            };
-            prev = Some(PrevWindow {
-                group,
-                exact: exact_hit,
-                activated_actuators: obs.activated_actuators.clone(),
-            });
+            }
+            PrevWindow::advance(&mut prev, &obs, &result);
         }
         if violations > 0 {
             violating_segments += 1;
@@ -105,7 +48,90 @@ pub fn diagnose(dataset: &str, segments: u64) -> Result<String, String> {
     out.push_str(&format!(
         "{violating_segments}/{segments} faultless segments had violations\n"
     ));
-    let mut engine = DiceEngine::new(&td.model);
-    let _ = &mut engine;
     Ok(out)
+}
+
+/// One violation's description. A correlation violation names its nearest
+/// in-threshold group's distance and the bits that differ from it; when
+/// only the nearest-group fallback answered (its first candidate lies
+/// beyond the candidate distance), it reads `dist None` with an empty diff.
+fn describe(
+    model: &DiceModel,
+    registry: &DeviceRegistry,
+    obs: &WindowObservation,
+    result: &CheckResult,
+) -> String {
+    match result {
+        CheckResult::Normal { .. } => String::new(),
+        CheckResult::TransitionViolation { cases, .. } => format!("TRANS {cases:?}"),
+        CheckResult::CorrelationViolation { candidates } => {
+            let nearest = candidates
+                .first()
+                .filter(|c| c.distance <= model.candidate_distance());
+            let diff: Vec<String> = nearest
+                .map(|c| {
+                    obs.state
+                        .diff_indices(model.groups().state(c.group))
+                        .map(|b| {
+                            let s = model.layout().sensor_of_bit(b);
+                            format!(
+                                "bit{b}={s}:{:?}:{:?}",
+                                registry.sensor(s).kind(),
+                                model.layout().role_of_bit(b)
+                            )
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            format!(
+                "CORR dist{:?} diff {}",
+                nearest.map(|c| c.distance),
+                diff.join(",")
+            )
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dice_core::{ContextExtractor, DiceConfig};
+    use dice_types::{EventLog, Room, SensorKind, SensorReading, TimeDelta, Timestamp};
+
+    /// Two motion sensors that alternate minute by minute, and the
+    /// observation of both at once, which matches no group.
+    fn alternating(config: DiceConfig) -> (DiceModel, DeviceRegistry, WindowObservation) {
+        let mut reg = DeviceRegistry::new();
+        let m0 = reg.add_sensor(SensorKind::Motion, "m0", Room::Kitchen);
+        let m1 = reg.add_sensor(SensorKind::Motion, "m1", Room::Bedroom);
+        let mut log = EventLog::new();
+        for minute in 0..120 {
+            let sensor = if minute % 2 == 0 { m0 } else { m1 };
+            let at = Timestamp::from_mins(minute) + TimeDelta::from_secs(5);
+            log.push_sensor(SensorReading::new(sensor, at, true.into()));
+        }
+        let model = ContextExtractor::new(config)
+            .extract(&reg, &mut log)
+            .unwrap();
+        let at = Timestamp::from_secs(5);
+        let both = [
+            SensorReading::new(m0, at, true.into()).into(),
+            SensorReading::new(m1, at, true.into()).into(),
+        ];
+        let obs = model
+            .binarizer()
+            .binarize(Timestamp::ZERO, Timestamp::from_mins(1), &both);
+        (model, reg, obs)
+    }
+
+    #[test]
+    fn fallback_only_correlation_violation_reads_dist_none() {
+        let (model, reg, obs) = alternating(DiceConfig::builder().candidate_distance(0).build());
+        let result = Detector::new(&model).check(None, &obs);
+        assert!(matches!(
+            &result,
+            CheckResult::CorrelationViolation { candidates } if !candidates.is_empty()
+        ));
+        assert_eq!(describe(&model, &reg, &obs, &result), "CORR distNone diff ");
+    }
 }

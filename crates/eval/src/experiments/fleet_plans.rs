@@ -5,7 +5,7 @@
 //! shared through the [`ModelCache`], and stream a seeded per-home event
 //! schedule through the sharded service's wire-frame ingestion path. A
 //! fixed residue class of homes drops a correlated sensor, so every run
-//! exercises the batched candidate-scan path and alarm totals are
+//! exercises the correlation check's candidate scan and alarm totals are
 //! deterministic — invariant under the shard count (see `tests/fleet.rs`).
 
 use std::sync::Arc;
@@ -115,8 +115,10 @@ mod tests {
     #[test]
     fn small_fleet_is_deterministic_and_alarms_on_faulty_homes() {
         let (homes, minutes) = (32, 20);
+        let telemetry = dice_telemetry::Telemetry::recording();
         let config = FleetConfig {
             shards: 2,
+            telemetry: telemetry.clone(),
             ..FleetConfig::default()
         };
         let fleet = plan_fleet(config, &ModelCache::new(), homes);
@@ -135,9 +137,12 @@ mod tests {
         assert_eq!(run.stats.models_resident, FLOOR_PLANS);
         assert_eq!(faulty_homes, 2);
         assert_eq!(alarming_homes, faulty_homes);
+        let snapshot = telemetry.snapshot().expect("recording sink");
         assert!(
-            run.stats.batched_scans > 0,
-            "faulty homes must hit the batch scan"
+            snapshot
+                .counter("dice_engine_correlation_violations_total")
+                .is_some_and(|n| n > 0),
+            "faulty homes must violate the correlation check"
         );
         assert_eq!(
             run.stats.frames, run.stats.events,

@@ -1,58 +1,30 @@
 //! Missed-fault diagnostics: which injected faults go undetected.
 
-use dice_core::{Detector, PrevWindow, WindowObservation};
+use dice_core::{Detector, PrevWindow};
 use dice_datasets::DatasetId;
 use dice_faults::{FaultInjector, FaultPlanner};
 use dice_types::EventLog;
 
-use crate::runner::{batched_window_scans, run_faulty_segment, train_dataset, RunnerConfig};
+use crate::runner::{run_faulty_segment, train_dataset, RunnerConfig};
 
-/// Counts violating windows in a log range (detector-only, no engine).
-///
-/// Binarizes the whole range first so the candidate scans and nearest-group
-/// fallbacks run through the scan index's batch entry points; only the
-/// prev-chained transition check stays sequential.
+/// Counts violating windows in a log range (detector-only, no engine):
+/// each window runs through [`Detector::check`] with the previous window
+/// advanced as the engine advances it.
 fn count_violations(
     td: &crate::runner::TrainedDataset,
     log: &mut EventLog,
     range: dice_datasets::TimeRange,
 ) -> usize {
     let detector = Detector::new(&td.model);
-    let observations: Vec<WindowObservation> = log
-        .windows_between(range.start, range.end, td.model.config().window())
-        .map(|w| td.model.binarizer().binarize(w.start, w.end, w.events))
-        .collect();
-    let exact: Vec<_> = observations
-        .iter()
-        .map(|obs| detector.correlation_check(obs))
-        .collect();
-    let scans = batched_window_scans(&td.model, &observations, &exact);
-
     let mut prev: Option<PrevWindow> = None;
     let mut violations = 0;
-    for ((obs, exact_group), scan) in observations.iter().zip(&exact).zip(&scans) {
-        let (group, exact_hit, violation) = match exact_group {
-            Some(group) => {
-                let cases = prev
-                    .as_ref()
-                    .map_or_else(Vec::new, |p| detector.transition_check(p, *group, obs));
-                (*group, true, !cases.is_empty())
-            }
-            None => (
-                scan.and_then(|s| s.standin)
-                    .unwrap_or(dice_types::GroupId::new(0)),
-                false,
-                true,
-            ),
-        };
-        if violation {
+    for w in log.windows_between(range.start, range.end, td.model.config().window()) {
+        let obs = td.model.binarizer().binarize(w.start, w.end, w.events);
+        let result = detector.check(prev.as_ref(), &obs);
+        if result.is_violation() {
             violations += 1;
         }
-        prev = Some(PrevWindow {
-            group,
-            exact: exact_hit,
-            activated_actuators: obs.activated_actuators.clone(),
-        });
+        PrevWindow::advance(&mut prev, &obs, &result);
     }
     violations
 }

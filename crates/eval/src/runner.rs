@@ -97,68 +97,6 @@ pub struct TrainedDataset {
     pub plan: SegmentPlan,
 }
 
-/// Prev-independent scan outcome for one window with no exact group match.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WindowScan {
-    /// Closest in-threshold candidate — what a `CheckResult`'s candidate
-    /// list leads with, `None` when nothing is within the threshold.
-    pub first_candidate: Option<dice_core::Candidate>,
-    /// Stand-in group for the previous-window summary: the first candidate
-    /// when one exists, otherwise the globally nearest group.
-    pub standin: Option<dice_types::GroupId>,
-}
-
-/// Resolves the scan work of a detector replay in two batched sweeps.
-///
-/// The correlation outcome, candidate list, and nearest-group fallback
-/// depend only on each window's own state set — not on the previous-window
-/// chain — so a replay can binarize every window first and answer all scan
-/// queries through [`ScanIndex`](dice_core::ScanIndex)'s batch
-/// entry points: one `candidates_batch_into` over the violating windows,
-/// then one `nearest_batch_into` over the slots that came back empty.
-/// Returns `None` for windows with an exact group match.
-pub(crate) fn batched_window_scans(
-    model: &DiceModel,
-    observations: &[dice_core::WindowObservation],
-    exact: &[Option<dice_types::GroupId>],
-) -> Vec<Option<WindowScan>> {
-    debug_assert_eq!(observations.len(), exact.len());
-    let scan = model.scan();
-    let violating: Vec<usize> = exact
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| e.is_none().then_some(i))
-        .collect();
-    let queries: Vec<&dice_core::BitSet> =
-        violating.iter().map(|&i| &observations[i].state).collect();
-    let mut cand_batch = Vec::new();
-    let _ = scan.candidates_batch_into(&queries, model.candidate_distance(), &mut cand_batch);
-
-    let mut out = vec![None; observations.len()];
-    let mut fallback_slots: Vec<usize> = Vec::new();
-    for (j, &i) in violating.iter().enumerate() {
-        let first = cand_batch[j].first().copied();
-        if first.is_none() {
-            fallback_slots.push(j);
-        }
-        out[i] = Some(WindowScan {
-            first_candidate: first,
-            standin: first.map(|c| c.group),
-        });
-    }
-
-    let fallback_queries: Vec<&dice_core::BitSet> =
-        fallback_slots.iter().map(|&j| queries[j]).collect();
-    let mut near_batch = Vec::new();
-    let _ = scan.nearest_batch_into(&fallback_queries, &mut near_batch);
-    for (k, &j) in fallback_slots.iter().enumerate() {
-        if let Some(slot) = out[violating[j]].as_mut() {
-            slot.standin = near_batch[k].first().map(|c| c.group);
-        }
-    }
-    out
-}
-
 /// Trains DICE on a catalog dataset.
 ///
 /// # Panics

@@ -12,11 +12,10 @@
 //! - **Shared models** ([`cache`]): homes with the same floor plan share
 //!   one `Arc<DiceModel>`, so model memory scales with distinct plans,
 //!   not homes.
-//! - **Batched detection** ([`shard`]): each shard collects ready windows
-//!   across its homes and resolves their candidate scans through the scan
-//!   index's batch entry points, then judges each home's engine session
-//!   with the shard's one engine machinery, bit-identically to the
-//!   unbatched path.
+//! - **Swept detection** ([`shard`]): each shard collects ready windows
+//!   across its homes, correlation-checks them, then judges each home's
+//!   engine session with the shard's one engine machinery,
+//!   bit-identically to the single-home path.
 //! - **The service** ([`service`]): thread-per-shard with bounded queues
 //!   and back-pressure accounting; alarm output is invariant under the
 //!   shard count.

@@ -54,7 +54,7 @@ pub struct FleetConfig {
     pub queue_capacity: usize,
     /// Frames packed per batch buffer before it is flushed to the shard.
     pub frames_per_batch: usize,
-    /// Ready windows a shard collects before a batched detection sweep.
+    /// Ready windows a shard collects before a detection sweep.
     pub batch_windows: usize,
     /// Per-home alarm cooldown (see [`dice_gateway::AlarmLedger`]).
     pub alarm_cooldown: TimeDelta,
@@ -115,8 +115,6 @@ pub struct FleetStats {
     pub events: u64,
     /// Windows closed across all homes.
     pub windows: u64,
-    /// Cross-home batched candidate scans issued.
-    pub batched_scans: u64,
     /// Alarms delivered.
     pub alarms: u64,
     /// Alarms suppressed by per-home cooldowns.
@@ -590,7 +588,6 @@ fn absorb_shard(run: &mut FleetRun, (homes, shard, records): ShardFinish) {
     stats.decode_errors += shard.decode_errors;
     stats.events += shard.events;
     stats.windows += shard.windows;
-    stats.batched_scans += shard.batched_scans;
     stats.alarms += shard.alarms;
     stats.suppressed += shard.suppressed;
     run.lineage.push(records);

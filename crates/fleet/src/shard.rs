@@ -1,6 +1,6 @@
 //! The per-shard engine pool: every home owns its windowing state and
 //! engine session, the shard owns the engine machinery, and ready windows
-//! are detected in cross-home batches.
+//! are judged in sweeps.
 //!
 //! A shard receives packed frame batches for its subset of homes and
 //! closes each home's windows through its [`WindowClock`] as that home's
@@ -8,13 +8,11 @@
 //! into the shard's observation pool and clears the home's event buffer
 //! for the next window, so a warm shard allocates nothing per window.
 //! When the ready list reaches the configured batch size (or the stream
-//! ends) the shard correlation-checks every ready observation, resolves
-//! every violating window's candidate scan in one batched sweep per
-//! distinct model — the natural batches `candidates_batch_into` was built
-//! for — and then hands each observation, verdict and candidate list to
-//! the shard's [`EngineMachinery`] with its home's [`EngineSession`] —
-//! the same judging body as [`dice_core::DiceEngine::process_observation`],
-//! bit-identical to the unbatched path. Identification state, the decision
+//! ends) the shard correlation-checks every ready observation, then hands
+//! each observation and verdict to the shard's [`EngineMachinery`] with
+//! its home's [`EngineSession`] — the same judging body as
+//! [`dice_core::DiceEngine::process_observation`], candidate scan
+//! included, bit-identical to the unbatched path. Identification state, the decision
 //! tracer, alarm cooldowns ([`AlarmLedger`]), and reports stay strictly per
 //! home, so shard composition never leaks state across homes and alarm
 //! output is invariant under the shard count. The frame, event and window
@@ -25,8 +23,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dice_core::{
-    BinarizeScratch, BitSet, Candidate, Detector, DiceModel, EngineMachinery, EngineOptions,
-    EngineSession, FaultReport, LineageStamp, ScanProfile, WindowObservation, WindowPrescan,
+    BinarizeScratch, Detector, DiceModel, EngineMachinery, EngineOptions, EngineSession,
+    FaultReport, LineageStamp, WindowObservation,
 };
 use dice_gateway::{AlarmLedger, WindowClock};
 use dice_telemetry::{shard_label, SlotRing, Telemetry};
@@ -60,8 +58,6 @@ pub struct ShardStats {
     pub events: u64,
     /// Windows closed and processed.
     pub windows: u64,
-    /// Cross-home batched candidate scans issued.
-    pub batched_scans: u64,
     /// Alarms delivered.
     pub alarms: u64,
     /// Alarms suppressed by the per-home cooldown.
@@ -82,14 +78,14 @@ struct HomeState {
     reports: Vec<FaultReport>,
 }
 
-/// A closed window waiting for the next batched detection sweep. Its
+/// A closed window waiting for the next detection sweep. Its
 /// observation sits at the same index of the shard's observation pool.
 #[derive(Debug)]
 struct ReadyWindow {
     slot: usize,
 }
 
-/// One shard's engine pool; see the module docs for the batching scheme.
+/// One shard's engine pool; see the module docs for the sweep.
 #[derive(Debug)]
 pub struct ShardEngine {
     homes: Vec<HomeState>,
@@ -113,19 +109,9 @@ pub struct ShardEngine {
     /// Resolved per-shard child of `dice_fleet_shard_windows_total`, so
     /// publishing never touches the family mutex.
     shard_windows: Option<Arc<dice_telemetry::Counter>>,
-    // Sweep scratch, reused across sweeps.
-    /// Each ready window's correlation verdict.
+    /// Sweep scratch, reused across sweeps: each ready window's
+    /// correlation verdict.
     mains: Vec<Option<GroupId>>,
-    /// Violating ready windows grouped by model, in first-seen order over
-    /// the shard's life; emptied, not dropped, at each sweep.
-    model_groups: Vec<(Arc<DiceModel>, Vec<usize>)>,
-    /// Each violating ready window's resolved candidates.
-    resolved: Vec<Vec<Candidate>>,
-    /// Scan work attributed to each ready window.
-    profiles: Vec<ScanProfile>,
-    /// Batched scan outputs, swapped into `resolved`.
-    cand_batch: Vec<Vec<Candidate>>,
-    near_batch: Vec<Vec<Candidate>>,
     // §5l causal tracing state.
     shard: u32,
     tracing: bool,
@@ -208,11 +194,6 @@ impl ShardEngine {
             published: ShardStats::default(),
             shard_windows,
             mains: Vec::new(),
-            model_groups: Vec::new(),
-            resolved: Vec::new(),
-            profiles: Vec::new(),
-            cand_batch: Vec::new(),
-            near_batch: Vec::new(),
             shard: u32::try_from(shard).unwrap_or(u32::MAX),
             tracing,
             clock,
@@ -359,10 +340,8 @@ impl ShardEngine {
         self.ready.push(ReadyWindow { slot });
     }
 
-    /// Runs one batched detection sweep over the ready windows:
-    /// correlation-check each observation, resolve every violating
-    /// window's candidate scan through one batched scan per distinct
-    /// model, then drive each home's engine in arrival order.
+    /// Runs one detection sweep over the ready windows: correlation-check
+    /// each observation, then drive each home's engine in arrival order.
     fn sweep(&mut self) {
         let n = self.ready.len();
         if n == 0 {
@@ -370,78 +349,15 @@ impl ShardEngine {
         }
         let sweep_start_ns = if self.tracing { self.clock.now_ns() } else { 0 };
 
-        // Correlation-check every ready window, and group the violating
-        // ones by model identity (a linear scan over the handful of
-        // distinct models per shard, in first-seen order so the sweep
-        // stays deterministic).
         self.mains.clear();
-        for (_, idxs) in &mut self.model_groups {
-            idxs.clear();
-        }
         for (i, rw) in self.ready.iter().enumerate() {
             let model = &self.homes[rw.slot].model;
-            let main = Detector::new(model).correlation_check(&self.obs[i]);
-            self.mains.push(main);
-            if main.is_some() {
-                continue;
-            }
-            match self
-                .model_groups
-                .iter_mut()
-                .find(|(m, _)| Arc::ptr_eq(m, model))
-            {
-                Some((_, idxs)) => idxs.push(i),
-                None => self.model_groups.push((Arc::clone(model), vec![i])),
-            }
+            self.mains
+                .push(Detector::new(model).correlation_check(&self.obs[i]));
         }
 
-        // One batched candidate scan per model, with the nearest-group
-        // fallback batched over the slots that came back empty — exactly
-        // what the engine's own per-window scan would have produced.
-        if self.resolved.len() < n {
-            self.resolved.resize_with(n, Vec::new);
-        }
-        self.profiles.clear();
-        self.profiles.resize(n, ScanProfile::default());
-        for (model, idxs) in &self.model_groups {
-            if idxs.is_empty() {
-                continue;
-            }
-            let queries: Vec<&BitSet> = idxs.iter().map(|&i| &self.obs[i].state).collect();
-            let mut profile = model.scan().candidates_batch_into(
-                &queries,
-                model.candidate_distance(),
-                &mut self.cand_batch,
-            );
-            let empty: Vec<usize> = (0..idxs.len())
-                .filter(|&j| self.cand_batch[j].is_empty())
-                .collect();
-            if !empty.is_empty() {
-                let fallback: Vec<&BitSet> = empty.iter().map(|&j| queries[j]).collect();
-                profile.absorb(
-                    model
-                        .scan()
-                        .nearest_batch_into(&fallback, &mut self.near_batch),
-                );
-                for (k, &j) in empty.iter().enumerate() {
-                    std::mem::swap(&mut self.cand_batch[j], &mut self.near_batch[k]);
-                }
-            }
-            // Swapping keeps every candidate buffer's capacity in play.
-            for (j, &i) in idxs.iter().enumerate() {
-                std::mem::swap(&mut self.resolved[i], &mut self.cand_batch[j]);
-            }
-            // Attribute the whole batch's scan work to its first window;
-            // process-level totals stay accurate.
-            self.profiles[idxs[0]] = profile;
-            self.stats.batched_scans += 1;
-            if let Some(rec) = self.telemetry.recorder() {
-                rec.metrics.fleet.batched_scans_total.inc();
-            }
-        }
-
-        // The scan stage covers everything from sweep entry through the
-        // batched candidate resolution above.
+        // The scan stage covers the correlation checks above; a violating
+        // window's candidate scan runs inside its verdict below.
         let scan_end_ns = if self.tracing { self.clock.now_ns() } else { 0 };
         let scan_ns = scan_end_ns.saturating_sub(sweep_start_ns);
         if let Some(stages) = &self.stages {
@@ -457,11 +373,7 @@ impl ShardEngine {
                 &home.model,
                 &mut home.session,
                 &self.obs[i],
-                WindowPrescan {
-                    main: self.mains[i],
-                    candidates: &self.resolved[i],
-                    profile: self.profiles[i],
-                },
+                self.mains[i],
             );
             if let Some(report) = report {
                 let publish_start_ns = if self.tracing { self.clock.now_ns() } else { 0 };

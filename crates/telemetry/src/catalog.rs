@@ -269,8 +269,6 @@ pub struct FleetMetrics {
     pub events_total: Arc<Counter>,
     /// Windows closed across all homes.
     pub windows_total: Arc<Counter>,
-    /// Cross-home batched candidate scans issued by shards.
-    pub batched_scans_total: Arc<Counter>,
     /// Alarms delivered across all homes.
     pub alarms_total: Arc<Counter>,
     /// Alarms suppressed by the per-home cooldown.
@@ -300,11 +298,11 @@ pub struct FleetMetrics {
     /// Dequeue-to-scan time per batch: frame decode and window assembly,
     /// including the binarization of each window as it closes.
     pub stage_dequeue_ns: Arc<Family<QuantileSketch>>,
-    /// Correlation-check and batched candidate-scan time per detection
-    /// sweep.
+    /// Correlation-check time per detection sweep (every ready
+    /// observation's exact group lookup).
     pub stage_scan_ns: Arc<Family<QuantileSketch>>,
     /// Engine verdict time per detection sweep (every ready observation
-    /// driven to a decision).
+    /// driven to a decision, violating windows' candidate scans included).
     pub stage_verdict_ns: Arc<Family<QuantileSketch>>,
     /// Alarm publish time per detection sweep (cooldown bookkeeping and
     /// report delivery).
@@ -326,10 +324,6 @@ impl FleetMetrics {
             windows_total: r.counter(
                 "dice_fleet_windows_total",
                 "Windows closed across all homes",
-            ),
-            batched_scans_total: r.counter(
-                "dice_fleet_batched_scans_total",
-                "Cross-home batched candidate scans issued",
             ),
             alarms_total: r.counter("dice_fleet_alarms_total", "Alarms delivered across homes"),
             alarms_suppressed_total: r.counter(
@@ -389,7 +383,7 @@ impl FleetMetrics {
             ),
             stage_scan_ns: r.sketch_family(
                 "dice_fleet_stage_scan_ns",
-                "Batched candidate-scan time per detection sweep",
+                "Correlation-check time per detection sweep",
                 "ns",
                 &["shard"],
             ),

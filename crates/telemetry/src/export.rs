@@ -13,8 +13,9 @@ use crate::ring::{EventRing, TelemetryEvent};
 /// Schema 2 added the `sketches` and `families` sections; schema 3 added
 /// `sketch_families`; schema 4 dropped the fixed-bucket section, every
 /// distribution now being a sketch; schema 5 dropped the bit-sliced scan's
-/// block counters and backend gauge.
-pub const SNAPSHOT_SCHEMA: u32 = 5;
+/// block counters and backend gauge; schema 6 dropped the fleet's batched
+/// scan counter.
+pub const SNAPSHOT_SCHEMA: u32 = 6;
 
 /// Whether `name` is a valid Prometheus metric name
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).

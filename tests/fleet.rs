@@ -303,10 +303,6 @@ fn batched_shard_counters_match_the_fleet_stats() {
     );
     assert_eq!(counter("dice_fleet_events_total"), stats.events);
     assert_eq!(counter("dice_fleet_windows_total"), stats.windows);
-    assert_eq!(
-        counter("dice_fleet_batched_scans_total"),
-        stats.batched_scans
-    );
     assert_eq!(counter("dice_fleet_alarms_total"), stats.alarms);
     assert_eq!(
         counter("dice_fleet_alarms_suppressed_total"),

@@ -170,12 +170,6 @@ fn assert_scans_match_naive(
         summed.absorb(index.candidates_into(q, max_distance, &mut scratch));
     }
     assert_eq!(batch_profile, summed, "batch profile is the sum of singles");
-
-    let mut nearest_batch = Vec::new();
-    let _ = index.nearest_batch_into(&batch_queries, &mut nearest_batch);
-    for (q, slots) in batch_queries.iter().zip(&nearest_batch) {
-        assert_eq!(slots, &table.nearest(q));
-    }
 }
 
 proptest! {
