@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dice_telemetry::{saturating_ns, Counter, EngineMetrics, LocalSketch, Telemetry};
+use dice_telemetry::{saturating_ns, Counter, EngineMetrics, LocalSketch, SlotRing, Telemetry};
 use dice_types::{DeviceId, Event, GroupId, TimeDelta, Timestamp};
 
 use crate::binarize::{BinarizeScratch, WindowObservation};
@@ -26,8 +26,8 @@ use crate::identify::{Identifier, IntersectionTracker};
 use crate::model::DiceModel;
 use crate::scan::ScanProfile;
 use crate::trace::{
-    DecisionTrace, FlightRecorder, LineageStamp, SharedTraceSink, TraceOptions, TracePhase,
-    TraceTransition, TraceVerdict,
+    DecisionTrace, LineageStamp, SharedTraceSink, TraceOptions, TracePhase, TraceTransition,
+    TraceVerdict, DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SNAPSHOT_LAST, DEFAULT_TRACE_TOP_K,
 };
 use crate::weights::DeviceWeights;
 
@@ -194,40 +194,6 @@ impl CostProfile {
         }
     }
 
-    /// Total nanoseconds across all three steps.
-    pub fn total_ns(&self) -> u128 {
-        self.correlation_ns + self.transition_ns + self.identification_ns
-    }
-
-    /// Correlation-check time in whole milliseconds, saturating to `u64`.
-    pub fn correlation_millis(&self) -> u64 {
-        saturating_millis(self.correlation_ns)
-    }
-
-    /// Transition-check time in whole milliseconds, saturating to `u64`.
-    pub fn transition_millis(&self) -> u64 {
-        saturating_millis(self.transition_ns)
-    }
-
-    /// Identification time in whole milliseconds, saturating to `u64`.
-    pub fn identification_millis(&self) -> u64 {
-        saturating_millis(self.identification_ns)
-    }
-
-    /// Total time in whole milliseconds, saturating to `u64`.
-    pub fn total_millis(&self) -> u64 {
-        saturating_millis(self.total_ns())
-    }
-
-    /// Mean total nanoseconds per window, or 0 before any window.
-    pub fn mean_ns_per_window(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / self.windows as f64
-        }
-    }
-
     /// Merges another profile into this one.
     pub fn merge(&mut self, other: &CostProfile) {
         self.correlation_ns += other.correlation_ns;
@@ -264,13 +230,6 @@ fn detection_detail(model: &DiceModel, result: &CheckResult) -> Option<Detection
             }
         }),
     }
-}
-
-/// Converts a `u128` nanosecond total into whole milliseconds, saturating
-/// to `u64` (585 million years of headroom — effectively "never wrong, and
-/// never a silent truncation").
-fn saturating_millis(ns: u128) -> u64 {
-    u64::try_from(ns / 1_000_000).unwrap_or(u64::MAX)
 }
 
 /// Optional engine behaviors beyond the paper's defaults.
@@ -531,13 +490,12 @@ struct StaleSuspects {
     devices: std::collections::BTreeSet<DeviceId>,
 }
 
-/// Per-session tracing state: the flight recorder plus the knobs and sinks
-/// from [`TraceOptions`]. `None` on the session when tracing is disabled,
-/// so the steady-state cost of "off" is one `Option` discriminant check.
+/// Per-session tracing state: the flight recorder plus the sink from
+/// [`TraceOptions`]. `None` on the session when tracing is disabled, so the
+/// steady-state cost of "off" is one `Option` discriminant check.
+#[derive(Clone)]
 struct Tracer {
-    recorder: FlightRecorder,
-    top_k: usize,
-    snapshot_last: usize,
+    recorder: SlotRing<DecisionTrace>,
     sink: Option<SharedTraceSink>,
     records_total: Option<Arc<Counter>>,
     ring_dropped_total: Option<Arc<Counter>>,
@@ -547,9 +505,7 @@ impl Tracer {
     fn new(options: &TraceOptions, telemetry: &Telemetry) -> Self {
         let trace_metrics = telemetry.recorder().map(|r| &r.metrics.trace);
         Tracer {
-            recorder: FlightRecorder::new(options.capacity),
-            top_k: options.top_k,
-            snapshot_last: options.snapshot_last,
+            recorder: SlotRing::new(DEFAULT_TRACE_CAPACITY),
             sink: options.sink.clone(),
             records_total: trace_metrics.map(|m| Arc::clone(&m.records_total)),
             ring_dropped_total: trace_metrics.map(|m| Arc::clone(&m.ring_dropped_total)),
@@ -575,12 +531,11 @@ impl Tracer {
     ) {
         let transitions = model.transitions();
         let min_support = model.config().min_row_support().max(1);
-        let top_k = self.top_k;
         let dropped_before = self.recorder.dropped();
         let (reported, conclusive) = report
             .as_ref()
             .map_or((false, false), |r| (true, r.conclusive));
-        self.recorder.record_with(|seq, slot| {
+        self.recorder.push_with(|seq, slot| {
             slot.reset();
             slot.window = seq;
             slot.start = start;
@@ -608,7 +563,7 @@ impl Tracer {
                 }
                 CheckResult::CorrelationViolation { candidates } => {
                     slot.verdict = TraceVerdict::Correlation;
-                    for c in candidates.iter().take(top_k) {
+                    for c in candidates.iter().take(DEFAULT_TRACE_TOP_K) {
                         slot.candidates.push((c.group, c.distance));
                     }
                     // `candidates_into` sorts ascending by distance, so the
@@ -666,7 +621,7 @@ impl Tracer {
             }
         }
         if let Some(report) = report {
-            report.evidence = self.recorder.last_n(self.snapshot_last);
+            report.evidence = self.recorder.last_n(DEFAULT_TRACE_SNAPSHOT_LAST);
         }
     }
 }
@@ -675,23 +630,8 @@ impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracer")
             .field("recorder", &self.recorder)
-            .field("top_k", &self.top_k)
-            .field("snapshot_last", &self.snapshot_last)
             .field("sink", &self.sink.as_ref().map(|_| "..."))
             .finish_non_exhaustive()
-    }
-}
-
-impl Clone for Tracer {
-    fn clone(&self) -> Self {
-        Tracer {
-            recorder: self.recorder.clone(),
-            top_k: self.top_k,
-            snapshot_last: self.snapshot_last,
-            sink: self.sink.clone(),
-            records_total: self.records_total.clone(),
-            ring_dropped_total: self.ring_dropped_total.clone(),
-        }
     }
 }
 
@@ -782,12 +722,7 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
     /// collecting all reports. Windows are aligned to the log's first event.
     pub fn process_log(&mut self, log: &mut dice_types::EventLog) -> Vec<FaultReport> {
         let duration = self.model.borrow().config().window();
-        // Collect windows eagerly to avoid borrowing `log` across `self`.
-        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
-            .windows(duration)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
-        self.process_collected(windows)
+        self.process_windows(log.windows(duration))
     }
 
     /// Processes every window tiling exactly `[from, to)`, including silent
@@ -800,20 +735,13 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         to: Timestamp,
     ) -> Vec<FaultReport> {
         let duration = self.model.borrow().config().window();
-        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
-            .windows_between(from, to, duration)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
-        self.process_collected(windows)
+        self.process_windows(log.windows_between(from, to, duration))
     }
 
-    fn process_collected(
-        &mut self,
-        windows: Vec<(Timestamp, Timestamp, Vec<Event>)>,
-    ) -> Vec<FaultReport> {
+    fn process_windows(&mut self, windows: dice_types::WindowIter<'_>) -> Vec<FaultReport> {
         let mut reports = Vec::new();
-        for (start, end, events) in windows {
-            if let Some(report) = self.process_window(start, end, &events) {
+        for w in windows {
+            if let Some(report) = self.process_window(w.start, w.end, w.events) {
                 reports.push(report);
             }
         }
@@ -1088,7 +1016,7 @@ impl EngineMachinery {
             lineage: None,
         };
         if let Some(tracer) = session.tracer.as_ref() {
-            report.evidence = tracer.recorder.last_n(tracer.snapshot_last);
+            report.evidence = tracer.recorder.last_n(DEFAULT_TRACE_SNAPSHOT_LAST);
         }
         Some(report)
     }
@@ -1828,28 +1756,5 @@ mod tests {
     fn a_session_fits_in_64_bytes() {
         let size = std::mem::size_of::<EngineSession>();
         assert!(size <= 64, "EngineSession is {size} B");
-    }
-
-    #[test]
-    fn cost_profile_saturating_helpers() {
-        let cost = CostProfile {
-            correlation_ns: 2_500_000,
-            transition_ns: 1_000_000,
-            identification_ns: u128::from(u64::MAX) * 1_000_000 + 999_999,
-            windows: 2,
-        };
-        assert_eq!(cost.correlation_millis(), 2);
-        assert_eq!(cost.transition_millis(), 1);
-        assert_eq!(cost.identification_millis(), u64::MAX);
-        assert_eq!(cost.total_millis(), u64::MAX);
-        let sane = CostProfile {
-            correlation_ns: 3_000,
-            transition_ns: 1_000,
-            identification_ns: 2_000,
-            windows: 2,
-        };
-        assert_eq!(sane.total_ns(), 6_000);
-        assert!((sane.mean_ns_per_window() - 3_000.0).abs() < f64::EPSILON);
-        assert_eq!(CostProfile::default().mean_ns_per_window(), 0.0);
     }
 }

@@ -93,11 +93,6 @@ impl ModelBuilder {
         self.windows += 1;
     }
 
-    /// Number of windows observed so far.
-    pub fn windows_observed(&self) -> u64 {
-        self.windows
-    }
-
     /// Finalizes the model.
     ///
     /// # Errors

@@ -106,13 +106,12 @@ pub use model_io::{
 };
 pub use partition::{Partition, PartitionedEngine, PartitionedModel};
 pub use scan::{ScanBackend, ScanIndex, ScanProfile};
-pub use stats::{ExactSum, MeanAccumulator, RunningMean, WindowStats};
+pub use stats::{ExactSum, MeanAccumulator, WindowStats};
 pub use trace::{
     parse_trace_jsonl, render_explain, write_header_line, write_trace_jsonl, write_trace_line,
-    DecisionTrace, FlightRecorder, JsonlTraceWriter, LineageStamp, SharedTraceSink, TraceHeader,
-    TraceLog, TraceOptions, TracePhase, TraceSink, TraceTransition, TraceVerdict,
-    DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SNAPSHOT_LAST, DEFAULT_TRACE_TOP_K, TRACE_KIND,
-    TRACE_SCHEMA,
+    DecisionTrace, JsonlTraceWriter, LineageStamp, SharedTraceSink, TraceHeader, TraceLog,
+    TraceOptions, TracePhase, TraceSink, TraceTransition, TraceVerdict, DEFAULT_TRACE_CAPACITY,
+    DEFAULT_TRACE_SNAPSHOT_LAST, DEFAULT_TRACE_TOP_K, TRACE_KIND, TRACE_SCHEMA,
 };
 pub use train_par::{merge_partials, ChunkPass, ParallelTrainer, PartialModel};
 pub use transition::{TransitionCounts, TransitionModel};

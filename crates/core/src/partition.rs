@@ -295,13 +295,9 @@ impl<'m> PartitionedEngine<'m> {
             || dice_types::TimeDelta::from_mins(1),
             |(_, e)| e.model().config().window(),
         );
-        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
-            .windows_between(from, to, window)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
         let mut reports = Vec::new();
-        for (start, end, events) in windows {
-            reports.extend(self.process_window(start, end, &events));
+        for w in log.windows_between(from, to, window) {
+            reports.extend(self.process_window(w.start, w.end, w.events));
         }
         reports
     }

@@ -148,38 +148,6 @@ impl FromIterator<f64> for WindowStats {
     }
 }
 
-/// Streaming accumulator for a sensor's long-run mean, used to train the
-/// `valueThre` threshold of Eq. 3.4 ("the corresponding sensor's mean value
-/// of the data collected during the precomputation phase").
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningMean {
-    n: u64,
-    mean: f64,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, value: f64) {
-        self.n += 1;
-        self.mean += (value - self.mean) / self.n as f64;
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// The mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.mean)
-    }
-}
-
 /// Number of `i128` bins in an [`ExactSum`]. Finite `f64` exponents after
 /// the subnormal offset span `[0, 2045]`; 32 exponent values share a bin.
 const EXACT_SUM_BINS: usize = 64;
@@ -470,17 +438,6 @@ mod tests {
         let m3 = values.iter().map(|v| (v - mean).powi(3)).sum::<f64>() / n;
         let expected = m3 / var.powf(1.5);
         assert!((s.skewness().unwrap() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_mean_converges() {
-        let mut rm = RunningMean::new();
-        assert_eq!(rm.mean(), None);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            rm.push(v);
-        }
-        assert_eq!(rm.count(), 4);
-        assert!((rm.mean().unwrap() - 2.5).abs() < 1e-12);
     }
 
     fn exact(values: &[f64]) -> ExactSum {

@@ -5,8 +5,9 @@
 //! the main-group lookup outcome, the candidate groups scanned with their
 //! Hamming distances, the transition row actually consulted with its
 //! observed probability, the identification phase transition, and the final
-//! verdict. Traces land in a bounded [`FlightRecorder`] ring (overwrite
-//! oldest, drop counting), are snapshotted into every
+//! verdict. Traces land in a bounded flight recorder, a
+//! [`SlotRing`](dice_telemetry::SlotRing) (overwrite oldest, drop
+//! counting), are snapshotted into every
 //! [`FaultReport`](crate::FaultReport) as structured evidence, and can be
 //! streamed to a [`TraceSink`] — typically a [`JsonlTraceWriter`] — as a
 //! schema-versioned JSONL file that [`parse_trace_jsonl`] reads back
@@ -20,7 +21,7 @@ use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use dice_telemetry::{Counter, SlotRing, Telemetry};
+use dice_telemetry::{Counter, Telemetry};
 use dice_types::{ActuatorId, GroupId, SensorId, Timestamp};
 
 use crate::bitset::BitSet;
@@ -33,13 +34,13 @@ pub const TRACE_SCHEMA: u32 = 1;
 /// The `kind` discriminator in a trace header line.
 pub const TRACE_KIND: &str = "dice-trace";
 
-/// Default flight-recorder capacity, in traces.
+/// Flight-recorder capacity of a tracing engine session, in traces.
 pub const DEFAULT_TRACE_CAPACITY: usize = 64;
 
-/// Default number of candidate groups retained per trace.
+/// Candidate groups retained per trace.
 pub const DEFAULT_TRACE_TOP_K: usize = 8;
 
-/// Default number of recent traces copied into a fault report as evidence.
+/// Recent traces copied into each fault report as evidence.
 pub const DEFAULT_TRACE_SNAPSHOT_LAST: usize = 8;
 
 /// Pipeline latency attribution for one alarm served by a fleet shard:
@@ -171,8 +172,9 @@ pub struct TraceTransition {
 /// One window's complete decision record.
 ///
 /// All collection fields are refilled with `clear()` + `extend` so a
-/// recycled ring slot reuses its buffers: a warm [`FlightRecorder`] admits
-/// traces without allocating.
+/// recycled ring slot reuses its buffers: a warm
+/// [`SlotRing`](dice_telemetry::SlotRing) flight recorder admits traces
+/// without allocating.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionTrace {
     /// Window index within this engine's stream (the ring sequence number).
@@ -262,81 +264,6 @@ fn rebuild_bitset(bits: usize, words: &[u64]) -> Option<BitSet> {
     Some(BitSet::from_words(bits, words.to_vec()))
 }
 
-/// A bounded ring of recent [`DecisionTrace`]s with overwrite-oldest
-/// semantics and drop counting, built on the shared
-/// [`SlotRing`].
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    ring: SlotRing<DecisionTrace>,
-}
-
-impl FlightRecorder {
-    /// Creates a recorder retaining at most `capacity` traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            ring: SlotRing::new(capacity),
-        }
-    }
-
-    /// Records a trace by filling a (possibly recycled) slot in place.
-    /// `fill` receives the sequence number and the slot; it must call
-    /// [`DecisionTrace::reset`] (or overwrite every field) because the slot
-    /// may hold a stale trace. Returns the sequence number.
-    pub fn record_with(&mut self, fill: impl FnOnce(u64, &mut DecisionTrace)) -> u64 {
-        self.ring.push_with(fill)
-    }
-
-    /// The retained traces, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &DecisionTrace> + '_ {
-        self.ring.iter()
-    }
-
-    /// The most recently recorded trace, if any.
-    pub fn latest(&self) -> Option<&DecisionTrace> {
-        self.ring.latest()
-    }
-
-    /// Clones the newest `n` traces, oldest first. Allocates; intended for
-    /// the rare report path, not the per-window path.
-    pub fn last_n(&self, n: usize) -> Vec<DecisionTrace> {
-        let len = self.ring.len();
-        self.ring
-            .iter()
-            .skip(len.saturating_sub(n))
-            .cloned()
-            .collect()
-    }
-
-    /// Traces currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no trace was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Total traces ever recorded.
-    pub fn total(&self) -> u64 {
-        self.ring.total()
-    }
-
-    /// Traces evicted by wraparound.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// The maximum number of retained traces.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-}
-
 /// A consumer of finished traces, called once per traced window.
 ///
 /// Implementations must not assume exclusive ownership of the trace — it is
@@ -356,47 +283,26 @@ pub type SharedTraceSink = Arc<Mutex<dyn TraceSink>>;
 /// Disabled by default; [`TraceOptions::global`] mirrors
 /// [`Telemetry::global`] so a process-wide installation (e.g. `dice-repro
 /// --trace`) reaches every engine constructed through default options.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct TraceOptions {
     /// Whether tracing is on. When false the engine pays one `Option`
     /// check per window and nothing else.
     pub enabled: bool,
-    /// Flight-recorder capacity, in traces.
-    pub capacity: usize,
-    /// Candidate groups retained per trace.
-    pub top_k: usize,
-    /// Recent traces copied into each fault report as evidence.
-    pub snapshot_last: usize,
     /// Optional streaming sink, called once per traced window.
     pub sink: Option<SharedTraceSink>,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions {
-            enabled: false,
-            capacity: DEFAULT_TRACE_CAPACITY,
-            top_k: DEFAULT_TRACE_TOP_K,
-            snapshot_last: DEFAULT_TRACE_SNAPSHOT_LAST,
-            sink: None,
-        }
-    }
 }
 
 impl std::fmt::Debug for TraceOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceOptions")
             .field("enabled", &self.enabled)
-            .field("capacity", &self.capacity)
-            .field("top_k", &self.top_k)
-            .field("snapshot_last", &self.snapshot_last)
             .field("sink", &self.sink.as_ref().map(|_| "..."))
             .finish()
     }
 }
 
 impl TraceOptions {
-    /// Enabled tracing with default sizing and no sink.
+    /// Enabled tracing with no sink.
     pub fn recording() -> Self {
         TraceOptions {
             enabled: true,
@@ -1117,28 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_wraps_and_snapshots_last_n() {
-        let mut recorder = FlightRecorder::new(3);
-        for i in 0..5u64 {
-            recorder.record_with(|seq, slot| {
-                slot.reset();
-                slot.window = seq;
-                slot.ones = u32::try_from(i).unwrap();
-            });
-        }
-        assert_eq!(recorder.total(), 5);
-        assert_eq!(recorder.dropped(), 2);
-        assert_eq!(recorder.latest().unwrap().window, 4);
-        let last = recorder.last_n(2);
-        assert_eq!(
-            last.iter().map(|t| t.window).collect::<Vec<_>>(),
-            vec![3, 4]
-        );
-        // Asking for more than retained returns everything retained.
-        assert_eq!(recorder.last_n(10).len(), 3);
-    }
-
-    #[test]
     fn jsonl_round_trip_is_byte_stable() {
         let log = TraceLog {
             header: sample_header(),
@@ -1241,7 +1125,6 @@ mod tests {
         let options = TraceOptions::default();
         assert!(!options.enabled);
         assert!(options.sink.is_none());
-        assert_eq!(options.capacity, DEFAULT_TRACE_CAPACITY);
         // Never install in tests: first read pins the default.
         assert!(!TraceOptions::global().enabled);
         assert!(!TraceOptions::install_global(TraceOptions::recording()));

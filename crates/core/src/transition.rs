@@ -271,11 +271,6 @@ impl TransitionModel {
         self.g2g.row_total(from.index() as u32) > 0
     }
 
-    /// Total observed outgoing G2G transitions from `from`.
-    pub fn g2g_row_total(&self, from: GroupId) -> u64 {
-        self.g2g.row_total(from.index() as u32)
-    }
-
     /// Outgoing G2G transitions from `from`, excluding self-loops.
     ///
     /// This is the meaningful support for a zero-probability claim: a group

@@ -8,13 +8,13 @@
 //! identification step is run in its ambiguous (all-candidates)
 //! configuration.
 
-use dice_core::{Attestor, DiceConfig, DiceEngine};
+use dice_core::{Attestor, DiceConfig};
 use dice_datasets::DatasetId;
 use dice_faults::{FaultInjector, FaultPlanner};
 use dice_types::{DeviceId, WindowIter};
 
 use crate::report::{pct, render_table};
-use crate::runner::{train_dataset, RunnerConfig};
+use crate::runner::{run_faulty_segment, train_dataset, RunnerConfig};
 
 /// Runs the attestation comparison.
 pub fn attest(trials: u64, seed: u64) -> String {
@@ -44,10 +44,8 @@ pub fn attest(trials: u64, seed: u64) -> String {
         let clean = td.sim.log_between(segment.start, segment.end);
         let mut faulty = injector.inject_sensor(clean, registry, &fault);
 
-        let mut engine = DiceEngine::new(&td.model);
-        let mut reports = engine.process_range(&mut faulty, segment.start, segment.end);
-        reports.extend(engine.flush());
-        let Some(report) = reports.into_iter().find(|r| r.detected_at >= fault.onset) else {
+        let outcome = run_faulty_segment(&td, &mut faulty, segment, fault.onset);
+        let Some(report) = outcome.report else {
             continue;
         };
         detected += 1;

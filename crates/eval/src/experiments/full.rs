@@ -4,10 +4,7 @@
 use dice_datasets::DatasetId;
 use rayon::prelude::*;
 
-use crate::runner::{
-    evaluate_sensor_faults, evaluate_sensor_faults_serial, train_dataset, DatasetEvaluation,
-    RunnerConfig,
-};
+use crate::runner::{evaluate_sensor_faults, train_dataset, DatasetEvaluation, RunnerConfig};
 
 /// The result of evaluating a set of datasets under one configuration.
 #[derive(Debug, Clone)]
@@ -57,7 +54,7 @@ fn avg(values: impl Iterator<Item = f64>) -> f64 {
 ///
 /// Datasets are trained and evaluated in parallel; results are collected in
 /// catalog order and each dataset's randomness depends only on the master
-/// seed, so the output is bit-identical to [`run_full_serial`].
+/// seed, so the output is bit-identical to a serial run.
 pub fn run_full(datasets: &[DatasetId], trials: u64, seed: u64) -> FullEvaluation {
     let cfg = RunnerConfig {
         trials,
@@ -69,24 +66,6 @@ pub fn run_full(datasets: &[DatasetId], trials: u64, seed: u64) -> FullEvaluatio
         .map(|&id| {
             let td = train_dataset(id, &cfg);
             evaluate_sensor_faults(&td, &cfg)
-        })
-        .collect();
-    FullEvaluation { evals }
-}
-
-/// Serial reference implementation of [`run_full`]; the equivalence test
-/// compares the two.
-pub fn run_full_serial(datasets: &[DatasetId], trials: u64, seed: u64) -> FullEvaluation {
-    let cfg = RunnerConfig {
-        trials,
-        seed,
-        ..RunnerConfig::default()
-    };
-    let evals = datasets
-        .iter()
-        .map(|&id| {
-            let td = train_dataset(id, &cfg);
-            evaluate_sensor_faults_serial(&td, &cfg)
         })
         .collect();
     FullEvaluation { evals }

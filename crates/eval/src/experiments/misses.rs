@@ -47,14 +47,12 @@ pub fn misses(dataset: &str, trials: u64) -> Result<String, String> {
         let segment = td.plan.segment_for_trial(trial);
         let clean = td.sim.log_between(segment.start, segment.end);
         let fault = planner.sensor_fault(trial, registry, segment.start, segment.len());
-        let faulty = injector.inject_sensor(clean, registry, &fault);
-        let outcome = run_faulty_segment(&td, faulty, segment, fault.onset);
+        let mut faulty = injector.inject_sensor(clean, registry, &fault);
+        let outcome = run_faulty_segment(&td, &mut faulty, segment, fault.onset);
         if outcome.report.is_none() {
             missed += 1;
             let spec = registry.sensor(fault.sensor);
-            let clean = td.sim.log_between(segment.start, segment.end);
-            let mut refaulted = injector.inject_sensor(clean, registry, &fault);
-            let violations = count_violations(&td, &mut refaulted, segment);
+            let violations = count_violations(&td, &mut faulty, segment);
             out.push_str(&format!(
                 "trial {trial}: MISSED {} on {} ({} in {}), onset {} (hour {}), {} violating windows\n",
                 fault.fault,

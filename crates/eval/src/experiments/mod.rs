@@ -35,7 +35,7 @@ pub use diagnose::diagnose;
 pub use export::{artifact_set, export_csv, inspect_model, save_model};
 pub use extended::{actuator_faults, multi_fault, param_sensitivity};
 pub use fault_ratio::{aggregate_attribution, fig_5_4};
-pub use full::{run_all_datasets, run_full, run_full_serial, FullEvaluation};
+pub use full::{run_all_datasets, run_full, FullEvaluation};
 pub use misses::misses;
 pub use multi_user::multi_user;
 pub use security::{run_attacks, security, spoof_sensor, AttackOutcome};

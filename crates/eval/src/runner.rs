@@ -285,8 +285,8 @@ fn run_sensor_trial(
 
     // Faulty duplicate.
     let fault = planner.sensor_fault(trial, registry, segment.start, segment.len());
-    let faulty = injector.inject_sensor(clean, registry, &fault);
-    let outcome = run_faulty_segment(td, faulty, segment, fault.onset);
+    let mut faulty = injector.inject_sensor(clean, registry, &fault);
+    let outcome = run_faulty_segment(td, &mut faulty, segment, fault.onset);
     SensorTrial {
         false_alarm,
         clean_cost,
@@ -327,15 +327,16 @@ pub struct SegmentOutcome {
 }
 
 /// Replays one (already fault-injected) segment and returns the first
-/// post-onset report.
+/// post-onset report. The log is borrowed, so a caller can go on to
+/// inspect the same faulty events.
 pub fn run_faulty_segment(
     td: &TrainedDataset,
-    mut log: EventLog,
+    log: &mut EventLog,
     segment: TimeRange,
     onset: Timestamp,
 ) -> SegmentOutcome {
     let mut engine = DiceEngine::new(&td.model);
-    let mut reports = engine.process_range(&mut log, segment.start, segment.end);
+    let mut reports = engine.process_range(log, segment.start, segment.end);
     reports.extend(engine.flush());
     let report = reports.into_iter().find(|r| r.detected_at >= onset);
     SegmentOutcome {
@@ -444,13 +445,13 @@ fn run_multi_trial(
     let clean = td.sim.log_between(segment.start, segment.end);
     let count = (trial % 3 + 1) as usize;
     let faults = planner.sensor_faults(trial, registry, segment.start, segment.len(), count);
-    let faulty = injector.inject_sensors(clean, registry, &faults);
+    let mut faulty = injector.inject_sensors(clean, registry, &faults);
     let first_onset = faults
         .iter()
         .map(|f| f.onset)
         .min()
         .expect("at least one fault");
-    let outcome = run_faulty_segment(td, faulty, segment, first_onset);
+    let outcome = run_faulty_segment(td, &mut faulty, segment, first_onset);
     MultiTrial { faults, outcome }
 }
 
@@ -545,8 +546,8 @@ fn run_actuator_trial(
     let clean = td.sim.log_between(segment.start, segment.end);
     let mut fault = planner.actuator_fault(trial, registry, segment.start, segment.len());
     fault.fault = ActuatorFaultType::Ghost;
-    let faulty = injector.inject_actuator(clean, &fault);
-    let outcome = run_faulty_segment(td, faulty, segment, fault.onset);
+    let mut faulty = injector.inject_actuator(clean, &fault);
+    let outcome = run_faulty_segment(td, &mut faulty, segment, fault.onset);
     ActuatorTrial { fault, outcome }
 }
 

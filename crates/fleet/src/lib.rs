@@ -37,5 +37,5 @@ pub use frame::{
 };
 pub use router::{default_shards, shard_for_home};
 pub use service::{Fleet, FleetConfig, FleetRun, FleetSender, FleetStats, HomeAlarms};
-pub use shard::{ShardEngine, ShardStats, LINEAGE_RING_CAPACITY};
+pub use shard::{ShardEngine, ShardStats};
 pub use trace::TraceClock;

@@ -28,7 +28,7 @@ use std::time::Duration;
 use bytes::{BufMut, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
-use dice_core::{DiceModel, FaultReport, LineageStamp};
+use dice_core::{DiceModel, FaultReport};
 use dice_telemetry::{shard_label, Gauge, Telemetry};
 use dice_types::{Event, TimeDelta, Timestamp};
 
@@ -134,9 +134,6 @@ pub struct FleetRun {
     pub stats: FleetStats,
     /// Per-home alarm reports, ascending by home id.
     pub alarms: Vec<HomeAlarms>,
-    /// Each shard's retained lineage records (oldest first, bounded ring)
-    /// when tracing was on; empty rings otherwise. Indexed by shard.
-    pub lineage: Vec<Vec<LineageStamp>>,
 }
 
 /// One frame batch on a shard queue, carrying its causal lineage block
@@ -475,7 +472,6 @@ impl Fleet {
                 ..FleetStats::default()
             },
             alarms: Vec::with_capacity(self.homes.len()),
-            lineage: Vec::with_capacity(shards),
         };
         let shard_inputs = rxs.into_iter().zip(spare_txs).zip(shard_homes).enumerate();
         if preloaded {
@@ -582,15 +578,14 @@ fn drain_shard(
 }
 
 /// Folds one finished shard into the run: its counters into the totals,
-/// its homes' alarms and its lineage records onto the lists.
-fn absorb_shard(run: &mut FleetRun, (homes, shard, records): ShardFinish) {
+/// its homes' alarms onto the list.
+fn absorb_shard(run: &mut FleetRun, (homes, shard): ShardFinish) {
     let stats = &mut run.stats;
     stats.decode_errors += shard.decode_errors;
     stats.events += shard.events;
     stats.windows += shard.windows;
     stats.alarms += shard.alarms;
     stats.suppressed += shard.suppressed;
-    run.lineage.push(records);
     run.alarms.extend(
         homes
             .into_iter()

@@ -27,25 +27,16 @@ use dice_core::{
     FaultReport, LineageStamp, WindowObservation,
 };
 use dice_gateway::{AlarmLedger, WindowClock};
-use dice_telemetry::{shard_label, SlotRing, Telemetry};
+use dice_telemetry::{shard_label, Telemetry};
 use dice_types::{Event, GroupId, TimeDelta, Timestamp};
 
 use crate::frame::{decode_frames, FleetFrame, HomeId};
 use crate::service::ShardBatch;
 use crate::trace::{StageSketches, TraceClock};
 
-/// Stage-annotated lineage records a shard retains (flight-recorder
-/// discipline: bounded ring, slots reused in place).
-pub const LINEAGE_RING_CAPACITY: usize = 128;
-
 /// What a finished shard hands back: each home's alarm reports (ascending
-/// by registration slot), the shard's counters, and the retained lineage
-/// records (oldest first).
-pub type ShardFinish = (
-    Vec<(HomeId, Vec<FaultReport>)>,
-    ShardStats,
-    Vec<LineageStamp>,
-);
+/// by registration slot) and the shard's counters.
+pub type ShardFinish = (Vec<(HomeId, Vec<FaultReport>)>, ShardStats);
 
 /// Counters one shard accumulates over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,8 +110,6 @@ pub struct ShardEngine {
     /// Per-shard stage-sketch children, resolved once; `None` when
     /// telemetry is disabled or tracing is off.
     stages: Option<StageSketches>,
-    /// Stage-annotated lineage records, oldest-first bounded ring.
-    ring: SlotRing<LineageStamp>,
     /// The in-flight batch's partial stamp (lineage block, queue wait).
     pending: LineageStamp,
     /// Clock tick when the in-flight batch's ingest started.
@@ -135,8 +124,8 @@ pub struct ShardEngine {
 impl ShardEngine {
     /// Creates shard `shard` serving `homes` over `[from, to)`. Homes
     /// sharing a model hand in clones of the same `Arc`. With `tracing`
-    /// on, stage latencies are recorded against `clock` and lineage
-    /// records retained (§5l).
+    /// on, stage latencies are recorded against `clock` and delivered
+    /// alarms carry lineage stamps (§5l).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         shard: usize,
@@ -198,7 +187,6 @@ impl ShardEngine {
             tracing,
             clock,
             stages,
-            ring: SlotRing::new(LINEAGE_RING_CAPACITY),
             pending: LineageStamp::default(),
             batch_start_ns: 0,
             sweep_ns_in_batch: 0,
@@ -415,7 +403,6 @@ impl ShardEngine {
                 publish_ns,
                 ..self.pending
             };
-            self.ring.push_with(|_, slot| *slot = stamp);
             // Stamp the reports this sweep delivered (every unstamped
             // report of a touched home is from this sweep; earlier sweeps
             // stamped theirs).
@@ -462,8 +449,7 @@ impl ShardEngine {
 
     /// Closes every home's remaining windows up to `to`, sweeps the final
     /// batch, flushes the sessions, and returns each home's alarm reports
-    /// (ascending by registration slot), the shard's counters, and the
-    /// retained lineage records (oldest first).
+    /// (ascending by registration slot) and the shard's counters.
     pub fn finish(mut self) -> ShardFinish {
         for slot in 0..self.homes.len() {
             while let Some((start, end)) = self.homes[slot].clock.close_remaining() {
@@ -481,12 +467,11 @@ impl ShardEngine {
             }
         }
         self.publish_counts();
-        let records = self.ring.iter().copied().collect();
         let out = self
             .homes
             .into_iter()
             .map(|h| (h.home, h.reports))
             .collect();
-        (out, self.stats, records)
+        (out, self.stats)
     }
 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dice_types::{DeviceRegistry, Room, SensorClass, SensorId, TimeDelta};
+use dice_types::{DeviceRegistry, SensorClass, SensorId, TimeDelta};
 
 use crate::activity::{Activity, Scheduler};
 use crate::automation::{ActuatorEffect, AutomationRule};
@@ -87,12 +87,6 @@ pub struct ScenarioSpec {
     /// Probability that a co-resident shares the leader's activity slot
     /// (multi-resident homes only).
     pub companion_prob: f64,
-    /// Doorway sensors per room: when a resident moves between activities in
-    /// different rooms, both rooms' doorway sensors fire during the transit
-    /// minute. Real motion sensors see people *between* activities too, and
-    /// those transit states are what gives the learned transition graph its
-    /// sequence structure.
-    pub doorways: Vec<(Room, SensorId)>,
 }
 
 impl ScenarioSpec {
@@ -123,7 +117,6 @@ impl ScenarioSpec {
             binary_background_prob: 4e-6,
             scheduler: Scheduler::default(),
             companion_prob: 0.85,
-            doorways: Vec::new(),
         }
     }
 
@@ -205,11 +198,6 @@ impl ScenarioSpec {
                     "actuator effect references unknown {}",
                     effect.sensor
                 ));
-            }
-        }
-        for (_, sensor) in &self.doorways {
-            if sensor.index() as u32 >= num_sensors {
-                return Err(format!("doorway references unknown {sensor}"));
             }
         }
         for effect in &self.periodic_effects {

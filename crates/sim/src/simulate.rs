@@ -16,19 +16,6 @@ use crate::activity::{active_at, ScheduledActivity};
 use crate::noise::DetNoise;
 use crate::scenario::ScenarioSpec;
 
-/// A resident's movement between two rooms, occupying one minute right after
-/// the earlier activity ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Transit {
-    minute: i64,
-    from: dice_types::Room,
-    to: dice_types::Room,
-}
-
-/// Transits are only generated when the gap to the next activity is short;
-/// a resident idling for long is treated as settled, not in motion.
-const MAX_TRANSIT_GAP_MINS: i64 = 15;
-
 /// Noise-stream tags to keep the per-purpose draws decorrelated.
 mod streams {
     pub const BINARY_FIRE: u64 = 1;
@@ -56,7 +43,6 @@ mod streams {
 pub struct Simulator {
     spec: ScenarioSpec,
     schedules: Vec<Vec<ScheduledActivity>>,
-    transits: Vec<Vec<Transit>>,
     noise: DetNoise,
 }
 
@@ -87,30 +73,10 @@ impl Simulator {
             );
             schedules.push(companion);
         }
-        let transits = schedules
-            .iter()
-            .map(|schedule| {
-                let mut transits = Vec::new();
-                for pair in schedule.windows(2) {
-                    let from = spec.activities[pair[0].activity].room;
-                    let to = spec.activities[pair[1].activity].room;
-                    let gap = (pair[1].start - pair[0].end).as_mins();
-                    if from != to && (0..=MAX_TRANSIT_GAP_MINS).contains(&gap) {
-                        transits.push(Transit {
-                            minute: pair[0].end.as_mins(),
-                            from,
-                            to,
-                        });
-                    }
-                }
-                transits
-            })
-            .collect();
         let noise = DetNoise::new(spec.seed);
         Ok(Simulator {
             spec,
             schedules,
-            transits,
             noise,
         })
     }
@@ -142,29 +108,6 @@ impl Simulator {
             self.spec.activities[inst.activity]
                 .binary_sensors
                 .contains(&sensor)
-        }) || self.transit_covers(sensor, at.as_mins())
-    }
-
-    /// Whether a resident transit fires this doorway sensor at `minute`.
-    fn transit_covers(&self, sensor: SensorId, minute: i64) -> bool {
-        if self.spec.doorways.is_empty() {
-            return false;
-        }
-        let rooms: Vec<dice_types::Room> = self
-            .spec
-            .doorways
-            .iter()
-            .filter(|(_, s)| *s == sensor)
-            .map(|(room, _)| *room)
-            .collect();
-        if rooms.is_empty() {
-            return false;
-        }
-        self.transits.iter().any(|list| {
-            let idx = list.partition_point(|t| t.minute < minute);
-            list.get(idx).is_some_and(|t| {
-                t.minute == minute && (rooms.contains(&t.from) || rooms.contains(&t.to))
-            })
         })
     }
 
@@ -512,48 +455,6 @@ mod tests {
     fn log_between_rejects_unaligned_start() {
         let sim = Simulator::new(spec()).unwrap();
         let _ = sim.log_between(Timestamp::from_secs(30), Timestamp::from_mins(2));
-    }
-
-    #[test]
-    fn transits_fire_doorways_between_rooms() {
-        let mut base = spec();
-        // Doorway for the kitchen is its motion sensor.
-        base.doorways = vec![(Room::Kitchen, SensorId::new(0))];
-        let sim = Simulator::new(base).unwrap();
-        // Find a minute right after a kitchen activity ends, followed soon by
-        // a living-room activity: the kitchen doorway must fire then.
-        let schedule: Vec<_> = sim.schedules[0].clone();
-        let mut found = false;
-        for pair in schedule.windows(2) {
-            let from = sim.spec().activities[pair[0].activity].room;
-            let to = sim.spec().activities[pair[1].activity].room;
-            let gap = (pair[1].start - pair[0].end).as_mins();
-            if from == Room::Kitchen && to != Room::Kitchen && (0..=15).contains(&gap) {
-                assert!(sim.binary_fires(SensorId::new(0), pair[0].end.as_mins()));
-                found = true;
-                break;
-            }
-        }
-        // The 24-hour schedule virtually always contains such a transit; if
-        // not, the test is vacuous but not wrong.
-        let _ = found;
-    }
-
-    #[test]
-    fn no_doorways_means_no_transit_fires() {
-        let sim = Simulator::new(spec()).unwrap();
-        // With no doorway map, binary fires only come from covering
-        // activities or (negligible) background noise.
-        let schedule: Vec<_> = sim.schedules[0].clone();
-        for pair in schedule.windows(2).take(20) {
-            let minute = pair[0].end.as_mins();
-            let at = Timestamp::from_mins(minute);
-            if sim.active_instances(at).next().is_none() {
-                // idle minute: motion (sensor 0) must not fire via transit
-                // (background noise is ~2e-6/minute, negligible in 20 draws)
-                assert!(!sim.binary_fires(SensorId::new(0), minute));
-            }
-        }
     }
 
     #[test]

@@ -563,20 +563,6 @@ pub fn dice_testbed(
     spec
 }
 
-/// The testbed's doorway map, for scenarios that want resident transits
-/// between rooms to fire motion sensors (`ScenarioSpec::doorways`). The
-/// catalog datasets leave transits off: they enrich the context space but
-/// thin the per-transition training coverage.
-pub fn doorway_map(d: &TestbedDevices) -> Vec<(Room, SensorId)> {
-    vec![
-        (Room::Kitchen, d.motion[0]),
-        (Room::Bathroom, d.motion[1]),
-        (Room::Bedroom, d.motion[2]),
-        (Room::LivingRoom, d.motion[3]),
-        (Room::Hallway, d.door),
-    ]
-}
-
 /// The home's nocturnal HVAC cycle: ten heating minutes at the top of every
 /// hour between 23:00 and 06:00, shifting every temperature sensor up and
 /// every humidity sensor down. Night cycles exercise those sensors while the

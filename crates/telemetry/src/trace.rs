@@ -2,7 +2,7 @@
 //!
 //! [`SlotRing`] is the single implementation of overwrite-oldest /
 //! drop-counting bookkeeping used by both [`crate::EventRing`] (structured
-//! telemetry events) and `dice_core`'s `FlightRecorder` (per-window
+//! telemetry events) and `dice_core`'s decision tracer (per-window
 //! decision traces). Slots are reused **in place**: once the ring has
 //! wrapped, pushing fills an existing slot through a caller closure instead
 //! of allocating a new value, so a warm ring admits records without any
@@ -104,6 +104,15 @@ impl<T> SlotRing<T> {
     }
 }
 
+impl<T: Clone> SlotRing<T> {
+    /// Clones the newest `n` records, oldest first. Allocates; intended for
+    /// rare paths such as a fault report's evidence, not per-record ones.
+    pub fn last_n(&self, n: usize) -> Vec<T> {
+        let len = self.slots.len();
+        self.iter().skip(len.saturating_sub(n)).cloned().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +131,18 @@ mod tests {
         assert_eq!(ring.dropped(), 4);
         assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![40, 50, 60]);
         assert_eq!(ring.latest(), Some(&60));
+    }
+
+    #[test]
+    fn last_n_clones_the_newest_oldest_first() {
+        let mut ring: SlotRing<u64> = SlotRing::new(3);
+        assert!(ring.last_n(2).is_empty());
+        for _ in 0..5 {
+            ring.push_with(|seq, slot| *slot = seq);
+        }
+        assert_eq!(ring.last_n(2), vec![3, 4]);
+        // Asking for more than retained returns everything retained.
+        assert_eq!(ring.last_n(10), vec![2, 3, 4]);
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //!   runtime metric catalog against the DESIGN.md §5e table in both
 //!   directions, so metrics cannot ship undocumented.
 //!
-//! Three model entry points, coarsest to finest:
+//! Two model entry points, coarsest to finest:
 //!
 //! * [`verify_reader`] — decode a serialized model and verify it; decode
 //!   failures become a `DV001` finding instead of an error.
 //! * [`verify_model`] — every check over an in-memory model.
-//! * [`verify_config`] — the `DV14x` configuration checks alone.
 //!
 //! ```
 //! use dice_core::{ContextExtractor, DiceConfig};
@@ -55,7 +54,7 @@ pub mod metric_catalog;
 use std::io::Read;
 
 use dice_core::invariants::{check_config, check_graph_dataflow, check_model};
-use dice_core::{read_model_unverified, DiceConfig, DiceModel};
+use dice_core::{read_model_unverified, DiceModel};
 
 pub use dice_core::invariants::{
     check_group_merge, check_transition_merge, max_severity, ROW_SUM_EPSILON,
@@ -73,13 +72,6 @@ pub fn verify_model(model: &DiceModel) -> Vec<Diagnostic> {
     check_candidate_distance(model, &mut out);
     check_reachability(model, &mut out);
     out.extend(check_graph_dataflow(model));
-    sort_report(&mut out);
-    out
-}
-
-/// Runs the configuration checks (`DV14x`) over a standalone config.
-pub fn verify_config(config: &DiceConfig) -> Vec<Diagnostic> {
-    let mut out = check_config(config);
     sort_report(&mut out);
     out
 }
@@ -195,7 +187,9 @@ fn check_reachability(model: &DiceModel, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dice_core::{Binarizer, BitLayout, BitSet, GroupTable, Thresholds, TransitionModel};
+    use dice_core::{
+        Binarizer, BitLayout, BitSet, DiceConfig, GroupTable, Thresholds, TransitionModel,
+    };
     use dice_types::GroupId;
 
     fn model_from(

@@ -41,8 +41,8 @@ fn main() {
                 onset: segment.start + TimeDelta::from_mins(60),
             };
             let clean = td.sim.log_between(segment.start, segment.end);
-            let faulty = injector.inject_sensor(clean, td.sim.registry(), &fault);
-            let outcome = run_faulty_segment(&td, faulty, segment, fault.onset);
+            let mut faulty = injector.inject_sensor(clean, td.sim.registry(), &fault);
+            let outcome = run_faulty_segment(&td, &mut faulty, segment, fault.onset);
             if let Some(report) = outcome.report {
                 detected += 1;
                 detect_mins.push((report.detected_at - fault.onset).as_mins_f64());

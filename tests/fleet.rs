@@ -601,32 +601,6 @@ fn lineage_ids_are_monotone_per_shard_with_frozen_stage_deltas() {
             },
             &plans,
         );
-        assert_eq!(run.lineage.len(), shards);
-        assert!(run.lineage.iter().any(|records| !records.is_empty()));
-        for (shard, records) in run.lineage.iter().enumerate() {
-            // Consecutive sweeps of one batch share its lineage block;
-            // whenever the block advances it must clear the previous one.
-            for pair in records.windows(2) {
-                assert!(
-                    pair[1].lineage == pair[0].lineage
-                        || pair[0].lineage + u64::from(pair[0].frames) <= pair[1].lineage,
-                    "shard {shard}: lineage blocks must be monotone and disjoint"
-                );
-            }
-            for record in records {
-                assert!(record.frames > 0);
-                assert_eq!(record.shard as usize, shard);
-                let stages = [
-                    record.enqueue_wait_ns,
-                    record.queue_wait_ns,
-                    record.dequeue_ns,
-                    record.scan_ns,
-                    record.verdict_ns,
-                    record.publish_ns,
-                ];
-                assert_eq!(stages, [0; 6], "frozen clock must yield zero deltas");
-            }
-        }
         // Delivered alarms carry the lineage stamp of their sweep, and
         // the stamp names the shard that served the home.
         let stamped: Vec<_> = run
@@ -642,12 +616,48 @@ fn lineage_ids_are_monotone_per_shard_with_frozen_stage_deltas() {
             !stamped.is_empty(),
             "fleet alarms must carry lineage stamps"
         );
-        for (home, stamp) in stamped {
+        let mut blocks: Vec<Vec<(u64, u32)>> = vec![Vec::new(); shards];
+        for &(home, stamp) in &stamped {
             assert_eq!(
                 stamp.shard as usize,
                 dice_fleet::shard_for_home(home, shards),
                 "stamp must name the serving shard"
             );
+            assert!(stamp.frames > 0);
+            let stages = [
+                stamp.enqueue_wait_ns,
+                stamp.queue_wait_ns,
+                stamp.dequeue_ns,
+                stamp.scan_ns,
+                stamp.verdict_ns,
+                stamp.publish_ns,
+            ];
+            assert_eq!(stages, [0; 6], "frozen clock must yield zero deltas");
+            blocks[stamp.shard as usize].push((stamp.lineage, stamp.frames));
+        }
+        // A home's alarms arrive in sweep order: consecutive stamps share
+        // a batch's lineage block or move to a later, disjoint one.
+        for h in &run.alarms {
+            let stamps: Vec<_> = h.reports.iter().filter_map(|r| r.lineage).collect();
+            for pair in stamps.windows(2) {
+                assert!(
+                    pair[1].lineage == pair[0].lineage
+                        || pair[0].lineage + u64::from(pair[0].frames) <= pair[1].lineage,
+                    "home {}: lineage blocks must be monotone and disjoint",
+                    h.home
+                );
+            }
+        }
+        // Across a shard's homes, distinct batches own disjoint blocks.
+        for (shard, mut shard_blocks) in blocks.into_iter().enumerate() {
+            shard_blocks.sort_unstable();
+            shard_blocks.dedup();
+            for pair in shard_blocks.windows(2) {
+                assert!(
+                    pair[0].0 + u64::from(pair[0].1) <= pair[1].0,
+                    "shard {shard}: lineage blocks must be disjoint"
+                );
+            }
         }
     }
 }

@@ -248,7 +248,7 @@ fn warm_shard_allocates_nothing_per_window() {
         allocations, 0,
         "a warm shard must not allocate ({allocations} allocations over {windows} windows)"
     );
-    let (alarms, stats, _) = shard.finish();
+    let (alarms, stats) = shard.finish();
     assert_eq!(stats.windows, u64::from(HOMES) * MINUTES as u64);
     assert!(alarms.iter().all(|(_, reports)| reports.is_empty()));
 }
