@@ -15,9 +15,11 @@ use crate::transition::TransitionModel;
 /// its trained thresholds, the group table, and the three transition
 /// matrices.
 ///
-/// Models serialize with serde so a gateway can persist the precomputation
-/// result and reload it at boot. After deserialization call
-/// [`DiceModel::rebuild_index`] once to restore the exact-match group index.
+/// A gateway persists the precomputation result with
+/// [`write_model`](crate::write_model) and reloads it at boot with
+/// [`read_model`](crate::read_model), which assembles the model through
+/// [`DiceModel::from_parts`] and so builds both indexes. The serde derives
+/// generate nothing under the workspace's offline `serde` shim.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiceModel {
     config: DiceConfig,
@@ -27,7 +29,7 @@ pub struct DiceModel {
     num_actuators: usize,
     training_windows: u64,
     /// Scan mirror of `groups` for the hot candidate scan; derived state,
-    /// rebuilt from the table on construction and after deserialization.
+    /// built from the table on construction.
     #[serde(skip)]
     scan: ScanIndex,
 }
@@ -134,8 +136,9 @@ impl DiceModel {
         self.groups.correlation_degree(self.layout())
     }
 
-    /// Restores internal indexes after deserialization: the exact-match
-    /// group map and the packed scan index.
+    /// Rebuilds the derived indexes, the exact-match group map and the
+    /// packed scan index, from the group table, e.g. after editing it
+    /// through [`DiceModel::groups_mut`].
     pub fn rebuild_index(&mut self) {
         self.groups.rebuild_index_public();
         self.scan = ScanIndex::build(&self.groups);

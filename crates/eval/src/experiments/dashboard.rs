@@ -195,8 +195,7 @@ pub fn monitor(args: &[&str]) -> Result<String, String> {
         return Err("monitor needs a model path and a csv path".into());
     };
     let file = File::open(model_path).map_err(|e| format!("cannot open {model_path}: {e}"))?;
-    let mut model = read_model(BufReader::new(file)).map_err(|e| e.to_string())?;
-    model.rebuild_index();
+    let model = read_model(BufReader::new(file)).map_err(|e| e.to_string())?;
     let file = File::open(csv_path).map_err(|e| format!("cannot open {csv_path}: {e}"))?;
     let mut log = read_csv(BufReader::new(file)).map_err(|e| e.to_string())?;
     let window = model.config().window();

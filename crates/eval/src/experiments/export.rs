@@ -121,12 +121,8 @@ pub fn artifact_set(dataset: &str, dir: &str, seed: u64) -> Result<String, Strin
     let mut log = td.sim.log_between(segment.start, segment.end);
     let mut windows = 0u64;
     let mut alarms = 0u64;
-    let batched: Vec<_> = log
-        .windows_between(segment.start, segment.end, window)
-        .map(|w| (w.start, w.end, w.events.to_vec()))
-        .collect();
-    for (ws, we, events) in &batched {
-        if engine.process_window(*ws, *we, events).is_some() {
+    for w in log.windows_between(segment.start, segment.end, window) {
+        if engine.process_window(w.start, w.end, w.events).is_some() {
             alarms += 1;
         }
         windows += 1;

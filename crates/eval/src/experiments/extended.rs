@@ -8,7 +8,7 @@ use dice_types::TimeDelta;
 use crate::report::{pct, render_table};
 use crate::runner::{
     evaluate_actuator_faults, evaluate_multi_faults, evaluate_sensor_faults, train_dataset,
-    RunnerConfig,
+    MultiFaultEvaluation, RunnerConfig, TrainedDataset,
 };
 
 /// Section 5.1.3: actuator faults on the testbed datasets.
@@ -16,54 +16,48 @@ use crate::runner::{
 /// The paper reports 92.5% precision / 94.9% recall for identifying
 /// problematic actuators from the `D_*` data.
 pub fn actuator_faults(trials: u64, seed: u64) -> String {
-    let cfg = RunnerConfig {
-        trials,
-        seed,
-        ..RunnerConfig::default()
-    };
-    let mut rows = Vec::new();
-    let mut total = crate::metrics::IdentificationCounts::default();
-    for id in DatasetId::testbed() {
-        let td = train_dataset(id, &cfg);
-        let eval = evaluate_actuator_faults(&td, &cfg);
-        total.merge(&eval.identification);
-        rows.push(vec![
-            id.name().to_string(),
-            pct(eval.detection.recall()),
-            pct(eval.identification.precision()),
-            pct(eval.identification.recall()),
-        ]);
-    }
-    let mut out =
-        String::from("Section 5.1.3: Actuator Faults (ghost activations on D_* datasets)\n");
-    out.push_str(&render_table(
-        &["dataset", "det. recall", "id. precision", "id. recall"],
-        &rows,
-    ));
-    out.push_str(&format!(
-        "overall identification: {} precision / {} recall\n",
-        pct(total.precision()),
-        pct(total.recall())
-    ));
-    out.push_str("paper: 92.5% precision / 94.9% recall on average\n");
-    out
+    testbed_identification_table(
+        "Section 5.1.3: Actuator Faults (ghost activations on D_* datasets)\n",
+        &RunnerConfig {
+            trials,
+            seed,
+            ..RunnerConfig::default()
+        },
+        evaluate_actuator_faults,
+        "paper: 92.5% precision / 94.9% recall on average\n",
+    )
 }
 
 /// Section VI: multi-fault case — one to three simultaneous sensor faults,
 /// `numThre = 3`. The paper reports 79.5% precision / 63.3% recall.
 pub fn multi_fault(trials: u64, seed: u64) -> String {
-    let dice = DiceConfig::builder().max_faults(3).num_thre(3).build();
-    let cfg = RunnerConfig {
-        trials,
-        seed,
-        dice,
-        ..RunnerConfig::default()
-    };
+    testbed_identification_table(
+        "Section VI: Multi-fault Case (1-3 simultaneous faults, numThre = 3)\n",
+        &RunnerConfig {
+            trials,
+            seed,
+            dice: DiceConfig::builder().max_faults(3).num_thre(3).build(),
+            ..RunnerConfig::default()
+        },
+        evaluate_multi_faults,
+        "paper: 79.5% precision / 63.3% recall\n",
+    )
+}
+
+/// Runs `evaluate` on every testbed dataset and tabulates detection recall
+/// and identification precision and recall, with the overall
+/// identification figures and the paper's.
+fn testbed_identification_table(
+    title: &str,
+    cfg: &RunnerConfig,
+    evaluate: fn(&TrainedDataset, &RunnerConfig) -> MultiFaultEvaluation,
+    paper: &str,
+) -> String {
     let mut rows = Vec::new();
     let mut total = crate::metrics::IdentificationCounts::default();
     for id in DatasetId::testbed() {
-        let td = train_dataset(id, &cfg);
-        let eval = evaluate_multi_faults(&td, &cfg);
+        let td = train_dataset(id, cfg);
+        let eval = evaluate(&td, cfg);
         total.merge(&eval.identification);
         rows.push(vec![
             id.name().to_string(),
@@ -72,8 +66,7 @@ pub fn multi_fault(trials: u64, seed: u64) -> String {
             pct(eval.identification.recall()),
         ]);
     }
-    let mut out =
-        String::from("Section VI: Multi-fault Case (1-3 simultaneous faults, numThre = 3)\n");
+    let mut out = String::from(title);
     out.push_str(&render_table(
         &["dataset", "det. recall", "id. precision", "id. recall"],
         &rows,
@@ -83,7 +76,7 @@ pub fn multi_fault(trials: u64, seed: u64) -> String {
         pct(total.precision()),
         pct(total.recall())
     ));
-    out.push_str("paper: 79.5% precision / 63.3% recall\n");
+    out.push_str(paper);
     out
 }
 

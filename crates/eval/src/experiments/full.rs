@@ -4,7 +4,9 @@
 use dice_datasets::DatasetId;
 use rayon::prelude::*;
 
-use crate::runner::{evaluate_sensor_faults, train_dataset, DatasetEvaluation, RunnerConfig};
+use crate::runner::{
+    evaluate_sensor_faults, tracing_to_sink, train_dataset, DatasetEvaluation, RunnerConfig,
+};
 
 /// The result of evaluating a set of datasets under one configuration.
 #[derive(Debug, Clone)]
@@ -52,22 +54,22 @@ fn avg(values: impl Iterator<Item = f64>) -> f64 {
 
 /// Runs sensor-fault evaluation over `datasets` with `trials` per dataset.
 ///
-/// Datasets are trained and evaluated in parallel; results are collected in
-/// catalog order and each dataset's randomness depends only on the master
-/// seed, so the output is bit-identical to a serial run.
+/// Datasets are trained and evaluated in parallel, or in catalog order when
+/// a trace sink is installed; results are collected in catalog order and
+/// each dataset's randomness depends only on the master seed, so the output
+/// is bit-identical to a serial run.
 pub fn run_full(datasets: &[DatasetId], trials: u64, seed: u64) -> FullEvaluation {
     let cfg = RunnerConfig {
         trials,
         seed,
         ..RunnerConfig::default()
     };
-    let evals = datasets
-        .par_iter()
-        .map(|&id| {
-            let td = train_dataset(id, &cfg);
-            evaluate_sensor_faults(&td, &cfg)
-        })
-        .collect();
+    let evaluate = |&id: &DatasetId| evaluate_sensor_faults(&train_dataset(id, &cfg), &cfg);
+    let evals = if tracing_to_sink() {
+        datasets.iter().map(evaluate).collect()
+    } else {
+        datasets.par_iter().map(evaluate).collect()
+    };
     FullEvaluation { evals }
 }
 

@@ -2,10 +2,9 @@
 
 use dice_core::{Detector, PrevWindow};
 use dice_datasets::DatasetId;
-use dice_faults::{FaultInjector, FaultPlanner};
 use dice_types::EventLog;
 
-use crate::runner::{run_faulty_segment, train_dataset, RunnerConfig};
+use crate::runner::{run_faulty_segment, train_dataset, RunnerConfig, SensorTrial};
 
 /// Counts violating windows in a log range (detector-only, no engine):
 /// each window runs through [`Detector::check`] with the previous window
@@ -38,20 +37,19 @@ pub fn misses(dataset: &str, trials: u64) -> Result<String, String> {
     let id = DatasetId::parse(dataset).ok_or_else(|| format!("unknown dataset {dataset:?}"))?;
     let cfg = RunnerConfig::default();
     let td = train_dataset(id, &cfg);
-    let registry = td.sim.registry();
-    let planner = FaultPlanner::new(cfg.seed ^ 0xFA17);
-    let injector = FaultInjector::new(cfg.seed ^ 0x1213);
     let mut out = String::new();
     let mut missed = 0u64;
     for trial in 0..trials {
-        let segment = td.plan.segment_for_trial(trial);
-        let clean = td.sim.log_between(segment.start, segment.end);
-        let fault = planner.sensor_fault(trial, registry, segment.start, segment.len());
-        let mut faulty = injector.inject_sensor(clean, registry, &fault);
+        let SensorTrial {
+            segment,
+            fault,
+            mut faulty,
+            ..
+        } = SensorTrial::new(&td, cfg.seed, trial);
         let outcome = run_faulty_segment(&td, &mut faulty, segment, fault.onset);
         if outcome.report.is_none() {
             missed += 1;
-            let spec = registry.sensor(fault.sensor);
+            let spec = td.sim.registry().sensor(fault.sensor);
             let violations = count_violations(&td, &mut faulty, segment);
             out.push_str(&format!(
                 "trial {trial}: MISSED {} on {} ({} in {}), onset {} (hour {}), {} violating windows\n",

@@ -7,14 +7,14 @@
 //! instances. This experiment measures both: the group-count growth with
 //! residents, and the accuracy/group-count trade-off of partitioning.
 
-use dice_core::{DiceEngine, Partition, PartitionedEngine, PartitionedModel};
-use dice_faults::{FaultInjector, FaultPlanner};
+use dice_core::{DiceEngine, FaultReport, Partition, PartitionedEngine, PartitionedModel};
+use dice_datasets::TimeRange;
 use dice_sim::testbed;
 use dice_types::{DeviceId, EventLog, TimeDelta};
 
 use crate::metrics::DetectionCounts;
 use crate::report::{pct, render_table};
-use crate::runner::{train_scenario, RunnerConfig, TrainedDataset};
+use crate::runner::{replay_segment, train_scenario, RunnerConfig, SensorTrial, TrainedDataset};
 
 /// Accuracy of one approach on one resident count.
 #[derive(Debug, Clone, Default)]
@@ -24,64 +24,28 @@ struct ApproachResult {
     identified: u64,
 }
 
-fn evaluate_whole_home(td: &TrainedDataset, cfg: &RunnerConfig) -> ApproachResult {
-    let planner = FaultPlanner::new(cfg.seed ^ 0xFA17);
-    let injector = FaultInjector::new(cfg.seed ^ 0x1213);
-    let mut result = ApproachResult {
-        groups: td.model.groups().len(),
-        ..ApproachResult::default()
-    };
-    for trial in 0..cfg.trials {
-        let segment = td.plan.segment_for_trial(trial);
-        let clean = td.sim.log_between(segment.start, segment.end);
-        let mut engine = DiceEngine::new(&td.model);
-        let flagged = !engine
-            .process_range(&mut clean.clone(), segment.start, segment.end)
-            .is_empty()
-            || engine.flush().is_some();
-        result.detection.record_faultless(flagged);
-
-        let fault = planner.sensor_fault(trial, td.sim.registry(), segment.start, segment.len());
-        let mut faulty = injector.inject_sensor(clean, td.sim.registry(), &fault);
-        let mut engine = DiceEngine::new(&td.model);
-        let mut reports = engine.process_range(&mut faulty, segment.start, segment.end);
-        reports.extend(engine.flush());
-        let report = reports.into_iter().find(|r| r.detected_at >= fault.onset);
-        result.detection.record_faulty(report.is_some());
-        if report.is_some_and(|r| r.devices.contains(&DeviceId::Sensor(fault.sensor))) {
-            result.identified += 1;
-        }
-    }
-    result
-}
-
-fn evaluate_partitioned(
+/// Judges one approach on the seeded sensor-fault trials: `replay` runs a
+/// segment's log through a fresh engine of the approach and returns every
+/// report.
+fn evaluate_approach(
     td: &TrainedDataset,
-    model: &PartitionedModel,
     cfg: &RunnerConfig,
+    groups: usize,
+    replay: impl Fn(&mut EventLog, TimeRange) -> Vec<FaultReport>,
 ) -> ApproachResult {
-    let planner = FaultPlanner::new(cfg.seed ^ 0xFA17);
-    let injector = FaultInjector::new(cfg.seed ^ 0x1213);
     let mut result = ApproachResult {
-        groups: model.total_groups(),
+        groups,
         ..ApproachResult::default()
     };
     for trial in 0..cfg.trials {
-        let segment = td.plan.segment_for_trial(trial);
-        let clean = td.sim.log_between(segment.start, segment.end);
-        let mut engine = PartitionedEngine::new(model);
-        let mut reports = engine.process_range(&mut clean.clone(), segment.start, segment.end);
-        reports.extend(engine.flush());
-        result.detection.record_faultless(!reports.is_empty());
-
-        let fault = planner.sensor_fault(trial, td.sim.registry(), segment.start, segment.len());
-        let mut faulty = injector.inject_sensor(clean, td.sim.registry(), &fault);
-        let mut engine = PartitionedEngine::new(model);
-        let mut reports = engine.process_range(&mut faulty, segment.start, segment.end);
-        reports.extend(engine.flush());
-        let report = reports.into_iter().find(|r| r.detected_at >= fault.onset);
+        let mut trial = SensorTrial::new(td, cfg.seed, trial);
+        let flagged = !replay(&mut trial.clean, trial.segment).is_empty();
+        result.detection.record_faultless(flagged);
+        let report = replay(&mut trial.faulty, trial.segment)
+            .into_iter()
+            .find(|r| r.detected_at >= trial.fault.onset);
         result.detection.record_faulty(report.is_some());
-        if report.is_some_and(|r| r.devices.contains(&DeviceId::Sensor(fault.sensor))) {
+        if report.is_some_and(|r| r.devices.contains(&DeviceId::Sensor(trial.fault.sensor))) {
             result.identified += 1;
         }
     }
@@ -107,7 +71,9 @@ pub fn multi_user(trials: u64, seed: u64) -> String {
         let td = train_scenario(spec, &cfg);
 
         // Whole-home DICE.
-        let whole = evaluate_whole_home(&td, &cfg);
+        let whole = evaluate_approach(&td, &cfg, td.model.groups().len(), |log, segment| {
+            replay_segment(&mut DiceEngine::new(&td.model), log, segment)
+        });
 
         // Room-partitioned DICE, trained on the same 300 h.
         let mut training = EventLog::new();
@@ -120,7 +86,12 @@ pub fn multi_user(trials: u64, seed: u64) -> String {
         let partitions = Partition::by_room(td.sim.registry());
         let model = PartitionedModel::train(td.model.config(), partitions, &mut training)
             .expect("partitioned training succeeds");
-        let part = evaluate_partitioned(&td, &model, &cfg);
+        let part = evaluate_approach(&td, &cfg, model.total_groups(), |log, segment| {
+            let mut engine = PartitionedEngine::new(&model);
+            let mut reports = engine.process_range(log, segment.start, segment.end);
+            reports.extend(engine.flush());
+            reports
+        });
 
         for (approach, r) in [("whole-home", &whole), ("per-room", &part)] {
             rows.push(vec![

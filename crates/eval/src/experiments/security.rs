@@ -6,12 +6,11 @@
 //! (privacy exposure). Both manipulate a numeric sensor's reported values,
 //! which DICE sees as context violations.
 
-use dice_core::DiceEngine;
 use dice_datasets::DatasetId;
 use dice_sim::testbed;
 use dice_types::{DeviceId, Event, EventLog, SensorId, SensorReading, SensorValue, Timestamp};
 
-use crate::runner::{train_dataset, RunnerConfig};
+use crate::runner::{run_faulty_segment, train_dataset, RunnerConfig};
 
 /// Adds `delta` to every reading of `sensor` at or after `onset` — a value
 /// spoofing attack on the sensor's reports.
@@ -88,10 +87,7 @@ pub fn run_attacks(seed: u64) -> Vec<AttackOutcome> {
         let onset = segment.start + dice_types::TimeDelta::from_mins(60);
         let clean = td.sim.log_between(segment.start, segment.end);
         let mut attacked = spoof_sensor(clean, sensor, onset, delta);
-        let mut engine = DiceEngine::new(&td.model);
-        let mut reports = engine.process_range(&mut attacked, segment.start, segment.end);
-        reports.extend(engine.flush());
-        let report = reports.into_iter().find(|r| r.detected_at >= onset);
+        let report = run_faulty_segment(&td, &mut attacked, segment, onset).report;
         outcomes.push(AttackOutcome {
             name: name.into(),
             detected: report.is_some(),

@@ -8,11 +8,11 @@
 use dice_core::{DeviceWeights, DiceEngine, EngineOptions};
 use dice_datasets::DatasetId;
 use dice_faults::{FaultInjector, FaultType, SensorFault};
-use dice_types::{DeviceId, SensorKind, TimeDelta};
+use dice_types::{DeviceId, EventLog, SensorKind, TimeDelta};
 
 use crate::metrics::LatencyStats;
 use crate::report::{pct, render_table};
-use crate::runner::{train_dataset, RunnerConfig};
+use crate::runner::{replay_segment, train_dataset, RunnerConfig};
 
 /// Runs the weighted-identification experiment.
 ///
@@ -64,14 +64,14 @@ pub fn weights(trials: u64, seed: u64) -> String {
             let segment = td.plan.segment_for_trial(trial);
             let clean = td.sim.log_between(segment.start, segment.end);
 
+            let replay = |log: &mut EventLog| {
+                let mut engine = DiceEngine::with_options(&td.model, options.clone());
+                replay_segment(&mut engine, log, segment)
+            };
+
             // Faultless twin under the same options (the FP side of the
             // trade-off the paper warns about).
-            let mut engine = DiceEngine::with_options(&td.model, options.clone());
-            let flagged = !engine
-                .process_range(&mut clean.clone(), segment.start, segment.end)
-                .is_empty()
-                || engine.flush().is_some();
-            if flagged {
+            if !replay(&mut clean.clone()).is_empty() {
                 false_alarms += 1;
             }
 
@@ -87,9 +87,7 @@ pub fn weights(trials: u64, seed: u64) -> String {
                 onset: segment.start + TimeDelta::from_mins(45),
             };
             let mut faulty = injector.inject_sensor(clean, registry, &fault);
-            let mut engine = DiceEngine::with_options(&td.model, options.clone());
-            let mut reports = engine.process_range(&mut faulty, segment.start, segment.end);
-            reports.extend(engine.flush());
+            let reports = replay(&mut faulty);
             if let Some(report) = reports.into_iter().find(|r| r.detected_at >= fault.onset) {
                 if report.devices.contains(&DeviceId::Sensor(sensor)) {
                     identified += 1;

@@ -19,6 +19,7 @@ pub use metrics::{DetectionCounts, IdentificationCounts, LatencyStats};
 pub use runner::{
     evaluate_actuator_faults, evaluate_actuator_faults_serial, evaluate_multi_faults,
     evaluate_multi_faults_serial, evaluate_sensor_faults, evaluate_sensor_faults_serial,
-    run_faulty_segment, train_dataset, train_scenario, ActuatorEvaluation, CheckAttribution,
-    DatasetEvaluation, MultiFaultEvaluation, RunnerConfig, SegmentOutcome, TrainedDataset,
+    replay_segment, run_faulty_segment, train_dataset, train_scenario, CheckAttribution,
+    DatasetEvaluation, MultiFaultEvaluation, RunnerConfig, SegmentOutcome, SensorTrial,
+    TrainedDataset,
 };

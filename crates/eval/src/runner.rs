@@ -9,11 +9,10 @@ use std::collections::BTreeMap;
 
 use dice_core::{
     CheckKind, CostProfile, DiceConfig, DiceEngine, DiceModel, FaultReport, ParallelTrainer,
+    TraceOptions,
 };
 use dice_datasets::{DatasetId, SegmentPlan, TimeRange};
-use dice_faults::{
-    ActuatorFault, ActuatorFaultType, FaultInjector, FaultPlanner, FaultType, SensorFault,
-};
+use dice_faults::{ActuatorFaultType, FaultInjector, FaultPlanner, FaultType, SensorFault};
 use dice_sim::{ScenarioSpec, Simulator};
 use dice_telemetry::{saturating_ns, Telemetry};
 use dice_types::{DeviceId, EventLog, TimeDelta, Timestamp};
@@ -223,79 +222,124 @@ pub struct DatasetEvaluation {
     pub num_sensors: usize,
 }
 
+/// Trial `trial` of the sensor-fault protocol (Section V): the trial's
+/// segment, its faultless log, one planned fault and the fault-injected
+/// duplicate. The fault derives from the master seed and the trial index
+/// alone (see [`FaultPlanner`]), so every experiment that builds trial `t`
+/// judges the same fault. Building a trial replays nothing.
+#[derive(Debug, Clone)]
+pub struct SensorTrial {
+    /// The segment the trial replays.
+    pub segment: TimeRange,
+    /// The segment's faultless log.
+    pub clean: EventLog,
+    /// The planned fault.
+    pub fault: SensorFault,
+    /// `clean` with `fault` injected.
+    pub faulty: EventLog,
+}
+
+impl SensorTrial {
+    /// Builds trial `trial` on `td` under master seed `seed`.
+    pub fn new(td: &TrainedDataset, seed: u64, trial: u64) -> SensorTrial {
+        let registry = td.sim.registry();
+        let segment = td.plan.segment_for_trial(trial);
+        let clean = td.sim.log_between(segment.start, segment.end);
+        let fault = FaultPlanner::new(seed ^ 0xFA17).sensor_fault(
+            trial,
+            registry,
+            segment.start,
+            segment.len(),
+        );
+        let faulty =
+            FaultInjector::new(seed ^ 0x1213).inject_sensor(clean.clone(), registry, &fault);
+        SensorTrial {
+            segment,
+            clean,
+            fault,
+            faulty,
+        }
+    }
+}
+
+/// Replays every window of `segment` in `log` through a caller-built
+/// engine, then flushes a pending identification; returns every report in
+/// order. The log is borrowed, so a caller can go on to inspect it.
+pub fn replay_segment(
+    engine: &mut DiceEngine<&DiceModel>,
+    log: &mut EventLog,
+    segment: TimeRange,
+) -> Vec<FaultReport> {
+    let mut reports = engine.process_range(log, segment.start, segment.end);
+    reports.extend(engine.flush());
+    reports
+}
+
+/// Whether a trace sink is installed. Every engine built from the global
+/// trace options then writes to that one sink, so evaluations run their
+/// trials and datasets in order to keep its lines in that order.
+pub(crate) fn tracing_to_sink() -> bool {
+    TraceOptions::global().sink.is_some()
+}
+
+/// The one trial driver: maps `run` over trials `0..trials`, timing each as
+/// a trial, and returns the results in trial order. With `parallel` and no
+/// trace sink, the trials run on the worker pool as one timed parallel
+/// section. Each trial's randomness derives from the master seed and its
+/// index, so both schedules return the same results.
+fn drive_trials<T: Send>(trials: u64, parallel: bool, run: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    let trial = |t| timed_trial(|| run(t));
+    if parallel && !tracing_to_sink() {
+        timed_parallel_section(|| (0..trials).into_par_iter().map(trial).collect())
+    } else {
+        (0..trials).map(trial).collect()
+    }
+}
+
+/// Scores one trial's report against the devices that were actually
+/// faulty: identified ∩ faulty are correct, identified \ faulty spurious
+/// and faulty \ identified missed. No report misses every faulty device.
+fn score_identification(
+    counts: &mut IdentificationCounts,
+    report: Option<&FaultReport>,
+    faulty: &[DeviceId],
+) {
+    let identified = report.map_or(&[][..], |r| r.devices.as_slice());
+    let correct = identified.iter().filter(|d| faulty.contains(d)).count() as u64;
+    counts.record(
+        correct,
+        identified.len() as u64 - correct,
+        faulty.len() as u64 - correct,
+    );
+}
+
 /// Evaluates sensor faults on a trained dataset: for every trial, one
 /// faultless segment replay (precision) and one fault-injected duplicate
 /// (recall, identification, latency), exactly as in Section V.
 ///
-/// Trials run in parallel. Every trial's randomness derives from the master
-/// seed and the trial index alone (see [`FaultPlanner`]), and per-trial
-/// results are folded into the evaluation in trial order, so the output is
+/// Trials run in parallel unless a trace sink is installed. Results are
+/// folded into the evaluation in trial order, so the output is
 /// bit-identical to [`evaluate_sensor_faults_serial`].
 pub fn evaluate_sensor_faults(td: &TrainedDataset, cfg: &RunnerConfig) -> DatasetEvaluation {
-    let planner = FaultPlanner::new(cfg.seed ^ 0xFA17);
-    let injector = FaultInjector::new(cfg.seed ^ 0x1213);
-    let trials: Vec<SensorTrial> = timed_parallel_section(|| {
-        (0..cfg.trials)
-            .into_par_iter()
-            .map(|trial| timed_trial(|| run_sensor_trial(td, &planner, &injector, trial)))
-            .collect()
-    });
-    fold_sensor_trials(td, trials)
+    sensor_evaluation(td, cfg, true)
 }
 
-/// Serial reference implementation of [`evaluate_sensor_faults`].
-///
-/// Shares the per-trial body and the fold with the parallel variant; the
+/// Serial reference implementation of [`evaluate_sensor_faults`]; the
 /// equivalence test compares the two.
 pub fn evaluate_sensor_faults_serial(td: &TrainedDataset, cfg: &RunnerConfig) -> DatasetEvaluation {
-    let planner = FaultPlanner::new(cfg.seed ^ 0xFA17);
-    let injector = FaultInjector::new(cfg.seed ^ 0x1213);
-    let trials: Vec<SensorTrial> = (0..cfg.trials)
-        .map(|trial| timed_trial(|| run_sensor_trial(td, &planner, &injector, trial)))
-        .collect();
-    fold_sensor_trials(td, trials)
+    sensor_evaluation(td, cfg, false)
 }
 
-/// Everything one sensor-fault trial contributes to the evaluation.
-#[derive(Debug, Clone)]
-struct SensorTrial {
-    false_alarm: bool,
-    clean_cost: CostProfile,
-    fault: SensorFault,
-    outcome: SegmentOutcome,
-}
-
-fn run_sensor_trial(
-    td: &TrainedDataset,
-    planner: &FaultPlanner,
-    injector: &FaultInjector,
-    trial: u64,
-) -> SensorTrial {
-    let registry = td.sim.registry();
-    let segment = td.plan.segment_for_trial(trial);
-    let clean = td.sim.log_between(segment.start, segment.end);
-
-    // Faultless twin: any report is a false positive.
-    let mut engine = DiceEngine::new(&td.model);
-    let false_alarm = !engine
-        .process_range(&mut clean.clone(), segment.start, segment.end)
-        .is_empty()
-        || engine.flush().is_some();
-    let clean_cost = engine.cost_profile();
-
-    // Faulty duplicate.
-    let fault = planner.sensor_fault(trial, registry, segment.start, segment.len());
-    let mut faulty = injector.inject_sensor(clean, registry, &fault);
-    let outcome = run_faulty_segment(td, &mut faulty, segment, fault.onset);
-    SensorTrial {
-        false_alarm,
-        clean_cost,
-        fault,
-        outcome,
-    }
-}
-
-fn fold_sensor_trials(td: &TrainedDataset, trials: Vec<SensorTrial>) -> DatasetEvaluation {
+fn sensor_evaluation(td: &TrainedDataset, cfg: &RunnerConfig, parallel: bool) -> DatasetEvaluation {
+    let trials = drive_trials(cfg.trials, parallel, |trial| {
+        let mut trial = SensorTrial::new(td, cfg.seed, trial);
+        // Faultless twin: any report is a false positive.
+        let mut engine = DiceEngine::new(&td.model);
+        let false_alarm = !replay_segment(&mut engine, &mut trial.clean, trial.segment).is_empty();
+        let clean_cost = engine.cost_profile();
+        let outcome = run_faulty_segment(td, &mut trial.faulty, trial.segment, trial.fault.onset);
+        (false_alarm, clean_cost, trial.fault, outcome)
+    });
     let mut evaluation = DatasetEvaluation {
         name: td.name.clone(),
         detection: DetectionCounts::default(),
@@ -309,10 +353,40 @@ fn fold_sensor_trials(td: &TrainedDataset, trials: Vec<SensorTrial>) -> DatasetE
         num_groups: td.model.groups().len(),
         num_sensors: td.sim.registry().num_sensors(),
     };
-    for trial in trials {
-        evaluation.detection.record_faultless(trial.false_alarm);
-        evaluation.cost.merge(&trial.clean_cost);
-        record_sensor_outcome(&mut evaluation, &trial.fault, &trial.outcome);
+    for (false_alarm, clean_cost, fault, outcome) in trials {
+        evaluation.detection.record_faultless(false_alarm);
+        evaluation.cost.merge(&clean_cost);
+        evaluation.cost.merge(&outcome.cost);
+        evaluation.detection.record_faulty(outcome.report.is_some());
+        score_identification(
+            &mut evaluation.identification,
+            outcome.report.as_ref(),
+            &[DeviceId::Sensor(fault.sensor)],
+        );
+        let attribution = evaluation.by_fault_type.entry(fault.fault).or_default();
+        let Some(report) = outcome.report else {
+            attribution.missed += 1;
+            continue;
+        };
+        let detect_mins = (report.detected_at - fault.onset).as_mins_f64();
+        let identify_mins = (report.identified_at - fault.onset).as_mins_f64();
+        evaluation.detect_latency.push(detect_mins);
+        evaluation.identify_latency.push(identify_mins);
+        let check_name = match report.detected_by {
+            CheckKind::Correlation => {
+                attribution.by_correlation += 1;
+                "correlation"
+            }
+            CheckKind::Transition => {
+                attribution.by_transition += 1;
+                "transition"
+            }
+        };
+        evaluation
+            .detect_latency_by_check
+            .entry(check_name)
+            .or_default()
+            .push(detect_mins);
     }
     evaluation
 }
@@ -326,9 +400,9 @@ pub struct SegmentOutcome {
     pub cost: CostProfile,
 }
 
-/// Replays one (already fault-injected) segment and returns the first
-/// post-onset report. The log is borrowed, so a caller can go on to
-/// inspect the same faulty events.
+/// Replays one (already fault-injected) segment through a fresh engine and
+/// returns the first post-onset report. The log is borrowed, so a caller
+/// can go on to inspect the same faulty events.
 pub fn run_faulty_segment(
     td: &TrainedDataset,
     log: &mut EventLog,
@@ -336,59 +410,18 @@ pub fn run_faulty_segment(
     onset: Timestamp,
 ) -> SegmentOutcome {
     let mut engine = DiceEngine::new(&td.model);
-    let mut reports = engine.process_range(log, segment.start, segment.end);
-    reports.extend(engine.flush());
-    let report = reports.into_iter().find(|r| r.detected_at >= onset);
+    let report = replay_segment(&mut engine, log, segment)
+        .into_iter()
+        .find(|r| r.detected_at >= onset);
     SegmentOutcome {
         report,
         cost: engine.cost_profile(),
     }
 }
 
-fn record_sensor_outcome(
-    evaluation: &mut DatasetEvaluation,
-    fault: &SensorFault,
-    outcome: &SegmentOutcome,
-) {
-    evaluation.cost.merge(&outcome.cost);
-    evaluation.detection.record_faulty(outcome.report.is_some());
-    let attribution = evaluation.by_fault_type.entry(fault.fault).or_default();
-    match &outcome.report {
-        None => {
-            attribution.missed += 1;
-            evaluation.identification.record(0, 0, 1);
-        }
-        Some(report) => {
-            let detect_mins = (report.detected_at - fault.onset).as_mins_f64();
-            let identify_mins = (report.identified_at - fault.onset).as_mins_f64();
-            evaluation.detect_latency.push(detect_mins);
-            evaluation.identify_latency.push(identify_mins);
-            let check_name = match report.detected_by {
-                CheckKind::Correlation => {
-                    attribution.by_correlation += 1;
-                    "correlation"
-                }
-                CheckKind::Transition => {
-                    attribution.by_transition += 1;
-                    "transition"
-                }
-            };
-            evaluation
-                .detect_latency_by_check
-                .entry(check_name)
-                .or_default()
-                .push(detect_mins);
-            let target = DeviceId::Sensor(fault.sensor);
-            let correct = u64::from(report.devices.contains(&target));
-            let spurious = report.devices.len() as u64 - correct;
-            evaluation
-                .identification
-                .record(correct, spurious, 1 - correct);
-        }
-    }
-}
-
-/// Result of the multi-fault experiment (Section VI).
+/// Detection and identification counts of an experiment judged on faulty
+/// segments only: the multi-fault (Section VI) and actuator-fault (Section
+/// 5.1.3) experiments.
 #[derive(Debug, Clone, Default)]
 pub struct MultiFaultEvaluation {
     /// Device-level identification counts across all trials.
@@ -397,21 +430,24 @@ pub struct MultiFaultEvaluation {
     pub detection: DetectionCounts,
 }
 
+/// Folds faulty trials, each its first post-onset report and its faulty
+/// devices, in trial order.
+fn score_faulty_trials(trials: Vec<(Option<FaultReport>, Vec<DeviceId>)>) -> MultiFaultEvaluation {
+    let mut out = MultiFaultEvaluation::default();
+    for (report, faulty) in trials {
+        out.detection.record_faulty(report.is_some());
+        score_identification(&mut out.identification, report.as_ref(), &faulty);
+    }
+    out
+}
+
 /// Evaluates simultaneous multi-fault trials: 1–3 faulty sensors per
 /// segment, `numThre = 3` (configure via `cfg.dice`).
 ///
 /// Trials run in parallel with the same determinism contract as
 /// [`evaluate_sensor_faults`].
 pub fn evaluate_multi_faults(td: &TrainedDataset, cfg: &RunnerConfig) -> MultiFaultEvaluation {
-    let planner = FaultPlanner::new(cfg.seed ^ 0x3FA1);
-    let injector = FaultInjector::new(cfg.seed ^ 0x77);
-    let trials: Vec<MultiTrial> = timed_parallel_section(|| {
-        (0..cfg.trials)
-            .into_par_iter()
-            .map(|trial| timed_trial(|| run_multi_trial(td, &planner, &injector, trial)))
-            .collect()
-    });
-    fold_multi_trials(trials)
+    multi_fault_evaluation(td, cfg, true)
 }
 
 /// Serial reference implementation of [`evaluate_multi_faults`].
@@ -419,71 +455,32 @@ pub fn evaluate_multi_faults_serial(
     td: &TrainedDataset,
     cfg: &RunnerConfig,
 ) -> MultiFaultEvaluation {
+    multi_fault_evaluation(td, cfg, false)
+}
+
+fn multi_fault_evaluation(
+    td: &TrainedDataset,
+    cfg: &RunnerConfig,
+    parallel: bool,
+) -> MultiFaultEvaluation {
     let planner = FaultPlanner::new(cfg.seed ^ 0x3FA1);
     let injector = FaultInjector::new(cfg.seed ^ 0x77);
-    let trials: Vec<MultiTrial> = (0..cfg.trials)
-        .map(|trial| timed_trial(|| run_multi_trial(td, &planner, &injector, trial)))
-        .collect();
-    fold_multi_trials(trials)
-}
-
-/// Everything one multi-fault trial contributes to the evaluation.
-#[derive(Debug, Clone)]
-struct MultiTrial {
-    faults: Vec<SensorFault>,
-    outcome: SegmentOutcome,
-}
-
-fn run_multi_trial(
-    td: &TrainedDataset,
-    planner: &FaultPlanner,
-    injector: &FaultInjector,
-    trial: u64,
-) -> MultiTrial {
-    let registry = td.sim.registry();
-    let segment = td.plan.segment_for_trial(trial);
-    let clean = td.sim.log_between(segment.start, segment.end);
-    let count = (trial % 3 + 1) as usize;
-    let faults = planner.sensor_faults(trial, registry, segment.start, segment.len(), count);
-    let mut faulty = injector.inject_sensors(clean, registry, &faults);
-    let first_onset = faults
-        .iter()
-        .map(|f| f.onset)
-        .min()
-        .expect("at least one fault");
-    let outcome = run_faulty_segment(td, &mut faulty, segment, first_onset);
-    MultiTrial { faults, outcome }
-}
-
-fn fold_multi_trials(trials: Vec<MultiTrial>) -> MultiFaultEvaluation {
-    let mut out = MultiFaultEvaluation::default();
-    for trial in trials {
-        out.detection.record_faulty(trial.outcome.report.is_some());
-        match trial.outcome.report {
-            None => out.identification.record(0, 0, trial.faults.len() as u64),
-            Some(report) => {
-                let actual: Vec<DeviceId> = trial
-                    .faults
-                    .iter()
-                    .map(|f| DeviceId::Sensor(f.sensor))
-                    .collect();
-                let correct = report.devices.iter().filter(|d| actual.contains(d)).count() as u64;
-                let spurious = report.devices.len() as u64 - correct;
-                let missed = actual.len() as u64 - correct;
-                out.identification.record(correct, spurious, missed);
-            }
-        }
-    }
-    out
-}
-
-/// Result of the actuator-fault experiment (Section 5.1.3).
-#[derive(Debug, Clone, Default)]
-pub struct ActuatorEvaluation {
-    /// Device-level identification counts.
-    pub identification: IdentificationCounts,
-    /// Segment-level detection counts.
-    pub detection: DetectionCounts,
+    score_faulty_trials(drive_trials(cfg.trials, parallel, |trial| {
+        let registry = td.sim.registry();
+        let segment = td.plan.segment_for_trial(trial);
+        let clean = td.sim.log_between(segment.start, segment.end);
+        let count = (trial % 3 + 1) as usize;
+        let faults = planner.sensor_faults(trial, registry, segment.start, segment.len(), count);
+        let mut faulty = injector.inject_sensors(clean, registry, &faults);
+        let first_onset = faults
+            .iter()
+            .map(|f| f.onset)
+            .min()
+            .expect("at least one fault");
+        let report = run_faulty_segment(td, &mut faulty, segment, first_onset).report;
+        let devices = faults.iter().map(|f| DeviceId::Sensor(f.sensor)).collect();
+        (report, devices)
+    }))
 }
 
 /// Evaluates actuator faults (ghost activations) on a testbed dataset.
@@ -495,85 +492,39 @@ pub struct ActuatorEvaluation {
 ///
 /// Trials run in parallel with the same determinism contract as
 /// [`evaluate_sensor_faults`].
-pub fn evaluate_actuator_faults(td: &TrainedDataset, cfg: &RunnerConfig) -> ActuatorEvaluation {
-    assert!(
-        td.sim.registry().num_actuators() > 0,
-        "dataset has no actuators"
-    );
-    let planner = FaultPlanner::new(cfg.seed ^ 0xAC7);
-    let injector = FaultInjector::new(cfg.seed ^ 0xAC8);
-    let trials: Vec<ActuatorTrial> = timed_parallel_section(|| {
-        (0..cfg.trials)
-            .into_par_iter()
-            .map(|trial| timed_trial(|| run_actuator_trial(td, &planner, &injector, trial)))
-            .collect()
-    });
-    fold_actuator_trials(trials)
+pub fn evaluate_actuator_faults(td: &TrainedDataset, cfg: &RunnerConfig) -> MultiFaultEvaluation {
+    actuator_evaluation(td, cfg, true)
 }
 
 /// Serial reference implementation of [`evaluate_actuator_faults`].
 pub fn evaluate_actuator_faults_serial(
     td: &TrainedDataset,
     cfg: &RunnerConfig,
-) -> ActuatorEvaluation {
+) -> MultiFaultEvaluation {
+    actuator_evaluation(td, cfg, false)
+}
+
+fn actuator_evaluation(
+    td: &TrainedDataset,
+    cfg: &RunnerConfig,
+    parallel: bool,
+) -> MultiFaultEvaluation {
     assert!(
         td.sim.registry().num_actuators() > 0,
         "dataset has no actuators"
     );
     let planner = FaultPlanner::new(cfg.seed ^ 0xAC7);
     let injector = FaultInjector::new(cfg.seed ^ 0xAC8);
-    let trials: Vec<ActuatorTrial> = (0..cfg.trials)
-        .map(|trial| timed_trial(|| run_actuator_trial(td, &planner, &injector, trial)))
-        .collect();
-    fold_actuator_trials(trials)
-}
-
-/// Everything one actuator-fault trial contributes to the evaluation.
-#[derive(Debug, Clone)]
-struct ActuatorTrial {
-    fault: ActuatorFault,
-    outcome: SegmentOutcome,
-}
-
-fn run_actuator_trial(
-    td: &TrainedDataset,
-    planner: &FaultPlanner,
-    injector: &FaultInjector,
-    trial: u64,
-) -> ActuatorTrial {
-    let registry = td.sim.registry();
-    let segment = td.plan.segment_for_trial(trial);
-    let clean = td.sim.log_between(segment.start, segment.end);
-    let mut fault = planner.actuator_fault(trial, registry, segment.start, segment.len());
-    fault.fault = ActuatorFaultType::Ghost;
-    let mut faulty = injector.inject_actuator(clean, &fault);
-    let outcome = run_faulty_segment(td, &mut faulty, segment, fault.onset);
-    ActuatorTrial { fault, outcome }
-}
-
-fn fold_actuator_trials(trials: Vec<ActuatorTrial>) -> ActuatorEvaluation {
-    let mut out = ActuatorEvaluation::default();
-    for trial in trials {
-        out.detection.record_faulty(trial.outcome.report.is_some());
-        record_actuator_outcome(&mut out, &trial.fault, &trial.outcome);
-    }
-    out
-}
-
-fn record_actuator_outcome(
-    out: &mut ActuatorEvaluation,
-    fault: &ActuatorFault,
-    outcome: &SegmentOutcome,
-) {
-    match &outcome.report {
-        None => out.identification.record(0, 0, 1),
-        Some(report) => {
-            let target = DeviceId::Actuator(fault.actuator);
-            let correct = u64::from(report.devices.contains(&target));
-            let spurious = report.devices.len() as u64 - correct;
-            out.identification.record(correct, spurious, 1 - correct);
-        }
-    }
+    score_faulty_trials(drive_trials(cfg.trials, parallel, |trial| {
+        let segment = td.plan.segment_for_trial(trial);
+        let clean = td.sim.log_between(segment.start, segment.end);
+        let mut fault =
+            planner.actuator_fault(trial, td.sim.registry(), segment.start, segment.len());
+        fault.fault = ActuatorFaultType::Ghost;
+        let mut faulty = injector.inject_actuator(clean, &fault);
+        let report = run_faulty_segment(td, &mut faulty, segment, fault.onset).report;
+        (report, vec![DeviceId::Actuator(fault.actuator)])
+    }))
 }
 
 #[cfg(test)]
