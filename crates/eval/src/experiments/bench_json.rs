@@ -451,17 +451,18 @@ fn hh102_training_log(
     log
 }
 
-/// Measures serial vs `TRAIN_WORKERS`-chunk training on the `D_houseA`
+/// Measures serial vs pool-wide chunked training on the `D_houseA`
 /// catalog log over the evaluation runner's precomputation period (300 h,
 /// about 1.7 M events): the median of `TRAIN_REPS` interleaved runs each,
 /// asserting the two models are identical. Each run trains a fresh copy of
 /// the log, made before its clock starts.
 ///
-/// The worker-pool width is pinned via `RAYON_NUM_THREADS` for each
-/// measurement; on machines with fewer cores than `TRAIN_WORKERS` the
-/// recorded `available_parallelism` explains a flat speedup.
+/// Serial training is one chunk, which runs inline on the calling thread.
+/// Parallel training splits the log into one chunk per worker of the
+/// process's rayon pool, whose width is fixed at the first parallel
+/// section (`RAYON_NUM_THREADS` or `--train-jobs`, else the core count);
+/// the row records that width as `workers`.
 fn training_bench() -> TrainingBench {
-    const TRAIN_WORKERS: usize = 4;
     const TRAIN_REPS: usize = 5;
     let dataset = DatasetId::DHouseA;
     let cfg = RunnerConfig::default();
@@ -469,9 +470,8 @@ fn training_bench() -> TrainingBench {
     let log = sim.log_between(Timestamp::ZERO, Timestamp::ZERO + cfg.precompute);
     let events = log.len();
     let serial_trainer = ParallelTrainer::new(cfg.dice.clone()).with_chunks(1);
-    let parallel_trainer = ParallelTrainer::new(cfg.dice).with_chunks(TRAIN_WORKERS);
-    let time_ms = |trainer: &ParallelTrainer, workers: usize| {
-        std::env::set_var("RAYON_NUM_THREADS", workers.to_string());
+    let parallel_trainer = ParallelTrainer::new(cfg.dice);
+    let time_ms = |trainer: &ParallelTrainer| {
         let mut copy = log.clone();
         let start = Instant::now();
         let model = trainer
@@ -480,21 +480,16 @@ fn training_bench() -> TrainingBench {
         (start.elapsed().as_secs_f64() * 1000.0, model)
     };
 
-    let previous = std::env::var("RAYON_NUM_THREADS").ok();
     let mut serial_ms = Vec::with_capacity(TRAIN_REPS);
     let mut parallel_ms = Vec::with_capacity(TRAIN_REPS);
     let mut shape = (0, 0);
     for _ in 0..TRAIN_REPS {
-        let (ms, serial) = time_ms(&serial_trainer, 1);
+        let (ms, serial) = time_ms(&serial_trainer);
         serial_ms.push(ms);
-        let (ms, parallel) = time_ms(&parallel_trainer, TRAIN_WORKERS);
+        let (ms, parallel) = time_ms(&parallel_trainer);
         parallel_ms.push(ms);
         assert_eq!(serial, parallel, "parallel training must be bit-identical");
         shape = (serial.layout().num_bits(), serial.training_windows());
-    }
-    match previous {
-        Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
     TrainingBench {
         dataset: dataset.name(),
@@ -503,7 +498,7 @@ fn training_bench() -> TrainingBench {
         events,
         serial_ms: median(&mut serial_ms),
         parallel_ms: median(&mut parallel_ms),
-        workers: TRAIN_WORKERS,
+        workers: rayon::current_num_threads(),
         available_parallelism: std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get),
     }
