@@ -277,14 +277,21 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
 }
 
 /// The k-way time-ordered merge over the aggregator streams: one pending
-/// event per live stream, taken in `(timestamp, slot)` order. Frames and
-/// decode errors are counted here and published by the run at each window
-/// close, not one shared atomic per frame.
+/// event per live stream, taken in `(timestamp, slot)` order. The merge
+/// serves runs: while the slot last taken from keeps receiving events that
+/// sort before every other slot's pending head, they go straight to the
+/// caller, and only the event that ends a run is held in `pending` for a
+/// scan of every slot. Frames and decode errors are counted here and published by
+/// the run at each window close, not one shared atomic per frame.
 struct Merge<'r> {
     streams: Vec<Option<Receiver<EventFrame>>>,
     pending: Vec<Option<Event>>,
-    /// The slot the last event came from: the only one left to refill.
+    /// The slot the last event came from: the only one with no pending
+    /// event whose stream may still deliver.
     taken: Option<usize>,
+    /// The earliest `(timestamp, slot)` pending outside `taken`, which the
+    /// run from `taken` must stay before (`None`: nothing to compare).
+    rival: Option<(Timestamp, usize)>,
     recorder: Option<&'r Recorder>,
     /// Per-stream depth gauges, resolved once (empty when not recording).
     shard_depths: Vec<Arc<Gauge>>,
@@ -292,7 +299,7 @@ struct Merge<'r> {
     decode_errors: u64,
 }
 
-// `next` and `refill` run once per event and are `#[inline]`: the generic
+// `next` and `receive` run once per event and are `#[inline]`: the generic
 // `run_with_observer` is instantiated in the caller's crate, where they
 // would otherwise stay out-of-line calls.
 impl<'r> Merge<'r> {
@@ -321,6 +328,7 @@ impl<'r> Merge<'r> {
             pending: vec![None; inputs.len()],
             streams: inputs.into_iter().map(Some).collect(),
             taken: None,
+            rival: None,
             recorder,
             shard_depths,
             frames: 0,
@@ -328,48 +336,61 @@ impl<'r> Merge<'r> {
         };
         merge.sample_depth();
         for slot in 0..merge.streams.len() {
-            merge.refill(slot);
+            merge.pending[slot] = merge.receive(slot);
         }
         merge
     }
 
-    /// Refills the slot the previous event came from (every other slot
-    /// still holds its event), then takes the earliest pending event, ties
-    /// to the lowest slot. `None` once every stream has hung up and
-    /// drained.
+    /// Takes the earliest event, ties to the lowest slot. The slot the
+    /// previous event came from receives its next event first (every
+    /// other slot still holds its own): when that sorts before the rival,
+    /// it is the earliest and is served at once; otherwise it is held
+    /// and every pending head is scanned for the earliest and the new
+    /// rival. `None` once every stream has hung up and drained.
     #[inline]
     fn next(&mut self) -> Option<Event> {
         if let Some(slot) = self.taken {
-            self.refill(slot);
+            match self.receive(slot) {
+                Some(event) if self.rival.is_none_or(|rival| (event.at(), slot) < rival) => {
+                    return Some(event);
+                }
+                event => self.pending[slot] = event,
+            }
         }
-        let (_, slot) = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, event)| event.map(|e| (e.at(), slot)))
-            .min()?;
+        let mut first: Option<(Timestamp, usize)> = None;
+        let mut second = None;
+        for (slot, event) in self.pending.iter().enumerate() {
+            let Some(event) = event else { continue };
+            let key = (event.at(), slot);
+            if first.is_none_or(|first| key < first) {
+                second = first;
+                first = Some(key);
+            } else if second.is_none_or(|second| key < second) {
+                second = Some(key);
+            }
+        }
+        let (_, slot) = first?;
         self.taken = Some(slot);
+        self.rival = second;
         self.pending[slot].take()
     }
 
-    /// Receives into `slot` until it holds a decodable event or its
-    /// stream hangs up. Undecodable frames are counted and dropped.
+    /// Receives from `slot` until a frame decodes or its stream hangs up
+    /// (`None`). Undecodable frames are counted and dropped.
     #[inline]
-    fn refill(&mut self, slot: usize) {
-        while self.pending[slot].is_none() {
-            let Some(rx) = &self.streams[slot] else {
-                return;
-            };
+    fn receive(&mut self, slot: usize) -> Option<Event> {
+        loop {
+            let rx = self.streams[slot].as_ref()?;
             let Ok(frame) = rx.recv() else {
                 self.streams[slot] = None; // aggregator hung up
                 if let Some(rec) = self.recorder {
                     rec.metrics.gateway.streams_connected.add(-1);
                 }
-                return;
+                return None;
             };
             self.frames += 1;
             match decode_event(frame) {
-                Ok(event) => self.pending[slot] = Some(event),
+                Ok(event) => return Some(event),
                 Err(
                     error @ (FrameError::Truncated
                     | FrameError::UnknownTag(_)
@@ -813,6 +834,93 @@ mod tests {
             assert_eq!(merged, rescan_order(&streams), "case {case}");
             assert_eq!(merged.len(), id as usize);
             assert_eq!(merge.decode_errors, garbage);
+        }
+    }
+
+    /// Seeded streams for the merge oracle: one to four streams, each of
+    /// a length drawn from `frames`, starting below 10 s and moving by
+    /// `step` (floored at zero) per decodable event, with one frame in
+    /// twenty undecodable. Returns the streams and the decodable and
+    /// undecodable frame counts.
+    fn seeded_streams(
+        rng: &mut rand::rngs::StdRng,
+        frames: std::ops::Range<usize>,
+        step: impl Fn(&mut rand::rngs::StdRng) -> i64,
+    ) -> (Vec<Vec<EventFrame>>, usize, u64) {
+        use rand::Rng;
+        let mut id = 0;
+        let mut garbage = 0;
+        let streams = (0..rng.gen_range(1..=4))
+            .map(|_| {
+                let mut secs = rng.gen_range(0..10i64);
+                (0..rng.gen_range(frames.clone()))
+                    .map(|_| {
+                        if rng.gen_bool(0.05) {
+                            garbage += 1;
+                            return EventFrame::from_slice(&[0xFF]);
+                        }
+                        id += 1;
+                        secs = (secs + step(rng)).max(0);
+                        crate::message::encode_event(&Event::Sensor(SensorReading::new(
+                            dice_types::SensorId::new(id),
+                            Timestamp::from_secs(secs),
+                            true.into(),
+                        )))
+                    })
+                    .collect()
+            })
+            .collect();
+        (streams, id as usize, garbage)
+    }
+
+    /// The rescan oracle over live channels: one producer thread per
+    /// stream sends over a bounded channel of capacity 1, 2 or 64, so the
+    /// merge's receives block on empty queues and drain partial ones. The
+    /// first 300 cases are `merge_matches_the_rescan_order`'s streams; the
+    /// rest hold long same-timestamp runs that tie other streams' heads,
+    /// with undecodable frames in mid-run.
+    #[test]
+    fn merge_over_live_bounded_channels_matches_the_rescan_order() {
+        use crossbeam::channel::bounded;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut runs = StdRng::seed_from_u64(19);
+        for case in 0..400 {
+            let (streams, events, garbage) = if case < 300 {
+                seeded_streams(&mut rng, 0..40, |rng| rng.gen_range(-3..=4))
+            } else {
+                seeded_streams(&mut runs, 0..160, |rng| {
+                    if rng.gen_bool(0.05) {
+                        rng.gen_range(1..=2)
+                    } else {
+                        0
+                    }
+                })
+            };
+            let expected = rescan_order(&streams);
+            for capacity in [1, 2, 64] {
+                let (merged, decode_errors) = std::thread::scope(|scope| {
+                    let receivers = streams
+                        .iter()
+                        .map(|frames| {
+                            let (tx, rx) = bounded(capacity);
+                            scope.spawn(move || {
+                                for frame in frames {
+                                    tx.send(*frame).unwrap();
+                                }
+                            });
+                            rx
+                        })
+                        .collect();
+                    let mut merge = Merge::start(receivers, None);
+                    let merged: Vec<Event> = std::iter::from_fn(|| merge.next()).collect();
+                    (merged, merge.decode_errors)
+                });
+                assert_eq!(merged, expected, "case {case}, capacity {capacity}");
+                assert_eq!(merged.len(), events);
+                assert_eq!(decode_errors, garbage, "case {case}, capacity {capacity}");
+            }
         }
     }
 

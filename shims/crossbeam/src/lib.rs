@@ -13,9 +13,19 @@
 //! lock-guarded queue that the receiver drains whole: a receive that finds
 //! its local buffer empty moves every queued message into that buffer in
 //! one lock acquisition, and later receives pop from the buffer without
-//! touching shared state. Senders signal the receiver only while it is
-//! parked, and senders blocked on a full queue are woken by the drain that
-//! empties it.
+//! touching shared state. Senders blocked on a full queue are woken by the
+//! drain that empties it.
+//!
+//! A blocking receive coalesces wake-ups while its senders are busy. When
+//! it finds some messages queued, but fewer than half the capacity (rounded
+//! up), and a sender alive, it parks until the push that fills the queue to
+//! half, the last sender's drop, or a short deadline, whichever comes
+//! first, and then drains what is queued. A receive that finds the queue
+//! empty parks with no deadline, and the next push wakes it. A receiver
+//! that keeps up with a busy sender thus drains batches instead of taking
+//! a few messages per lock, while a sparse sender's messages are handed
+//! over at once and an idle channel costs no timer wake-ups. Capacities 1
+//! and 2 never coalesce (half is one message), and `try_recv` never waits.
 
 pub mod channel {
     use std::cell::RefCell;
@@ -23,6 +33,14 @@ pub mod channel {
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+    use std::time::{Duration, Instant};
+
+    /// How long a blocking receive that finds its bounded queue non-empty
+    /// but under half full waits for it to fill before draining what is
+    /// there. It only delays the hand-off: message order is unchanged, and
+    /// DICE closes its windows on event time, so a delay below a millisecond
+    /// cannot change a verdict. It can add to a wall-clock queue wait.
+    const COALESCE_DEADLINE: Duration = Duration::from_micros(200);
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,6 +321,9 @@ pub mod channel {
         /// The receiver is waiting on `receiver_ready` and nobody has
         /// signalled it yet.
         receiver_parked: bool,
+        /// The parked receiver waits for a batch: pushes wake it only once
+        /// the queue holds [`Bounded::batch`] messages.
+        receiver_coalescing: bool,
         /// Senders waiting on `space_ready`.
         blocked_senders: usize,
     }
@@ -323,12 +344,26 @@ pub mod channel {
             self.state.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
-        /// Queues `value` in a locked state with room for it, then signals
-        /// a parked receiver.
-        fn push(&self, mut state: MutexGuard<'_, BoundedState<T>>, value: T) {
+        /// The queue length a coalescing receiver waits for: half the
+        /// capacity, rounded up.
+        fn batch(&self) -> usize {
+            self.capacity.div_ceil(2)
+        }
+
+        /// Queues `value` in a state with room for it. Returns whether the
+        /// caller must signal the parked receiver once it has unlocked: the
+        /// receiver is not coalescing, or this push completed its batch.
+        fn enqueue(&self, state: &mut BoundedState<T>, value: T) -> bool {
             state.queue.push_back(value);
             self.queued.store(state.queue.len(), Ordering::Relaxed);
-            let wake = state.take_parked_receiver();
+            let ready = !state.receiver_coalescing || state.queue.len() >= self.batch();
+            ready && state.take_parked_receiver()
+        }
+
+        /// Queues `value` in a locked state with room for it, then signals
+        /// the parked receiver if it waits for this push.
+        fn push(&self, mut state: MutexGuard<'_, BoundedState<T>>, value: T) {
+            let wake = self.enqueue(&mut state, value);
             drop(state);
             if wake {
                 self.receiver_ready.notify_one();
@@ -367,21 +402,18 @@ pub mod channel {
         }
 
         /// Pops the oldest message, refilling an empty `local` buffer by
-        /// draining the whole shared queue. With `block`, parks until a
-        /// message arrives; returns `None` once the queue is empty and, when
-        /// blocking, every sender has left.
+        /// draining the whole shared queue. With `block`, first waits for
+        /// a message or a batch (see [`Bounded::await_batch`]); returns
+        /// `None` once the queue is empty and, when blocking, every sender
+        /// has left.
         fn recv(&self, local: &mut VecDeque<T>, block: bool) -> Option<T> {
             if local.is_empty() {
                 let mut state = self.lock();
-                while state.queue.is_empty() {
-                    if !block || state.senders == 0 {
-                        return None;
-                    }
-                    state.receiver_parked = true;
-                    state = self
-                        .receiver_ready
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
+                if block {
+                    state = self.await_batch(state);
+                }
+                if state.queue.is_empty() {
+                    return None;
                 }
                 // Swapping keeps both buffers' capacity: a warm channel
                 // allocates nothing.
@@ -394,6 +426,44 @@ pub mod channel {
                 }
             }
             local.pop_front()
+        }
+
+        /// Parks until there is something worth draining, or every sender
+        /// has left. On an empty queue that is the next push. On a queue
+        /// holding fewer than a batch it is the push that completes the
+        /// batch or the coalescing deadline, whichever comes first.
+        fn await_batch<'a>(
+            &'a self,
+            mut state: MutexGuard<'a, BoundedState<T>>,
+        ) -> MutexGuard<'a, BoundedState<T>> {
+            let batch = self.batch();
+            let deadline = (!state.queue.is_empty()).then(|| Instant::now() + COALESCE_DEADLINE);
+            loop {
+                let queued = state.queue.len();
+                if state.senders == 0 || queued >= batch || (queued > 0 && deadline.is_none()) {
+                    break;
+                }
+                state.receiver_parked = true;
+                state = match deadline {
+                    Some(deadline) => {
+                        let Some(timeout) = deadline.checked_duration_since(Instant::now()) else {
+                            break;
+                        };
+                        state.receiver_coalescing = true;
+                        self.receiver_ready
+                            .wait_timeout(state, timeout)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                    None => self
+                        .receiver_ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner),
+                };
+            }
+            state.receiver_parked = false;
+            state.receiver_coalescing = false;
+            state
         }
     }
 
@@ -425,6 +495,7 @@ pub mod channel {
                 senders: 1,
                 receiver_alive: true,
                 receiver_parked: false,
+                receiver_coalescing: false,
                 blocked_senders: 0,
             }),
             receiver_ready: Condvar::new(),
@@ -447,9 +518,12 @@ pub mod channel {
 
     #[cfg(test)]
     mod tests {
-        use super::{bounded, unbounded, Bounded, SendError, Sender, SenderFlavor, TrySendError};
+        use super::{
+            bounded, unbounded, Bounded, BoundedState, SendError, Sender, SenderFlavor,
+            TrySendError,
+        };
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
+        use std::sync::{Arc, MutexGuard};
 
         #[test]
         fn unbounded_round_trip_and_drain() {
@@ -631,6 +705,147 @@ pub mod channel {
             }
             drop(tx);
             assert!(handle.join().unwrap().is_err());
+        }
+
+        /// Polls until the receiver parks, and returns the state locked.
+        fn await_parked<T>(chan: &Bounded<T>) -> MutexGuard<'_, BoundedState<T>> {
+            loop {
+                let state = chan.lock();
+                if state.receiver_parked {
+                    return state;
+                }
+                drop(state);
+                std::thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn receiver_on_an_empty_queue_is_woken_by_the_next_push() {
+            let (tx, rx) = bounded(8);
+            let chan = shared(&tx);
+            let handle = std::thread::spawn(move || rx.recv());
+            let mut state = await_parked(chan);
+            assert!(
+                !state.receiver_coalescing,
+                "an empty queue waits for one message"
+            );
+            assert!(chan.enqueue(&mut state, 7));
+            drop(state);
+            chan.receiver_ready.notify_one();
+            assert_eq!(handle.join().unwrap(), Ok(7));
+        }
+
+        #[test]
+        fn coalescing_receiver_is_woken_by_the_push_that_reaches_half() {
+            let (tx, rx) = bounded(8);
+            let chan = shared(&tx);
+            let (go, go_rx) = std::sync::mpsc::channel::<()>();
+            let (got_tx, got) = std::sync::mpsc::channel();
+            let handle = std::thread::spawn(move || {
+                while go_rx.recv().is_ok() {
+                    got_tx.send(rx.recv().unwrap()).unwrap();
+                }
+                rx.iter().collect::<Vec<u32>>()
+            });
+            let mut sent = 0;
+            let mut received = Vec::new();
+            let mut state = loop {
+                // One message is queued before the receive starts, so it
+                // parks for a batch of four.
+                tx.send(sent).unwrap();
+                sent += 1;
+                go.send(()).unwrap();
+                let parked = loop {
+                    let state = chan.lock();
+                    if state.receiver_parked {
+                        break Some(state);
+                    }
+                    drop(state);
+                    if let Ok(message) = got.try_recv() {
+                        // Its deadline passed before this thread looked:
+                        // start another receive.
+                        received.push(message);
+                        break None;
+                    }
+                    std::thread::yield_now();
+                };
+                if let Some(state) = parked {
+                    break state;
+                }
+            };
+            // Holding the lock keeps the receiver parked (even past its
+            // deadline) while the pushes decide whether to wake it.
+            assert!(state.receiver_coalescing);
+            for _ in 0..2 {
+                assert!(!chan.enqueue(&mut state, sent), "push below half");
+                sent += 1;
+                assert!(state.receiver_parked);
+            }
+            assert!(chan.enqueue(&mut state, sent), "the push that fills half");
+            sent += 1;
+            assert!(!state.receiver_parked);
+            drop(state);
+            chan.receiver_ready.notify_one();
+            received.push(got.recv().unwrap());
+            drop(go);
+            drop(tx);
+            received.extend(handle.join().unwrap());
+            assert_eq!(received, (0..sent).collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn coalescing_receiver_delivers_a_lone_message_from_a_live_sender() {
+            let (tx, rx) = bounded(8);
+            // Queued before the receive starts and short of a batch of
+            // four: the deadline ends the wait.
+            tx.send(7).unwrap();
+            let handle = std::thread::spawn(move || rx.recv());
+            assert_eq!(handle.join().unwrap(), Ok(7));
+            drop(tx);
+        }
+
+        #[test]
+        fn last_sender_drop_wakes_a_coalescing_receiver() {
+            let (tx, rx) = bounded(8);
+            // Queued before the receive starts: it parks for a batch.
+            tx.send(1).unwrap();
+            let handle = std::thread::spawn(move || {
+                let got: Vec<i32> = rx.iter().collect();
+                (got, rx.recv())
+            });
+            drop(await_parked(shared(&tx)));
+            tx.send(2).unwrap();
+            drop(tx);
+            let (got, last) = handle.join().unwrap();
+            assert_eq!(got, vec![1, 2]);
+            assert!(last.is_err());
+        }
+
+        #[test]
+        fn small_capacities_pass_messages_in_order_and_never_strand_a_send() {
+            for capacity in 1..=3 {
+                let (tx, rx) = bounded(capacity);
+                let producer = std::thread::spawn(move || {
+                    let chan = shared(&tx);
+                    let batch = chan.batch();
+                    for i in 0..10_000u32 {
+                        tx.send(i).unwrap();
+                        // A parked receiver always waits for more than is
+                        // queued: no sender can block on a full queue while
+                        // the receiver sleeps.
+                        let state = chan.lock();
+                        let awaited = if state.receiver_coalescing { batch } else { 1 };
+                        assert!(
+                            !state.receiver_parked || state.queue.len() < awaited,
+                            "capacity {capacity}: receiver parked over {} queued",
+                            state.queue.len()
+                        );
+                    }
+                });
+                let got: Vec<u32> = rx.iter().collect();
+                producer.join().unwrap();
+                assert_eq!(got, (0..10_000).collect::<Vec<_>>(), "capacity {capacity}");
+            }
         }
 
         #[test]

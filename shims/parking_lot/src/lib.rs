@@ -23,7 +23,9 @@ impl<T> Mutex<T> {
 
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -46,9 +48,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Returns a mutable reference to the inner value (no locking needed
     /// with exclusive access).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -379,6 +379,7 @@ macro_rules! prop_assert_ne {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use std::sync::atomic::{AtomicU8, Ordering};
 
     #[test]
     fn ranges_and_vecs_stay_in_bounds() {
@@ -413,12 +414,24 @@ mod tests {
         );
     }
 
+    /// The `bool` values `macro_smoke_cases` drew, one bit each.
+    static FLAGS_DRAWN: AtomicU8 = AtomicU8::new(0);
+
     proptest! {
-        #[test]
-        fn macro_smoke(x in 1u32..10, flag in any::<bool>()) {
-            prop_assert!(x >= 1 && x < 10);
-            prop_assert_eq!(flag || !flag, true);
+        fn macro_smoke_cases(x in 1u32..10, flag in any::<bool>()) {
+            prop_assert!((1..10).contains(&x));
             prop_assert_ne!(x, 0);
+            FLAGS_DRAWN.fetch_or(1 << u8::from(flag), Ordering::Relaxed);
         }
+    }
+
+    #[test]
+    fn macro_smoke() {
+        macro_smoke_cases();
+        assert_eq!(
+            FLAGS_DRAWN.load(Ordering::Relaxed),
+            0b11,
+            "both bool values are drawn over the run"
+        );
     }
 }

@@ -30,7 +30,10 @@ pub trait Rng {
     ///
     /// Panics if `p` is not within `[0, 1]`.
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability out of range"
+        );
         self.gen_f64() < p
     }
 

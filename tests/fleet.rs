@@ -17,7 +17,7 @@ use dice_gateway::{
     decode_event, encode_event, partition_by_device, EventFrame, FrameError, GatewayStats,
     HomeGateway,
 };
-use dice_telemetry::{evaluate_health, standard_rules, HealthStatus, Telemetry};
+use dice_telemetry::{evaluate_health, standard_rules, HealthStatus, Snapshot, Telemetry};
 use dice_types::{
     ActuatorEvent, ActuatorId, DeviceId, DeviceRegistry, Event, EventLog, Room, SensorId,
     SensorKind, SensorReading, TimeDelta, Timestamp,
@@ -720,24 +720,12 @@ fn preloaded_runs_are_reproducible_and_match_threaded_alarms() {
 #[test]
 fn stalled_shard_grows_queue_waits_and_trips_the_straggler_rule() {
     let _cpu = cpu_alone();
-    let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
     let telemetry = Telemetry::recording();
     // Shard 0 sleeps 3ms per batch behind a 2-deep queue: its queue-wait
     // sketch must grow and the producer must block (counted in
     // occurrences and nanoseconds), while the other shards stay prompt —
     // exactly the straggler shape the health rule grades.
-    let run = run_fleet_with(
-        FleetConfig {
-            shards: 4,
-            queue_capacity: 2,
-            frames_per_batch: 4,
-            batch_windows: 16,
-            telemetry: telemetry.clone(),
-            stall: Some((0, 3)),
-            ..FleetConfig::default()
-        },
-        &plans,
-    );
+    let run = run_with_stalled_shard(2, &telemetry);
     assert!(run.stats.backpressure_waits > 0, "sender must have blocked");
     assert!(
         run.stats.backpressure_wait_ns > 0,
@@ -745,6 +733,51 @@ fn stalled_shard_grows_queue_waits_and_trips_the_straggler_rule() {
     );
 
     let snapshot = telemetry.snapshot().unwrap();
+    assert_straggler_trips(&snapshot);
+
+    // Per-shard back-pressure families point at the stalled shard.
+    let waits = snapshot
+        .family_series("dice_fleet_shard_backpressure_waits_total")
+        .unwrap();
+    let wait_ns = snapshot
+        .family_series("dice_fleet_shard_backpressure_wait_ns_total")
+        .unwrap();
+    assert!(waits.iter().any(|(v, n)| v == &["s0"] && *n > 0));
+    assert!(wait_ns.iter().any(|(v, n)| v == &["s0"] && *n > 0));
+}
+
+/// The same stall behind the default queue depth, where a healthy shard
+/// that finds a few batches queued waits for half its queue or the
+/// channel's coalescing deadline. This run is too short to fill that
+/// queue, so the sender never blocks.
+#[test]
+fn stalled_shard_trips_the_straggler_rule_at_the_default_queue_capacity() {
+    let _cpu = cpu_alone();
+    let telemetry = Telemetry::recording();
+    run_with_stalled_shard(FleetConfig::default().queue_capacity, &telemetry);
+    assert_straggler_trips(&telemetry.snapshot().unwrap());
+}
+
+/// Runs the test fleet with shard 0 sleeping 3ms per batch.
+fn run_with_stalled_shard(queue_capacity: usize, telemetry: &Telemetry) -> FleetRun {
+    let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
+    run_fleet_with(
+        FleetConfig {
+            shards: 4,
+            queue_capacity,
+            frames_per_batch: 4,
+            batch_windows: 16,
+            telemetry: telemetry.clone(),
+            stall: Some((0, 3)),
+            ..FleetConfig::default()
+        },
+        &plans,
+    )
+}
+
+/// The stalled shard's queue-wait p99 dwarfs every other shard's, and the
+/// straggler rule grades it warn or crit.
+fn assert_straggler_trips(snapshot: &Snapshot) {
     let children = snapshot
         .sketch_family("dice_fleet_stage_queue_wait_ns")
         .unwrap();
@@ -766,7 +799,7 @@ fn stalled_shard_grows_queue_waits_and_trips_the_straggler_rule() {
     );
 
     // The injected slow shard drives the straggler rule to warn/crit.
-    let report = evaluate_health(&standard_rules(), &snapshot, false);
+    let report = evaluate_health(&standard_rules(), snapshot, false);
     let row = report
         .rows
         .iter()
@@ -778,16 +811,6 @@ fn stalled_shard_grows_queue_waits_and_trips_the_straggler_rule() {
         row.status,
         row.observed
     );
-
-    // Per-shard back-pressure families point at the stalled shard.
-    let waits = snapshot
-        .family_series("dice_fleet_shard_backpressure_waits_total")
-        .unwrap();
-    let wait_ns = snapshot
-        .family_series("dice_fleet_shard_backpressure_wait_ns_total")
-        .unwrap();
-    assert!(waits.iter().any(|(v, n)| v == &["s0"] && *n > 0));
-    assert!(wait_ns.iter().any(|(v, n)| v == &["s0"] && *n > 0));
 }
 
 #[test]
