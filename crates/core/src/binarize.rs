@@ -10,10 +10,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use dice_types::{ActuatorId, DeviceRegistry, Event, SensorClass, SensorValue, Timestamp};
+use dice_types::{
+    ActuatorId, DeviceRegistry, Event, SensorClass, SensorId, SensorValue, Timestamp,
+};
 
 use crate::bitset::BitSet;
-use crate::layout::{BitLayout, NUMERIC_SPAN_WIDTH};
+use crate::layout::BitLayout;
 use crate::stats::{MeanAccumulator, WindowStats};
 
 /// Per-sensor `valueThre` thresholds (Eq. 3.4), learned from fault-free data.
@@ -36,7 +38,7 @@ impl Thresholds {
 
     /// The threshold for `sensor`, if it is a numeric sensor that produced
     /// at least one training sample.
-    pub fn value_thre(&self, sensor: dice_types::SensorId) -> Option<f64> {
+    pub fn value_thre(&self, sensor: SensorId) -> Option<f64> {
         self.value_thre.get(sensor.index()).copied().flatten()
     }
 
@@ -165,11 +167,91 @@ impl Default for WindowObservation {
 /// Reusable scratch for allocation-free binarization; see
 /// [`Binarizer::binarize_into`].
 ///
-/// Holds one [`WindowStats`] per sensor. Between calls every entry is
-/// empty: the kernel resets each entry it filled as it reads it back.
+/// Holds one [`WindowStats`] per numeric slot of the layout last
+/// binarized. Between calls every entry is empty: the close step resets
+/// each entry it reads.
 #[derive(Debug, Clone, Default)]
 pub struct BinarizeScratch {
     numeric: Vec<WindowStats>,
+}
+
+impl BinarizeScratch {
+    /// The per-slot statistics, sized for `layout`.
+    pub(crate) fn numeric_for(&mut self, layout: &BitLayout) -> &mut [WindowStats] {
+        self.numeric
+            .resize(layout.num_numeric_sensors(), WindowStats::default());
+        &mut self.numeric
+    }
+}
+
+/// One window's binarization, folded event by event as the events arrive:
+/// the threshold-free state words, one [`WindowStats`] per numeric sensor
+/// and the actuators switched on so far. A fleet home keeps one in place of
+/// its open window's events. Its size is fixed by the layout (the state
+/// words plus 48 B per numeric sensor) apart from the actuator list, which
+/// keeps its capacity across windows.
+///
+/// Fold each event with [`WindowFold::push`] in arrival order and close
+/// the window with [`WindowFold::close_into`], which leaves the fold empty
+/// for the next window. The result equals [`Binarizer::binarize_into`]
+/// over the same events.
+#[derive(Debug, Clone)]
+pub struct WindowFold {
+    words: Box<[u64]>,
+    numeric: Box<[WindowStats]>,
+    actuators: Vec<ActuatorId>,
+}
+
+impl WindowFold {
+    /// An empty fold sized for `binarizer`'s layout.
+    pub fn new(binarizer: &Binarizer) -> Self {
+        let layout = binarizer.layout();
+        WindowFold {
+            words: vec![0; layout.num_bits().div_ceil(u64::BITS as usize)].into_boxed_slice(),
+            numeric: vec![WindowStats::default(); layout.num_numeric_sensors()].into_boxed_slice(),
+            actuators: Vec::new(),
+        }
+    }
+
+    /// Folds one event into the open window. `binarizer` must be the one
+    /// the fold was built for.
+    #[inline]
+    pub fn push(&mut self, binarizer: &Binarizer, event: &Event) {
+        fold_event(
+            binarizer.layout(),
+            event,
+            &mut self.words,
+            &mut self.numeric,
+            &mut self.actuators,
+            |_, _| {},
+        );
+    }
+
+    /// Closes the open window as `[start, end)` into `out` and resets the
+    /// fold for the next window. `binarizer` must be the one the fold was
+    /// built for.
+    pub fn close_into(
+        &mut self,
+        binarizer: &Binarizer,
+        start: Timestamp,
+        end: Timestamp,
+        out: &mut WindowObservation,
+    ) {
+        debug_assert_eq!(
+            self.numeric.len(),
+            binarizer.layout().num_numeric_sensors(),
+            "a fold closes against the layout it was built for"
+        );
+        out.start = start;
+        out.end = end;
+        out.state.clear_to(binarizer.layout().num_bits());
+        let words = out.state.words_mut();
+        words.copy_from_slice(&self.words);
+        self.words.fill(0);
+        out.activated_actuators.clear();
+        out.activated_actuators.append(&mut self.actuators);
+        binarizer.close(&mut self.numeric, words, &mut out.activated_actuators);
+    }
 }
 
 /// Relative margin of the Eq. 3.4 level comparison (see [`level_cutoff`]).
@@ -185,92 +267,95 @@ pub(crate) fn level_cutoff(thre: f64) -> f64 {
     thre + thre.abs().max(1.0) * LEVEL_EPSILON
 }
 
-/// The binarization kernel shared by [`Binarizer::binarize_into`] and the
-/// one-pass trainer ([`crate::ParallelTrainer`]).
+/// The per-event half of the binarization kernel shared by
+/// [`Binarizer::binarize_into`], [`WindowFold`] and the one-pass trainer
+/// ([`crate::ParallelTrainer`]).
 ///
-/// Reads `events` once. Active binary readings set their sensor's bit
-/// (Eq. 3.1), actuator `on` events are collected (sorted, deduplicated),
-/// and every numeric reading of a known sensor is handed to `sample` and
-/// accumulated into `scratch`. Then each numeric-span sensor with samples
-/// gets its skewness (Eq. 3.2) and trend (Eq. 3.3) bits, and its window
-/// mean is handed to `level`, which says whether to set the level bit
-/// (Eq. 3.4). `state` must arrive cleared to the layout's width and
-/// `actuators` empty.
+/// An active binary reading sets its sensor's first bit in `words`
+/// (Eq. 3.1), an actuator `on` is appended to `actuators`, and a numeric
+/// reading of a known sensor is handed to `sample` and, if the sensor is
+/// numeric, pushed into its slot of `numeric` in arrival order. Readings
+/// of unknown sensors are ignored.
 #[inline]
-pub(crate) fn binarize_window(
+pub(crate) fn fold_event(
     layout: &BitLayout,
-    events: &[Event],
-    scratch: &mut BinarizeScratch,
-    state: &mut BitSet,
+    event: &Event,
+    words: &mut [u64],
+    numeric: &mut [WindowStats],
     actuators: &mut Vec<ActuatorId>,
-    mut sample: impl FnMut(usize, f64),
-    mut level: impl FnMut(usize, f64) -> bool,
+    sample: impl FnOnce(usize, f64),
 ) {
-    let num_sensors = layout.num_sensors();
-    let numeric = &mut scratch.numeric;
-    if numeric.len() != num_sensors {
-        numeric.clear();
-        numeric.resize(num_sensors, WindowStats::default());
-    }
-
-    for event in events {
-        match event {
-            Event::Sensor(r) => {
-                let idx = r.sensor.index();
-                if idx >= num_sensors {
-                    continue; // unknown sensor: not part of the context
-                }
-                match r.value {
-                    SensorValue::Binary(active) => {
-                        if active {
-                            // Bit-wise OR over the window (Eq. 3.1).
-                            state.set(layout.span(r.sensor).start, true);
-                        }
-                    }
-                    SensorValue::Numeric(v) => {
-                        numeric[idx].push(v);
-                        sample(idx, v);
-                    }
-                }
+    match event {
+        Event::Sensor(r) => {
+            let idx = r.sensor.index();
+            if idx >= layout.num_sensors() {
+                return; // unknown sensor: not part of the context
             }
-            Event::Actuator(a) => {
-                if a.active {
-                    actuators.push(a.actuator);
+            match r.value {
+                SensorValue::Binary(active) => {
+                    if active {
+                        // Bit-wise OR over the window (Eq. 3.1).
+                        set_bit(words, layout.span(r.sensor).start);
+                    }
+                }
+                SensorValue::Numeric(v) => {
+                    // A numeric reading from a binary-declared sensor has
+                    // no slot and sets no bit.
+                    if let Some(stats) = numeric.get_mut(layout.slot_index(idx)) {
+                        stats.push(v);
+                    }
+                    sample(idx, v);
                 }
             }
         }
+        Event::Actuator(a) => {
+            if a.active {
+                actuators.push(a.actuator);
+            }
+        }
     }
+}
 
-    for (idx, slot) in numeric.iter_mut().enumerate() {
-        if slot.is_empty() {
+/// The close half of the binarization kernel: each numeric slot with
+/// samples gets its skewness (Eq. 3.2) and trend (Eq. 3.3) bits, and its
+/// window mean is handed to `level` with the slot and sensor, which says
+/// whether to set the level bit (Eq. 3.4). Every slot is left empty for
+/// the next window. The actuators are sorted and deduplicated.
+#[inline]
+pub(crate) fn close_window(
+    layout: &BitLayout,
+    numeric: &mut [WindowStats],
+    words: &mut [u64],
+    actuators: &mut Vec<ActuatorId>,
+    mut level: impl FnMut(usize, SensorId, f64) -> bool,
+) {
+    for (slot, (stats, &sensor)) in numeric.iter_mut().zip(layout.numeric_sensors()).enumerate() {
+        if stats.is_empty() {
             continue;
         }
-        let stats = std::mem::take(slot);
-        let span = layout.span(dice_types::SensorId::new(idx as u32));
-        if span.width != NUMERIC_SPAN_WIDTH {
-            continue; // numeric reading from a binary-declared sensor: ignore
-        }
+        let stats = std::mem::take(stats);
+        let start = layout.span(sensor).start;
         // Eq. 3.2: skewness exceeds zero.
         if stats.skewness_positive() {
-            state.set(span.start, true);
+            set_bit(words, start);
         }
         // Eq. 3.3: increasing trend over the window.
         if stats.trend().is_some_and(|t| t > 0.0) {
-            state.set(span.start + 1, true);
+            set_bit(words, start + 1);
         }
         // Eq. 3.4: mean exceeds valueThre.
-        if stats.mean().is_some_and(|mean| level(idx, mean)) {
-            state.set(span.start + 2, true);
+        if stats.mean().is_some_and(|mean| level(slot, sensor, mean)) {
+            set_bit(words, start + 2);
         }
     }
-
     actuators.sort_unstable();
     actuators.dedup();
-    debug_assert_eq!(
-        state.len(),
-        layout.num_bits(),
-        "binarized state set must span exactly the layout's bits"
-    );
+}
+
+/// Sets bit `bit` of a state set's backing words.
+#[inline]
+fn set_bit(words: &mut [u64], bit: usize) {
+    words[bit / u64::BITS as usize] |= 1 << (bit % u64::BITS as usize);
 }
 
 /// Converts raw window events into [`WindowObservation`]s.
@@ -361,16 +446,37 @@ impl Binarizer {
         out.end = end;
         out.state.clear_to(self.layout.num_bits());
         out.activated_actuators.clear();
-        binarize_window(
+        let numeric = scratch.numeric_for(&self.layout);
+        let words = out.state.words_mut();
+        for event in events {
+            fold_event(
+                &self.layout,
+                event,
+                words,
+                numeric,
+                &mut out.activated_actuators,
+                |_, _| {},
+            );
+        }
+        self.close(numeric, words, &mut out.activated_actuators);
+    }
+
+    /// The close step against the trained thresholds.
+    #[inline]
+    fn close(
+        &self,
+        numeric: &mut [WindowStats],
+        words: &mut [u64],
+        actuators: &mut Vec<ActuatorId>,
+    ) {
+        close_window(
             &self.layout,
-            events,
-            scratch,
-            &mut out.state,
-            &mut out.activated_actuators,
-            |_, _| {},
-            |idx, mean| {
+            numeric,
+            words,
+            actuators,
+            |_, sensor, mean| {
                 self.thresholds
-                    .value_thre(dice_types::SensorId::new(idx as u32))
+                    .value_thre(sensor)
                     .is_some_and(|thre| mean > level_cutoff(thre))
             },
         );
@@ -814,6 +920,70 @@ mod tests {
                 let (state, activated) = option_reference::binarize(&b, &events);
                 proptest::prop_assert_eq!(&out.state, &state);
                 proptest::prop_assert_eq!(&out.activated_actuators, &activated);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Folding a window one event at a time into one reused
+        /// [`WindowFold`] and closing it gives exactly what
+        /// `binarize_into` gives over the same slice, and both equal the
+        /// `Option<WindowStats>` binarizer. The windows mix single-sample
+        /// and constant windows, non-finite samples, numeric readings on
+        /// binary sensors, binary readings on numeric sensors, unknown
+        /// sensor and actuator ids, and repeated actuator ons and offs.
+        #[test]
+        fn folding_event_by_event_equals_the_batch_kernel(
+            training in proptest::collection::vec((0u32..4, -40.0f64..40.0, 0u8..12), 0..12),
+            windows in proptest::collection::vec(
+                (
+                    0u8..4,
+                    -30.0f64..30.0,
+                    proptest::collection::vec((0u8..12, 0u32..7, 0u8..10, -50.0f64..50.0), 0..30),
+                ),
+                1..8,
+            ),
+        ) {
+            let (reg, _, actuators) = kernel_home();
+            let mut trainer = ThresholdTrainer::new(&reg);
+            for &(sensor, value, pick) in &training {
+                let v = if pick == 0 { f64::NAN } else { value };
+                let at = Timestamp::ZERO;
+                trainer.observe(&SensorReading::new(SensorId::new(sensor), at, v.into()).into());
+            }
+            let b = Binarizer::new(BitLayout::for_registry(&reg), trainer.finish());
+            let mut fold = WindowFold::new(&b);
+            let mut scratch = BinarizeScratch::default();
+            let (mut folded, mut batch) = (WindowObservation::default(), WindowObservation::default());
+            for (i, (mode, constant, raw)) in windows.iter().enumerate() {
+                // Mode 0: every numeric sample is one constant. Mode 1:
+                // only the first event. Otherwise the events as drawn.
+                let constant = (*mode == 0).then_some(*constant);
+                let raw = if *mode == 1 { &raw[..raw.len().min(1)] } else { &raw[..] };
+                let events: Vec<Event> = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(second, &e)| {
+                        let (kind, id, pick, _) = e;
+                        if kind >= 10 {
+                            // Actuator ids 0 and 1 are registered, 2-6 are not.
+                            let at = Timestamp::from_secs(second as i64);
+                            ActuatorEvent::new(ActuatorId::new(id), at, pick % 2 == 0).into()
+                        } else {
+                            kernel_event(e, constant, &actuators, second as i64)
+                        }
+                    })
+                    .collect();
+                let (start, end) = (Timestamp::from_mins(i as i64), Timestamp::from_mins(i as i64 + 1));
+                for event in &events {
+                    fold.push(&b, event);
+                }
+                fold.close_into(&b, start, end, &mut folded);
+                b.binarize_into(start, end, &events, &mut scratch, &mut batch);
+                proptest::prop_assert_eq!(&folded, &batch);
+                let (state, activated) = option_reference::binarize(&b, &events);
+                proptest::prop_assert_eq!(&folded.state, &state);
+                proptest::prop_assert_eq!(&folded.activated_actuators, &activated);
             }
         }
     }

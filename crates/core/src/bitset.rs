@@ -216,6 +216,13 @@ impl BitSet {
         &self.words
     }
 
+    /// The backing words, mutably. Callers must set no bit at or beyond
+    /// [`BitSet::len`].
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Overwrites the backing words in place, keeping the length.
     ///
     /// # Panics

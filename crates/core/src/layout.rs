@@ -39,7 +39,9 @@ impl BitSpan {
     }
 }
 
-/// Assignment of state-set bits to sensors.
+/// Assignment of state-set bits to sensors, plus the dense numbering of
+/// the numeric sensors ("numeric slots", in sensor-id order) that the
+/// binarization kernel's per-window statistics are indexed by.
 ///
 /// # Example
 ///
@@ -55,46 +57,35 @@ impl BitSpan {
 /// assert_eq!(layout.span(motion).width, 1);
 /// assert_eq!(layout.span(temp).width, 3);
 /// assert_eq!(layout.sensor_of_bit(2), temp);
+/// assert_eq!(layout.numeric_sensors(), &[temp]); // numeric slot 0
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitLayout {
     spans: Vec<BitSpan>,
     owner: Vec<u32>,
-    num_numeric: usize,
+    /// Each sensor's numeric slot; [`NO_SLOT`] for binary sensors.
+    slots: Vec<u32>,
+    /// The sensor of each numeric slot.
+    numeric: Vec<SensorId>,
 }
 
 /// Width of a numeric sensor's span (skewness, trend, level).
 pub const NUMERIC_SPAN_WIDTH: usize = 3;
 
+/// The stored slot of a binary sensor: no statistics slice is this long.
+const NO_SLOT: u32 = u32::MAX;
+
 impl BitLayout {
     /// Builds the layout for a registry, in sensor-id order.
     pub fn for_registry(registry: &DeviceRegistry) -> Self {
-        let mut spans = Vec::with_capacity(registry.num_sensors());
-        let mut owner = Vec::new();
-        let mut cursor = 0usize;
-        let mut num_numeric = 0usize;
-        for spec in registry.sensors() {
-            let width = match spec.class() {
+        let widths: Vec<usize> = registry
+            .sensors()
+            .map(|spec| match spec.class() {
                 SensorClass::Binary => 1,
-                SensorClass::Numeric => {
-                    num_numeric += 1;
-                    NUMERIC_SPAN_WIDTH
-                }
-            };
-            spans.push(BitSpan {
-                start: cursor,
-                width,
-            });
-            for _ in 0..width {
-                owner.push(spec.id().index() as u32);
-            }
-            cursor += width;
-        }
-        BitLayout {
-            spans,
-            owner,
-            num_numeric,
-        }
+                SensorClass::Numeric => NUMERIC_SPAN_WIDTH,
+            })
+            .collect();
+        Self::from_widths(&widths)
     }
 
     /// Rebuilds a layout from per-sensor span widths (1 = binary,
@@ -106,15 +97,20 @@ impl BitLayout {
     pub fn from_widths(widths: &[usize]) -> Self {
         let mut spans = Vec::with_capacity(widths.len());
         let mut owner = Vec::new();
+        let mut slots = Vec::with_capacity(widths.len());
+        let mut numeric = Vec::new();
         let mut cursor = 0usize;
-        let mut num_numeric = 0usize;
         for (sensor, &width) in widths.iter().enumerate() {
             assert!(
                 width == 1 || width == NUMERIC_SPAN_WIDTH,
                 "span width must be 1 or {NUMERIC_SPAN_WIDTH}"
             );
+            let id = SensorId::new(sensor as u32);
             if width == NUMERIC_SPAN_WIDTH {
-                num_numeric += 1;
+                slots.push(numeric.len() as u32);
+                numeric.push(id);
+            } else {
+                slots.push(NO_SLOT);
             }
             spans.push(BitSpan {
                 start: cursor,
@@ -128,7 +124,8 @@ impl BitLayout {
         BitLayout {
             spans,
             owner,
-            num_numeric,
+            slots,
+            numeric,
         }
     }
 
@@ -144,7 +141,24 @@ impl BitLayout {
 
     /// Number of numeric sensors (those with three-bit spans).
     pub fn num_numeric_sensors(&self) -> usize {
-        self.num_numeric
+        self.numeric.len()
+    }
+
+    /// The numeric slot of the known sensor at `index`, or an index past
+    /// the end of any per-slot slice for a binary sensor, so that the
+    /// kernel's one bounds-checked lookup also tells numeric from binary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= num_sensors()`.
+    #[inline]
+    pub(crate) fn slot_index(&self, index: usize) -> usize {
+        self.slots[index] as usize
+    }
+
+    /// The numeric sensors in slot order (ascending id).
+    pub fn numeric_sensors(&self) -> &[SensorId] {
+        &self.numeric
     }
 
     /// The bit span owned by `sensor`.
@@ -230,7 +244,7 @@ impl BitLayout {
     /// This bounds how many bits a single faulty device can disturb, which
     /// sets the default candidate-group distance threshold.
     pub fn max_span_width(&self) -> usize {
-        if self.num_numeric > 0 {
+        if !self.numeric.is_empty() {
             NUMERIC_SPAN_WIDTH
         } else {
             1
@@ -260,6 +274,22 @@ mod tests {
         assert_eq!(layout.num_bits(), 5);
         assert_eq!(layout.num_sensors(), 3);
         assert_eq!(layout.num_numeric_sensors(), 1);
+    }
+
+    #[test]
+    fn numeric_slots_number_the_numeric_sensors_in_id_order() {
+        let widths = [3, 1, 3, 1, 1, 3];
+        let layout = BitLayout::from_widths(&widths);
+        let slots: Vec<usize> = (0..6).map(|i| layout.slot_index(i)).collect();
+        let none = NO_SLOT as usize;
+        assert_eq!(slots, [0, none, 1, none, none, 2]);
+        let numeric: Vec<u32> = layout
+            .numeric_sensors()
+            .iter()
+            .map(|s| s.index() as u32)
+            .collect();
+        assert_eq!(numeric, [0, 2, 5]);
+        assert_eq!(layout.num_numeric_sensors(), 3);
     }
 
     #[test]

@@ -86,7 +86,9 @@ mod transition;
 mod weights;
 
 pub use attest::{Attestation, Attestor};
-pub use binarize::{BinarizeScratch, Binarizer, ThresholdTrainer, Thresholds, WindowObservation};
+pub use binarize::{
+    BinarizeScratch, Binarizer, ThresholdTrainer, Thresholds, WindowFold, WindowObservation,
+};
 pub use bitset::BitSet;
 pub use config::{DiceConfig, DiceConfigBuilder};
 pub use detect::{CheckKind, CheckResult, Detector, PrevWindow, TransitionCase};

@@ -39,13 +39,14 @@ use dice_types::{ActuatorId, DeviceRegistry, Event, EventLog, GroupId, TimeDelta
 use rayon::prelude::*;
 
 use crate::binarize::{
-    binarize_window, level_cutoff, BinarizeScratch, Binarizer, ThresholdTrainer, Thresholds,
+    close_window, fold_event, level_cutoff, BinarizeScratch, Binarizer, ThresholdTrainer,
+    Thresholds,
 };
 use crate::bitset::BitSet;
 use crate::config::DiceConfig;
 use crate::error::DiceError;
 use crate::groups::GroupTable;
-use crate::layout::{BitLayout, NUMERIC_SPAN_WIDTH};
+use crate::layout::BitLayout;
 use crate::model::DiceModel;
 use crate::transition::TransitionModel;
 
@@ -102,16 +103,12 @@ pub struct ChunkPass<'a> {
     layout: &'a BitLayout,
     duration: TimeDelta,
     trainer: ThresholdTrainer,
-    /// Each sensor's slot among the numeric spans (meaningless for binary
-    /// sensors, which never reach the level hook).
-    slot: Vec<usize>,
-    num_numeric: usize,
     scratch: BinarizeScratch,
     state: BitSet,
     window_actuators: Vec<ActuatorId>,
     /// Threshold-free state words, one state set's worth per window.
     words: Vec<u64>,
-    /// Window means in numeric-span order, one block per window; NaN
+    /// Window means in numeric-slot order, one block per window; NaN
     /// where the sensor had no sample (a NaN never exceeds a cutoff, just
     /// as an empty sensor never sets its level bit).
     means: Vec<f64>,
@@ -123,20 +120,10 @@ pub struct ChunkPass<'a> {
 
 impl<'a> ChunkPass<'a> {
     fn new(registry: &DeviceRegistry, layout: &'a BitLayout, duration: TimeDelta) -> Self {
-        let mut slot = vec![0; layout.num_sensors()];
-        let mut num_numeric = 0;
-        for (sensor, span) in layout.spans() {
-            if span.width == NUMERIC_SPAN_WIDTH {
-                slot[sensor.index()] = num_numeric;
-                num_numeric += 1;
-            }
-        }
         ChunkPass {
             layout,
             duration,
             trainer: ThresholdTrainer::new(registry),
-            slot,
-            num_numeric,
             scratch: BinarizeScratch::default(),
             state: BitSet::new(layout.num_bits()),
             window_actuators: Vec::new(),
@@ -162,7 +149,8 @@ impl<'a> ChunkPass<'a> {
         assert!(from <= to, "tiling range must not be reversed");
         let windows = window_count(from, to, self.duration);
         self.words.reserve(windows * self.state.as_words().len());
-        self.means.reserve(windows * self.num_numeric);
+        self.means
+            .reserve(windows * self.layout.num_numeric_sensors());
         self.actuator_ends.reserve(windows);
         let lo = events.partition_point(|e| e.at() < from);
         let hi = lo + events[lo..].partition_point(|e| e.at() < to);
@@ -188,8 +176,6 @@ impl<'a> ChunkPass<'a> {
         let ChunkPass {
             layout,
             trainer,
-            slot,
-            num_numeric,
             scratch,
             state,
             window_actuators,
@@ -200,22 +186,32 @@ impl<'a> ChunkPass<'a> {
             ..
         } = self;
         let base = means.len();
-        means.resize(base + *num_numeric, f64::NAN);
+        means.resize(base + layout.num_numeric_sensors(), f64::NAN);
         state.clear();
         window_actuators.clear();
-        binarize_window(
+        let numeric = scratch.numeric_for(layout);
+        let state_words = state.words_mut();
+        for event in events {
+            fold_event(
+                layout,
+                event,
+                state_words,
+                numeric,
+                window_actuators,
+                |idx, value| trainer.observe_numeric(idx, value),
+            );
+        }
+        close_window(
             layout,
-            events,
-            scratch,
-            state,
+            numeric,
+            state_words,
             window_actuators,
-            |idx, value| trainer.observe_numeric(idx, value),
-            |idx, mean| {
-                means[base + slot[idx]] = mean;
+            |slot, _, mean| {
+                means[base + slot] = mean;
                 false
             },
         );
-        words.extend_from_slice(state.as_words());
+        words.extend_from_slice(state_words);
         actuators.extend_from_slice(window_actuators);
         actuator_ends.push(actuators.len());
     }
@@ -225,25 +221,26 @@ impl<'a> ChunkPass<'a> {
     /// [`ModelBuilder::observe_binarized`](crate::ModelBuilder) records
     /// consecutive windows.
     fn resolve(&self, thresholds: &Thresholds) -> PartialModel {
-        // (level bit, cutoff) per numeric span; a sensor without a
+        // (level bit, cutoff) per numeric slot; a sensor without a
         // threshold gets a NaN cutoff, which no mean exceeds.
         let cutoffs: Vec<(usize, f64)> = self
             .layout
-            .spans()
-            .filter(|(_, span)| span.width == NUMERIC_SPAN_WIDTH)
-            .map(|(sensor, span)| {
+            .numeric_sensors()
+            .iter()
+            .map(|&sensor| {
                 let cutoff = thresholds.value_thre(sensor).map_or(f64::NAN, level_cutoff);
-                (span.start + 2, cutoff)
+                (self.layout.span(sensor).start + 2, cutoff)
             })
             .collect();
         let mut partial = PartialModel::new(self.layout.num_bits());
         let mut state = BitSet::new(self.layout.num_bits());
         let words_per_window = state.as_words().len();
+        let num_numeric = cutoffs.len();
         let mut prev: Option<(GroupId, &[ActuatorId])> = None;
         let mut actuators_from = 0;
         for (window, &actuators_to) in self.actuator_ends.iter().enumerate() {
             state.copy_from_words(&self.words[window * words_per_window..][..words_per_window]);
-            let means = &self.means[window * self.num_numeric..][..self.num_numeric];
+            let means = &self.means[window * num_numeric..][..num_numeric];
             for (&mean, &(bit, cutoff)) in means.iter().zip(&cutoffs) {
                 if mean > cutoff {
                     state.set(bit, true);

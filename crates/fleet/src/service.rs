@@ -385,7 +385,7 @@ impl Fleet {
     }
 
     fn run_inner(
-        self,
+        mut self,
         from: Timestamp,
         to: Timestamp,
         feed: impl FnOnce(&mut FleetSender<'_>),
@@ -397,9 +397,10 @@ impl Fleet {
             self.config.shards
         };
         let models_resident = self.models_resident();
+        let homes = self.homes.len();
         let telemetry = &self.config.telemetry;
         if let Some(rec) = telemetry.recorder() {
-            rec.metrics.fleet.homes.set(self.homes.len() as i64);
+            rec.metrics.fleet.homes.set(homes as i64);
             rec.metrics.fleet.shards.set(shards as i64);
             rec.metrics
                 .fleet
@@ -407,10 +408,13 @@ impl Fleet {
                 .set(models_resident as i64);
         }
 
+        // The registration list moves into the shards, so the fleet holds
+        // no second copy of it while they serve.
         let mut shard_homes: Vec<Vec<(HomeId, Arc<DiceModel>)>> = vec![Vec::new(); shards];
-        for (home, model) in &self.homes {
-            shard_homes[shard_for_home(*home, shards)].push((*home, Arc::clone(model)));
+        for (home, model) in std::mem::take(&mut self.homes) {
+            shard_homes[shard_for_home(home, shards)].push((home, model));
         }
+        self.ids = BTreeSet::new();
 
         let mut txs = Vec::with_capacity(shards);
         let mut rxs = Vec::with_capacity(shards);
@@ -466,12 +470,12 @@ impl Fleet {
 
         let mut run = FleetRun {
             stats: FleetStats {
-                homes: self.homes.len(),
+                homes,
                 shards,
                 models_resident,
                 ..FleetStats::default()
             },
-            alarms: Vec::with_capacity(self.homes.len()),
+            alarms: Vec::with_capacity(homes),
         };
         let shard_inputs = rxs.into_iter().zip(spare_txs).zip(shard_homes).enumerate();
         if preloaded {

@@ -2,11 +2,17 @@
 //! engine session, the shard owns the engine machinery, and ready windows
 //! are judged in sweeps.
 //!
-//! A shard receives packed frame batches for its subset of homes and
-//! closes each home's windows through its [`WindowClock`] as that home's
-//! stream passes their boundaries. Closing a window binarizes it, once,
-//! into the shard's observation pool and clears the home's event buffer
-//! for the next window, so a warm shard allocates nothing per window.
+//! A shard receives packed frame batches for its subset of homes. Each
+//! admitted event is folded into its home's open window (a
+//! [`WindowFold`]: state words, per-numeric-sensor statistics and the
+//! actuators switched on), and each home's [`WindowClock`] closes windows
+//! as that home's stream passes their boundaries. Closing a window writes
+//! its observation into the shard's observation pool and empties the
+//! fold for the next window, so a home holds no events and a warm shard
+//! allocates nothing per window. The shard folds a run of one home's
+//! consecutive events in one loop, once the run ends, rather than one
+//! event between two frame decodes: the statistics updates of a numeric
+//! sensor's samples overlap only in a tight loop.
 //! When the ready list reaches the configured batch size (or the stream
 //! ends) the shard correlation-checks every ready observation, then hands
 //! each observation and verdict to the shard's [`EngineMachinery`] with
@@ -19,12 +25,11 @@
 //! counters are published once per ingested batch and once per sweep, not
 //! per frame or window.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dice_core::{
-    BinarizeScratch, Detector, DiceModel, EngineMachinery, EngineOptions, EngineSession,
-    FaultReport, LineageStamp, WindowObservation,
+    Detector, DiceModel, EngineMachinery, EngineOptions, EngineSession, FaultReport, LineageStamp,
+    WindowFold, WindowObservation,
 };
 use dice_gateway::{AlarmLedger, WindowClock};
 use dice_telemetry::{shard_label, Telemetry};
@@ -56,15 +61,15 @@ pub struct ShardStats {
 }
 
 /// One home's serving state: its model, engine session, the window clock
-/// and open window's events, and the alarm ledger.
+/// and open window's fold, and the alarm ledger.
 #[derive(Debug)]
 struct HomeState {
     home: HomeId,
     model: Arc<DiceModel>,
     session: EngineSession,
     clock: WindowClock,
-    /// The open window's events; cleared (capacity kept) at each close.
-    events: Vec<Event>,
+    /// The open window, folded event by event; emptied at each close.
+    fold: WindowFold,
     ledger: AlarmLedger,
     reports: Vec<FaultReport>,
 }
@@ -80,15 +85,22 @@ struct ReadyWindow {
 #[derive(Debug)]
 pub struct ShardEngine {
     homes: Vec<HomeState>,
-    slots: BTreeMap<HomeId, usize>,
+    /// Each home's slot in `homes`, sorted by home id; the last
+    /// registration of a repeated id wins.
+    slots: Vec<(HomeId, u32)>,
     /// The last registered home ingested and its slot: consecutive frames
     /// of one home look the home up once.
     last: Option<(HomeId, usize)>,
     ready: Vec<ReadyWindow>,
-    /// Observation pool: `obs[i]` is ready window `i`, binarized when its
-    /// home's clock closed it. Slots are reused across sweeps.
+    /// Observation pool: `obs[i]` is ready window `i`, closed from its
+    /// home's fold when the home's clock closed it. Slots are reused
+    /// across sweeps.
     obs: Vec<WindowObservation>,
-    bin_scratch: BinarizeScratch,
+    /// The events of the run being ingested, all of home `run_slot` and
+    /// of its open window; folded when the run ends, at the latest at the
+    /// end of the batch.
+    run: Vec<Event>,
+    run_slot: usize,
     /// The engine machinery every home's session is judged with: options,
     /// scratch, cost profile and telemetry batch, once per shard.
     machinery: EngineMachinery,
@@ -143,21 +155,30 @@ impl ShardEngine {
             ..EngineOptions::default()
         });
         let mut states = Vec::with_capacity(homes.len());
-        let mut slots = BTreeMap::new();
+        let mut slots = Vec::with_capacity(homes.len());
         for (home, model) in homes {
             let clock = WindowClock::new(model.config().window(), from, to);
             let session = machinery.session(&model);
-            slots.insert(home, states.len());
+            let fold = WindowFold::new(model.binarizer());
+            slots.push((home, states.len() as u32));
             states.push(HomeState {
                 home,
                 model,
                 session,
                 clock,
-                events: Vec::new(),
+                fold,
                 ledger: AlarmLedger::new(alarm_cooldown),
                 reports: Vec::new(),
             });
         }
+        slots.sort_unstable();
+        slots.dedup_by(|later, earlier| {
+            let repeated = later.0 == earlier.0;
+            if repeated {
+                earlier.1 = later.1;
+            }
+            repeated
+        });
         let shard_windows = telemetry.recorder().map(|rec| {
             rec.metrics
                 .fleet
@@ -175,7 +196,8 @@ impl ShardEngine {
             last: None,
             ready: Vec::new(),
             obs: Vec::new(),
-            bin_scratch: BinarizeScratch::default(),
+            run: Vec::new(),
+            run_slot: 0,
             machinery,
             batch_windows: batch_windows.max(1),
             telemetry,
@@ -218,6 +240,7 @@ impl ShardEngine {
                 }
             }
         }
+        self.fold_run();
         self.publish_counts();
     }
 
@@ -281,15 +304,20 @@ impl ShardEngine {
 
     /// Ingests one decoded frame: routes it to its home (looked up once
     /// per run of that home's frames), closes windows the home's stream
-    /// has passed, and sweeps a batch when enough windows are ready.
+    /// has passed, adds the event to the run folded into the open window,
+    /// and sweeps a batch when enough windows are ready.
     /// Frames for unregistered homes or outside `[from, to)` are dropped.
     pub fn ingest(&mut self, frame: FleetFrame) {
         let slot = match self.last {
             Some((home, slot)) if home == frame.home => slot,
             _ => {
-                let Some(&slot) = self.slots.get(&frame.home) else {
+                let Ok(i) = self
+                    .slots
+                    .binary_search_by_key(&frame.home, |&(home, _)| home)
+                else {
                     return;
                 };
+                let slot = self.slots[i].1 as usize;
                 self.last = Some((frame.home, slot));
                 slot
             }
@@ -299,32 +327,48 @@ impl ShardEngine {
             return;
         }
         self.stats.events += 1;
-        while let Some((start, end)) = self.homes[slot].clock.close_passed(at) {
-            self.close_window(slot, start, end);
+        let mut closed = self.homes[slot].clock.close_passed(at);
+        if slot != self.run_slot || closed.is_some() {
+            // The run ends: its events belong to the window about to close
+            // or to another home.
+            self.fold_run();
+            self.run_slot = slot;
         }
-        self.homes[slot].events.push(frame.event);
+        while let Some((start, end)) = closed {
+            self.close_window(slot, start, end);
+            closed = self.homes[slot].clock.close_passed(at);
+        }
+        self.run.push(frame.event);
         if self.ready.len() >= self.batch_windows {
             self.sweep();
         }
     }
 
-    /// Closes `[start, end)` of home `slot`: binarizes its events into the
-    /// next observation-pool slot, clears the event buffer for the next
-    /// window, and parks the window in the ready list.
+    /// Folds the pending run into its home's open window, in arrival
+    /// order.
+    fn fold_run(&mut self) {
+        if self.run.is_empty() {
+            return;
+        }
+        let home = &mut self.homes[self.run_slot];
+        let binarizer = home.model.binarizer();
+        for event in &self.run {
+            home.fold.push(binarizer, event);
+        }
+        self.run.clear();
+    }
+
+    /// Closes `[start, end)` of home `slot`: closes its fold into the next
+    /// observation-pool slot, which empties the fold for the next window,
+    /// and parks the window in the ready list.
     fn close_window(&mut self, slot: usize, start: Timestamp, end: Timestamp) {
         let i = self.ready.len();
         if self.obs.len() == i {
             self.obs.push(WindowObservation::default());
         }
         let home = &mut self.homes[slot];
-        home.model.binarizer().binarize_into(
-            start,
-            end,
-            &home.events,
-            &mut self.bin_scratch,
-            &mut self.obs[i],
-        );
-        home.events.clear();
+        home.fold
+            .close_into(home.model.binarizer(), start, end, &mut self.obs[i]);
         self.ready.push(ReadyWindow { slot });
     }
 
@@ -451,6 +495,7 @@ impl ShardEngine {
     /// batch, flushes the sessions, and returns each home's alarm reports
     /// (ascending by registration slot) and the shard's counters.
     pub fn finish(mut self) -> ShardFinish {
+        self.fold_run();
         for slot in 0..self.homes.len() {
             while let Some((start, end)) = self.homes[slot].clock.close_remaining() {
                 self.close_window(slot, start, end);

@@ -8,7 +8,10 @@
 
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use dice_core::{ContextExtractor, DiceConfig, DiceEngine, DiceModel, FaultReport};
+use dice_core::{
+    ContextExtractor, DetectionDetail, DiceConfig, DiceEngine, DiceModel, FaultReport,
+    TransitionCase,
+};
 use dice_fleet::{
     decode_frame_slice, decode_frames, encode_frame, shard_for_home, Fleet, FleetConfig,
     FleetFrameError, FleetRun, ModelCache, TraceClock,
@@ -19,8 +22,8 @@ use dice_gateway::{
 };
 use dice_telemetry::{evaluate_health, standard_rules, HealthStatus, Snapshot, Telemetry};
 use dice_types::{
-    ActuatorEvent, ActuatorId, DeviceId, DeviceRegistry, Event, EventLog, Room, SensorId,
-    SensorKind, SensorReading, TimeDelta, Timestamp,
+    ActuatorEvent, ActuatorId, ActuatorKind, DeviceId, DeviceRegistry, Event, EventLog, Room,
+    SensorId, SensorKind, SensorReading, TimeDelta, Timestamp,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -958,6 +961,79 @@ proptest! {
 // Differential test: the reference engine, the single-home gateway and the
 // fleet on the same messy streams.
 
+/// Floor plan 2 of the messy streams: three motion sensors, a
+/// temperature and a light sensor, and one smart bulb.
+fn numeric_plan_devices() -> (DeviceRegistry, Vec<SensorId>, ActuatorId) {
+    let mut registry = DeviceRegistry::new();
+    let sensors = vec![
+        registry.add_sensor(SensorKind::Motion, "m0", Room::Kitchen),
+        registry.add_sensor(SensorKind::Motion, "m1", Room::Kitchen),
+        registry.add_sensor(SensorKind::Motion, "m2", Room::Bedroom),
+        registry.add_sensor(SensorKind::Temperature, "t", Room::Kitchen),
+        registry.add_sensor(SensorKind::Light, "l", Room::Kitchen),
+    ];
+    let bulb = registry.add_actuator(ActuatorKind::SmartBulb, "hue", Room::Kitchen);
+    (registry, sensors, bulb)
+}
+
+/// Minute `minute` of floor plan 2's schedule, in time order. Even
+/// minutes fire motion 0 and 1, switch the bulb on, warm the kitchen
+/// (skewed up, rising) and light it; odd minutes fire motion 2, switch
+/// the bulb off and cool the kitchen (above its mean, falling) in the
+/// dark. The temperature sensor is silent when `temperature` is unset.
+fn numeric_minute(
+    sensors: &[SensorId],
+    bulb: ActuatorId,
+    minute: i64,
+    temperature: bool,
+) -> Vec<Event> {
+    let base = Timestamp::from_mins(minute);
+    let at = |secs: i64| base + TimeDelta::from_secs(secs);
+    let even = minute % 2 == 0;
+    let (temps, light) = if even {
+        ([20.0, 21.0, 23.0], 300.0)
+    } else {
+        ([23.0, 22.0, 20.0], 100.0)
+    };
+    let mut events = Vec::new();
+    for (k, temp) in (0i64..).zip(temps) {
+        if temperature {
+            events.push(Event::Sensor(SensorReading::new(
+                sensors[3],
+                at(20 * k),
+                temp.into(),
+            )));
+        }
+        events.push(Event::Sensor(SensorReading::new(
+            sensors[4],
+            at(20 * k + 10),
+            light.into(),
+        )));
+    }
+    let motion = if even { &sensors[..2] } else { &sensors[2..3] };
+    for &sensor in motion {
+        events.push(Event::Sensor(SensorReading::new(
+            sensor,
+            at(5),
+            true.into(),
+        )));
+    }
+    events.push(Event::Actuator(ActuatorEvent::new(bulb, at(8), even)));
+    events.sort_by_key(Event::at);
+    events
+}
+
+/// Trains floor plan 2 on 240 minutes of its schedule.
+fn train_numeric_plan() -> DiceModel {
+    let (registry, sensors, bulb) = numeric_plan_devices();
+    let mut log: EventLog = (0..240)
+        .flat_map(|minute| numeric_minute(&sensors, bulb, minute, true))
+        .collect();
+    ContextExtractor::new(DiceConfig::default())
+        .extract(&registry, &mut log)
+        .expect("training log is non-empty")
+}
+
 /// One home's generated stream, in arrival order.
 struct MessyHome {
     id: u32,
@@ -979,7 +1055,11 @@ struct MessyFleet {
 /// just outside the range, some fail-stopped homes, and one home whose
 /// first event arrives more than two hours into the stream. With
 /// `ordered` unset, some events are delivered late: behind events with
-/// later timestamps, often across window boundaries.
+/// later timestamps, often across window boundaries. The last home runs
+/// floor plan 2, whose numeric sensors and bulb reach the skewness, trend
+/// and level bits and the actuator transitions; its temperature sensor
+/// may fail-stop, its bulb sometimes switches on out of turn, and its
+/// noise adds binary readings on the numeric sensors and NaN samples.
 fn messy_fleet(rng: &mut StdRng, ordered: bool) -> MessyFleet {
     const MINUTES: i64 = 150;
     let from = Timestamp::from_secs(rng.gen_range(1..60));
@@ -1057,15 +1137,7 @@ fn messy_fleet(rng: &mut StdRng, ordered: bool) -> MessyFleet {
             true.into(),
         )));
         if !ordered {
-            // Deliver some events late: move each picked event up to
-            // eight places later in the stream.
-            for i in (0..events.len()).rev() {
-                if rng.gen_bool(0.08) {
-                    let event = events.remove(i);
-                    let to_index = (i + rng.gen_range(1..=8usize)).min(events.len());
-                    events.insert(to_index, event);
-                }
-            }
+            deliver_late(rng, &mut events);
         }
         homes.push(MessyHome {
             id: 37 * h as u32 + 5,
@@ -1073,7 +1145,91 @@ fn messy_fleet(rng: &mut StdRng, ordered: bool) -> MessyFleet {
             events,
         });
     }
+
+    let (_, sensors, bulb) = numeric_plan_devices();
+    let temperature_stop_at = match rng.gen_range(0..3) {
+        0 => None,
+        _ => Some(rng.gen_range(0..MINUTES)),
+    };
+    let mut events = vec![Event::Sensor(SensorReading::new(
+        sensors[0],
+        from - TimeDelta::from_secs(1),
+        true.into(),
+    ))];
+    let mut minute = 0;
+    while minute <= MINUTES {
+        if rng.gen_bool(0.04) {
+            minute += rng.gen_range(1..20i64); // a gap of empty windows
+            continue;
+        }
+        let temperature = temperature_stop_at.is_none_or(|stop| minute < stop);
+        for event in numeric_minute(&sensors, bulb, minute, temperature) {
+            if event.at() < to {
+                events.push(event);
+                if rng.gen_bool(0.1) {
+                    events.push(event); // duplicate delivery
+                }
+            }
+        }
+        let at = Timestamp::from_mins(minute) + TimeDelta::from_secs(55);
+        match rng.gen_range(0..60) {
+            0 => events.push(Event::Sensor(SensorReading::new(
+                SensorId::new(40),
+                at,
+                21.5.into(),
+            ))),
+            1 => events.push(Event::Actuator(ActuatorEvent::new(
+                ActuatorId::new(9),
+                at,
+                true,
+            ))),
+            2 => events.push(Event::Sensor(SensorReading::new(
+                sensors[2],
+                at,
+                21.5.into(),
+            ))),
+            3 => events.push(Event::Sensor(SensorReading::new(
+                sensors[3],
+                at,
+                true.into(),
+            ))),
+            4 => events.push(Event::Sensor(SensorReading::new(
+                sensors[4],
+                at,
+                f64::NAN.into(),
+            ))),
+            5..=7 => events.push(Event::Actuator(ActuatorEvent::new(bulb, at, true))),
+            _ => {}
+        }
+        minute += 1;
+    }
+    events.retain(|event| event.at() < to);
+    events.push(Event::Sensor(SensorReading::new(
+        sensors[0],
+        to,
+        true.into(),
+    )));
+    if !ordered {
+        deliver_late(rng, &mut events);
+    }
+    homes.push(MessyHome {
+        id: 37 * homes.len() as u32 + 5,
+        plan: 2,
+        events,
+    });
     MessyFleet { from, to, homes }
+}
+
+/// Delivers some events late: moves each picked event up to eight places
+/// later in the stream.
+fn deliver_late(rng: &mut StdRng, events: &mut Vec<Event>) {
+    for i in (0..events.len()).rev() {
+        if rng.gen_bool(0.08) {
+            let event = events.remove(i);
+            let to_index = (i + rng.gen_range(1..=8usize)).min(events.len());
+            events.insert(to_index, event);
+        }
+    }
 }
 
 /// The alarm cooldown restated independently of the serving code: a
@@ -1211,8 +1367,13 @@ fn feed_messy(rng: &mut StdRng, fleet: &MessyFleet) -> Vec<(u32, Event)> {
 #[test]
 fn reference_gateway_and_fleet_agree_on_messy_streams() {
     let _cpu = cpu_shared();
-    let plans = [Arc::new(train_plan(0)), Arc::new(train_plan(1))];
+    let plans = [
+        Arc::new(train_plan(0)),
+        Arc::new(train_plan(1)),
+        Arc::new(train_numeric_plan()),
+    ];
     let (mut delivered, mut suppressed, mut late_events) = (0u64, 0u64, 0usize);
+    let mut numeric_cases = NumericCases::default();
     for seed in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let ordered = seed % 3 != 2;
@@ -1243,6 +1404,9 @@ fn reference_gateway_and_fleet_agree_on_messy_streams() {
             }
             gateway_windows += one_stats.windows;
             gateway_events += one_stats.events;
+            if home.plan == 2 {
+                numeric_cases.count(&one);
+            }
             gateway_reports.push((home.id, one));
         }
         gateway_reports.sort_by_key(|(id, _)| *id);
@@ -1292,4 +1456,38 @@ fn reference_gateway_and_fleet_agree_on_messy_streams() {
         "{delivered} / {suppressed}"
     );
     assert!(late_events > 0);
+    // Floor plan 2's alarms come from its numeric bits and its bulb.
+    assert!(
+        numeric_cases.temperature > 0 && numeric_cases.g2a > 0 && numeric_cases.a2g > 0,
+        "{numeric_cases:?}"
+    );
+}
+
+/// What floor plan 2's alarms exercised: alarms naming the temperature
+/// sensor, and alarms detected by a G2A or an A2G transition.
+#[derive(Debug, Default)]
+struct NumericCases {
+    temperature: usize,
+    g2a: usize,
+    a2g: usize,
+}
+
+impl NumericCases {
+    fn count(&mut self, reports: &[FaultReport]) {
+        let temperature = DeviceId::from(numeric_plan_devices().1[3]);
+        for report in reports {
+            self.temperature += usize::from(report.devices.contains(&temperature));
+            match report.detail {
+                Some(DetectionDetail::Transition {
+                    case: TransitionCase::G2A { .. },
+                    ..
+                }) => self.g2a += 1,
+                Some(DetectionDetail::Transition {
+                    case: TransitionCase::A2G { .. },
+                    ..
+                }) => self.a2g += 1,
+                _ => {}
+            }
+        }
+    }
 }

@@ -5,8 +5,9 @@
 //! without allocating either, and the fleet sender reuses the batch
 //! buffers its shards hand back, so its allocations do not grow with the
 //! batch count. A shard's per-home state stays within a fixed byte
-//! budget. Property checks pin the inline frame to the packed wire layout
-//! and keep its decoder panic-free.
+//! budget when built, and within that budget plus the open-window fold
+//! its layout implies once warm. Property checks pin the inline frame to
+//! the packed wire layout and keep its decoder panic-free.
 #![allow(unsafe_code)] // the counting global allocator below
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,13 +16,13 @@ use std::sync::Arc;
 
 use bytes::BytesMut;
 use crossbeam::channel::bounded;
-use dice_core::{ContextExtractor, DiceConfig, DiceModel};
+use dice_core::{ContextExtractor, DiceConfig, DiceModel, WindowStats};
 use dice_fleet::{encode_frame_into, Fleet, FleetConfig, ShardEngine, TraceClock};
 use dice_gateway::{decode_event, encode_event, encode_event_into, EventFrame};
 use dice_telemetry::Telemetry;
 use dice_types::{
-    ActuatorEvent, ActuatorId, DeviceRegistry, Event, EventLog, Room, SensorId, SensorKind,
-    SensorReading, TimeDelta, Timestamp,
+    ActuatorEvent, ActuatorId, ActuatorKind, DeviceRegistry, Event, EventLog, Room, SensorId,
+    SensorKind, SensorReading, TimeDelta, Timestamp,
 };
 use proptest::prelude::*;
 
@@ -197,60 +198,202 @@ fn plan(width: usize) -> (Arc<DiceModel>, Vec<SensorId>) {
     (Arc::new(model), sensors)
 }
 
-#[test]
-fn warm_shard_allocates_nothing_per_window() {
-    const HOMES: u32 = 8;
-    const WARM_MINUTES: usize = 240;
-    const MINUTES: usize = 480;
-    // Two plans of different bit widths (3 bits, and 2 words of 73 bits)
-    // share the shard's observation pool.
-    let plans = [plan(3), plan(73)];
-    let batches: Vec<BytesMut> = (0..MINUTES as i64)
+/// The events of `minute` in the numeric floor plan: motion 0, a warming
+/// temperature and the bulb switched on on even minutes; motion 1, a
+/// cooling temperature and the bulb switched off on odd minutes.
+fn numeric_minute(sensors: &[SensorId], bulb: ActuatorId, minute: i64) -> Vec<Event> {
+    let at = |secs: i64| Timestamp::from_mins(minute) + TimeDelta::from_secs(secs);
+    let even = minute % 2 == 0;
+    let temps = if even {
+        [20.0, 21.0, 23.0]
+    } else {
+        [23.0, 22.0, 20.0]
+    };
+    let mut events: Vec<Event> = (0i64..)
+        .zip(temps)
+        .map(|(k, temp)| Event::Sensor(SensorReading::new(sensors[2], at(20 * k), temp.into())))
+        .collect();
+    let motion = sensors[usize::from(!even)];
+    events.push(Event::Sensor(SensorReading::new(
+        motion,
+        at(5),
+        true.into(),
+    )));
+    events.push(Event::Actuator(ActuatorEvent::new(bulb, at(8), even)));
+    events.sort_by_key(Event::at);
+    events
+}
+
+/// A floor plan's model and the schedule it was trained on.
+struct Plan {
+    model: Arc<DiceModel>,
+    sensors: Vec<SensorId>,
+    /// The bulb of the numeric plan; `None` for a motion-only plan.
+    bulb: Option<ActuatorId>,
+}
+
+impl Plan {
+    /// A motion-only plan of `width` sensors (see [`plan`]).
+    fn binary(width: usize) -> Self {
+        let (model, sensors) = plan(width);
+        Plan {
+            model,
+            sensors,
+            bulb: None,
+        }
+    }
+
+    /// Two motion sensors, a temperature sensor and a smart bulb, trained
+    /// on 240 minutes of [`numeric_minute`].
+    fn numeric() -> Self {
+        let mut registry = DeviceRegistry::new();
+        let sensors = vec![
+            registry.add_sensor(SensorKind::Motion, "m0", Room::Kitchen),
+            registry.add_sensor(SensorKind::Motion, "m1", Room::Bedroom),
+            registry.add_sensor(SensorKind::Temperature, "t", Room::Kitchen),
+        ];
+        let bulb = registry.add_actuator(ActuatorKind::SmartBulb, "hue", Room::Kitchen);
+        let mut log: EventLog = (0..240)
+            .flat_map(|minute| numeric_minute(&sensors, bulb, minute))
+            .collect();
+        let model = ContextExtractor::new(DiceConfig::default())
+            .extract(&registry, &mut log)
+            .expect("training log is non-empty");
+        Plan {
+            model: Arc::new(model),
+            sensors,
+            bulb: Some(bulb),
+        }
+    }
+
+    fn minute(&self, minute: i64) -> Vec<Event> {
+        match self.bulb {
+            None => plan_minute(&self.sensors, minute),
+            Some(bulb) => numeric_minute(&self.sensors, bulb, minute),
+        }
+    }
+
+    /// The heap one home's open-window fold takes under this plan's
+    /// layout: the state words, a `WindowStats` per numeric sensor, and
+    /// an actuator list at its smallest growth (four ids) or one id per
+    /// registered actuator.
+    fn fold_bytes(&self) -> i64 {
+        let layout = self.model.layout();
+        let words = layout.num_bits().div_ceil(64) * size_of::<u64>();
+        let numeric = layout.num_numeric_sensors() * size_of::<WindowStats>();
+        let actuators = if self.model.num_actuators() == 0 {
+            0
+        } else {
+            self.model.num_actuators().max(4) * size_of::<ActuatorId>()
+        };
+        (words + numeric + actuators) as i64
+    }
+}
+
+/// One frame batch per minute of `minutes`, home `h` of `homes` serving
+/// `plans[h % plans.len()]`'s schedule.
+fn minute_batches(plans: &[Plan], homes: u32, minutes: usize) -> Vec<BytesMut> {
+    (0..minutes as i64)
         .map(|minute| {
             let mut batch = BytesMut::new();
-            for home in 0..HOMES {
-                for event in plan_minute(&plans[home as usize % 2].1, minute) {
+            for home in 0..homes {
+                for event in plans[home as usize % plans.len()].minute(minute) {
                     encode_frame_into(home, &event, &mut batch);
                 }
             }
             batch
         })
+        .collect()
+}
+
+/// A shard serving `homes` homes over `[0, minutes)`, home `h` on
+/// `plans[h % plans.len()]`, judging `batch_windows` windows per sweep,
+/// on the default serving path: no telemetry recorder and no tracing. (A
+/// recording engine's sketch buffers still grow when a wall-clock latency
+/// lands in a bucket they have not seen yet.)
+fn plan_shard(plans: &[Plan], homes: u32, minutes: usize, batch_windows: usize) -> ShardEngine {
+    let homes = (0..homes)
+        .map(|home| (home, Arc::clone(&plans[home as usize % plans.len()].model)))
         .collect();
-    // The default serving path: no telemetry recorder and no tracing. (A
-    // recording engine's sketch buffers still grow when a wall-clock
-    // latency lands in a bucket they have not seen yet.)
-    let homes = (0..HOMES)
-        .map(|home| (home, Arc::clone(&plans[home as usize % 2].0)))
-        .collect();
-    let mut shard = ShardEngine::new(
+    ShardEngine::new(
         0,
         homes,
-        4,
+        batch_windows,
         TimeDelta::from_mins(30),
         Timestamp::ZERO,
-        Timestamp::from_mins(MINUTES as i64),
+        Timestamp::from_mins(minutes as i64),
         Telemetry::noop(),
         false,
         TraceClock::manual().0,
-    );
-    for batch in &batches[..WARM_MINUTES] {
-        shard.ingest_batch(batch);
-    }
-    let warm_windows = shard.stats().windows;
-    let ((), allocations) = count_allocations(|| {
-        for batch in &batches[WARM_MINUTES..] {
+    )
+}
+
+#[test]
+fn warm_shard_allocates_nothing_per_window() {
+    const HOMES: u32 = 8;
+    const WARM_MINUTES: usize = 240;
+    const MINUTES: usize = 480;
+    // Two motion plans of different bit widths (3 bits, and 2 words of 73
+    // bits) share the shard's observation pool; the numeric plan adds
+    // per-sensor statistics and actuator lists.
+    for plans in [
+        vec![Plan::binary(3), Plan::binary(73)],
+        vec![Plan::numeric()],
+    ] {
+        let batches = minute_batches(&plans, HOMES, MINUTES);
+        let mut shard = plan_shard(&plans, HOMES, MINUTES, 4);
+        for batch in &batches[..WARM_MINUTES] {
             shard.ingest_batch(batch);
         }
-    });
-    let windows = shard.stats().windows - warm_windows;
-    assert_eq!(windows, u64::from(HOMES) * (MINUTES - WARM_MINUTES) as u64);
-    assert_eq!(
-        allocations, 0,
-        "a warm shard must not allocate ({allocations} allocations over {windows} windows)"
-    );
-    let (alarms, stats) = shard.finish();
-    assert_eq!(stats.windows, u64::from(HOMES) * MINUTES as u64);
-    assert!(alarms.iter().all(|(_, reports)| reports.is_empty()));
+        let warm_windows = shard.stats().windows;
+        let ((), allocations) = count_allocations(|| {
+            for batch in &batches[WARM_MINUTES..] {
+                shard.ingest_batch(batch);
+            }
+        });
+        let windows = shard.stats().windows - warm_windows;
+        assert_eq!(windows, u64::from(HOMES) * (MINUTES - WARM_MINUTES) as u64);
+        assert_eq!(
+            allocations, 0,
+            "a warm shard must not allocate ({allocations} allocations over {windows} windows)"
+        );
+        let (alarms, stats) = shard.finish();
+        assert_eq!(stats.windows, u64::from(HOMES) * MINUTES as u64);
+        assert!(alarms.iter().all(|(_, reports)| reports.is_empty()));
+    }
+}
+
+/// Once warm, a home holds no events: a shard's heap per home stays within
+/// the build budget plus the open-window fold its layout implies, on a
+/// motion plan and on a plan with numeric sensors and an actuator. A
+/// per-home buffer of the open window's events would outgrow it.
+#[test]
+fn warm_shard_heap_per_home_stays_within_the_fold_size() {
+    const HOMES: u32 = 1_000;
+    const BUILD_BUDGET: i64 = 256;
+    const MINUTES: usize = 60;
+    for plan in [Plan::binary(3), Plan::numeric()] {
+        let fold = plan.fold_bytes();
+        let plans = [plan];
+        let batches = minute_batches(&plans, HOMES, MINUTES);
+        let (shard, bytes) = count_heap_growth(|| {
+            let mut shard =
+                plan_shard(&plans, HOMES, MINUTES, FleetConfig::default().batch_windows);
+            for batch in &batches {
+                shard.ingest_batch(batch);
+            }
+            shard
+        });
+        assert!(shard.stats().windows >= u64::from(HOMES) * (MINUTES as u64 / 2));
+        let per_home = bytes / i64::from(HOMES);
+        let bound = BUILD_BUDGET + fold;
+        assert!(
+            per_home <= bound,
+            "a warm shard of {HOMES} homes holds {bytes} B, {per_home} B per home \
+             (bound {bound} B: {BUILD_BUDGET} B built and a {fold} B fold)"
+        );
+        drop(shard);
+    }
 }
 
 /// Building a shard allocates a fixed budget per home: its window and
