@@ -184,6 +184,7 @@ pub struct FrameIter<'a> {
 impl Iterator for FrameIter<'_> {
     type Item = Result<FleetFrame, FleetFrameError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed || self.rest.is_empty() {
             return None;
@@ -217,7 +218,9 @@ pub fn decode_frames(bytes: &[u8]) -> FrameIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dice_gateway::encode_event;
     use dice_types::{ActuatorEvent, ActuatorId, SensorId, SensorReading, Timestamp};
+    use proptest::prelude::*;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -359,5 +362,74 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
+    }
+
+    /// One of `edges` half the time, any value of `T` otherwise.
+    fn edge_or_any<T: Arbitrary + Clone>(edges: Vec<T>) -> impl Strategy<Value = T> {
+        (any::<bool>(), prop::sample::select(edges), any::<T>())
+            .prop_map(|(edge, edge_value, value)| if edge { edge_value } else { value })
+    }
+
+    /// Events of all three tags, with device ids, timestamps and numeric
+    /// payloads drawn from their extremes as well as at random: ±0.0,
+    /// ±inf, NaNs and subnormals among the payloads' bit patterns.
+    fn edge_event() -> impl Strategy<Value = Event> {
+        let values = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN
+            f64::from_bits(1),                     // smallest subnormal
+            -f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest subnormal
+            f64::MAX,
+        ];
+        (
+            0u8..3,
+            edge_or_any(vec![0, u32::MAX]),
+            edge_or_any(vec![i64::MIN, -1, 0, i64::MAX]),
+            any::<bool>(),
+            edge_or_any(values.map(f64::to_bits).to_vec()).prop_map(f64::from_bits),
+        )
+            .prop_map(|(tag, id, secs, on, value)| {
+                let at = Timestamp::from_secs(secs);
+                match tag {
+                    0 => Event::Sensor(SensorReading::new(SensorId::new(id), at, on.into())),
+                    1 => Event::Sensor(SensorReading::new(SensorId::new(id), at, value.into())),
+                    _ => Event::Actuator(ActuatorEvent::new(ActuatorId::new(id), at, on)),
+                }
+            })
+    }
+
+    proptest! {
+        /// Encoding into a buffer that already holds bytes keeps them and
+        /// appends exactly `len ‖ version ‖ home ‖ encode_event(event)`,
+        /// which decodes back to the home and to the event's bytes (NaN
+        /// payloads compare by their bits).
+        #[test]
+        fn encoding_appends_exactly_the_frame_bytes(
+            held in prop::collection::vec(any::<u8>(), 1..48),
+            home in edge_or_any(vec![0, u32::MAX]),
+            event in edge_event(),
+        ) {
+            let mut buf = BytesMut::new();
+            buf.put_slice(&held);
+            encode_frame_into(home, &event, &mut buf);
+            prop_assert_eq!(&buf[..held.len()], &held[..]);
+
+            let event_frame = encode_event(&event);
+            let body = BODY_HEADER + event_frame.as_slice().len();
+            let mut expected = (body as u16).to_be_bytes().to_vec();
+            expected.push(FLEET_FRAME_VERSION);
+            expected.extend_from_slice(&home.to_be_bytes());
+            expected.extend_from_slice(event_frame.as_slice());
+            let appended = &buf[held.len()..];
+            prop_assert_eq!(appended, &expected[..]);
+
+            let (frame, used) = decode_frame_slice(appended).unwrap();
+            prop_assert_eq!((frame.home, used), (home, appended.len()));
+            prop_assert_eq!(encode_event(&frame.event), event_frame);
+        }
     }
 }

@@ -9,10 +9,7 @@
 //! as that home's stream passes their boundaries. Closing a window writes
 //! its observation into the shard's observation pool and empties the
 //! fold for the next window, so a home holds no events and a warm shard
-//! allocates nothing per window. The shard folds a run of one home's
-//! consecutive events in one loop, once the run ends, rather than one
-//! event between two frame decodes: the statistics updates of a numeric
-//! sensor's samples overlap only in a tight loop.
+//! allocates nothing per window.
 //! When the ready list reaches the configured batch size (or the stream
 //! ends) the shard correlation-checks every ready observation, then hands
 //! each observation and verdict to the shard's [`EngineMachinery`] with
@@ -33,7 +30,7 @@ use dice_core::{
 };
 use dice_gateway::{AlarmLedger, WindowClock};
 use dice_telemetry::{shard_label, Telemetry};
-use dice_types::{Event, GroupId, TimeDelta, Timestamp};
+use dice_types::{GroupId, TimeDelta, Timestamp};
 
 use crate::frame::{decode_frames, FleetFrame, HomeId};
 use crate::service::ShardBatch;
@@ -96,11 +93,6 @@ pub struct ShardEngine {
     /// home's fold when the home's clock closed it. Slots are reused
     /// across sweeps.
     obs: Vec<WindowObservation>,
-    /// The events of the run being ingested, all of home `run_slot` and
-    /// of its open window; folded when the run ends, at the latest at the
-    /// end of the batch.
-    run: Vec<Event>,
-    run_slot: usize,
     /// The engine machinery every home's session is judged with: options,
     /// scratch, cost profile and telemetry batch, once per shard.
     machinery: EngineMachinery,
@@ -196,8 +188,6 @@ impl ShardEngine {
             last: None,
             ready: Vec::new(),
             obs: Vec::new(),
-            run: Vec::new(),
-            run_slot: 0,
             machinery,
             batch_windows: batch_windows.max(1),
             telemetry,
@@ -240,7 +230,6 @@ impl ShardEngine {
                 }
             }
         }
-        self.fold_run();
         self.publish_counts();
     }
 
@@ -304,9 +293,13 @@ impl ShardEngine {
 
     /// Ingests one decoded frame: routes it to its home (looked up once
     /// per run of that home's frames), closes windows the home's stream
-    /// has passed, adds the event to the run folded into the open window,
-    /// and sweeps a batch when enough windows are ready.
+    /// has passed, folds the event into the open window, and sweeps a
+    /// batch when enough windows are ready.
     /// Frames for unregistered homes or outside `[from, to)` are dropped.
+    // `#[inline]`, as is `FrameIter::next`: both run once per frame, and
+    // inlined into `ingest_batch`'s loop the decoded frame stays in
+    // registers instead of crossing two calls through the stack.
+    #[inline]
     pub fn ingest(&mut self, frame: FleetFrame) {
         let slot = match self.last {
             Some((home, slot)) if home == frame.home => slot,
@@ -327,35 +320,14 @@ impl ShardEngine {
             return;
         }
         self.stats.events += 1;
-        let mut closed = self.homes[slot].clock.close_passed(at);
-        if slot != self.run_slot || closed.is_some() {
-            // The run ends: its events belong to the window about to close
-            // or to another home.
-            self.fold_run();
-            self.run_slot = slot;
-        }
-        while let Some((start, end)) = closed {
+        while let Some((start, end)) = self.homes[slot].clock.close_passed(at) {
             self.close_window(slot, start, end);
-            closed = self.homes[slot].clock.close_passed(at);
         }
-        self.run.push(frame.event);
+        let home = &mut self.homes[slot];
+        home.fold.push(home.model.binarizer(), &frame.event);
         if self.ready.len() >= self.batch_windows {
             self.sweep();
         }
-    }
-
-    /// Folds the pending run into its home's open window, in arrival
-    /// order.
-    fn fold_run(&mut self) {
-        if self.run.is_empty() {
-            return;
-        }
-        let home = &mut self.homes[self.run_slot];
-        let binarizer = home.model.binarizer();
-        for event in &self.run {
-            home.fold.push(binarizer, event);
-        }
-        self.run.clear();
     }
 
     /// Closes `[start, end)` of home `slot`: closes its fold into the next
@@ -495,7 +467,6 @@ impl ShardEngine {
     /// batch, flushes the sessions, and returns each home's alarm reports
     /// (ascending by registration slot) and the shard's counters.
     pub fn finish(mut self) -> ShardFinish {
-        self.fold_run();
         for slot in 0..self.homes.len() {
             while let Some((start, end)) = self.homes[slot].clock.close_remaining() {
                 self.close_window(slot, start, end);
@@ -518,5 +489,299 @@ impl ShardEngine {
             .map(|h| (h.home, h.reports))
             .collect();
         (out, self.stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::{BufMut, BytesMut};
+    use dice_core::{ContextExtractor, DiceConfig};
+    use dice_types::{
+        ActuatorEvent, ActuatorId, ActuatorKind, DeviceRegistry, Event, EventLog, Room, SensorId,
+        SensorKind, SensorReading,
+    };
+    use proptest::TestRng;
+
+    use crate::frame::encode_frame_into;
+
+    /// The events of `minute` on a floor plan: motion sensors 0 and 1
+    /// together on even minutes and sensor 2 on odd ones; with a bulb,
+    /// sensor 2 is a temperature sampled three times a minute, warming
+    /// while the bulb is on (even minutes) and cooling while it is off.
+    fn plan_minute(sensors: &[SensorId], bulb: Option<ActuatorId>, minute: i64) -> Vec<Event> {
+        let at = |secs: i64| Timestamp::from_mins(minute) + TimeDelta::from_secs(secs);
+        let even = minute % 2 == 0;
+        let Some(bulb) = bulb else {
+            let fire = if even { &sensors[..2] } else { &sensors[2..] };
+            return fire
+                .iter()
+                .map(|&sensor| Event::Sensor(SensorReading::new(sensor, at(5), true.into())))
+                .collect();
+        };
+        let temps = if even {
+            [20.0, 21.0, 23.0]
+        } else {
+            [23.0, 22.0, 20.0]
+        };
+        let mut events: Vec<Event> = (0i64..)
+            .zip(temps)
+            .map(|(k, temp)| Event::Sensor(SensorReading::new(sensors[2], at(20 * k), temp.into())))
+            .collect();
+        let motion = sensors[usize::from(!even)];
+        events.push(Event::Sensor(SensorReading::new(
+            motion,
+            at(5),
+            true.into(),
+        )));
+        events.push(Event::Actuator(ActuatorEvent::new(bulb, at(8), even)));
+        events.sort_by_key(Event::at);
+        events
+    }
+
+    /// A floor plan: its devices and the model trained on 240 minutes of
+    /// [`plan_minute`].
+    struct Plan {
+        model: Arc<DiceModel>,
+        sensors: Vec<SensorId>,
+        bulb: Option<ActuatorId>,
+    }
+
+    impl Plan {
+        /// Three motion sensors, or two and a temperature sensor next to
+        /// a bulb.
+        fn train(numeric: bool) -> Plan {
+            let mut registry = DeviceRegistry::new();
+            let mut sensors: Vec<SensorId> = (0..2)
+                .map(|i| registry.add_sensor(SensorKind::Motion, format!("m{i}"), Room::Kitchen))
+                .collect();
+            let (third, bulb) = if numeric {
+                let bulb = registry.add_actuator(ActuatorKind::SmartBulb, "hue", Room::Kitchen);
+                (SensorKind::Temperature, Some(bulb))
+            } else {
+                (SensorKind::Motion, None)
+            };
+            sensors.push(registry.add_sensor(third, "s2", Room::Kitchen));
+            let mut log: EventLog = (0..240)
+                .flat_map(|minute| plan_minute(&sensors, bulb, minute))
+                .collect();
+            let model = ContextExtractor::new(DiceConfig::default())
+                .extract(&registry, &mut log)
+                .expect("training log is non-empty");
+            Plan {
+                model: Arc::new(model),
+                sensors,
+                bulb,
+            }
+        }
+
+        fn minute(&self, minute: i64) -> Vec<Event> {
+            plan_minute(&self.sensors, self.bulb, minute)
+        }
+    }
+
+    /// A shard over `[from, to)` judging three windows per sweep.
+    fn shard(homes: Vec<(HomeId, Arc<DiceModel>)>, from: Timestamp, to: Timestamp) -> ShardEngine {
+        ShardEngine::new(
+            0,
+            homes,
+            3,
+            TimeDelta::from_mins(30),
+            from,
+            to,
+            Telemetry::noop(),
+            false,
+            TraceClock::manual().0,
+        )
+    }
+
+    /// Each home's reports, rendered for comparison, in registration order.
+    fn rendered(alarms: &[(HomeId, Vec<FaultReport>)]) -> Vec<String> {
+        alarms
+            .iter()
+            .map(|(_, reports)| format!("{reports:?}"))
+            .collect()
+    }
+
+    /// Messy packed batches reach the same state through `ingest_batch` as
+    /// through `decode_frames` and `ingest` frame by frame, and the same
+    /// alarms as a shard fed only the frames it should admit. Homes
+    /// interleave in runs of one to eight frames that split across batches
+    /// and cross window boundaries; some frames name unregistered homes or
+    /// fall outside `[from, to)`; a corrupt frame in mid-batch loses the
+    /// rest of its batch; one home id is registered twice, its last
+    /// registration serving it; and each home's sensors fail or fire at
+    /// random from minute 15 on, so alarms are raised and suppressed.
+    #[test]
+    fn batch_and_frame_by_frame_ingest_agree_on_messy_batches() {
+        let motion = Plan::train(false);
+        let numeric = Plan::train(true);
+        let (from, to) = (Timestamp::from_mins(5), Timestamp::from_secs(50 * 60 + 30));
+        // Home 7 is registered twice, on the motion plan and then on the
+        // numeric plan, which serves it. In the clean reference its first
+        // registration is an id no frame names.
+        let served: [(HomeId, &Plan); 4] =
+            [(3, &motion), (7, &numeric), (11, &numeric), (20, &motion)];
+        let registered = |first_id: HomeId| {
+            [
+                (3, &motion),
+                (first_id, &motion),
+                (11, &numeric),
+                (20, &motion),
+                (7, &numeric),
+            ]
+            .into_iter()
+            .map(|(home, plan)| (home, Arc::clone(&plan.model)))
+            .collect::<Vec<_>>()
+        };
+        let (mut alarms_seen, mut runs_crossing_windows, mut runs_split) = (0, 0, 0);
+        for seed in 0..6 {
+            let mut rng = TestRng::deterministic(&format!("shard ingest seed {seed}"));
+            // Each home's stream over minutes 0..56, faulted from minute 15:
+            // a dropped event or a stray firing of a known or unknown sensor.
+            let mut streams: Vec<(HomeId, Vec<Event>)> = Vec::new();
+            let unregistered = [(5, &motion), (HomeId::MAX, &numeric)];
+            for &(home, plan) in served.iter().chain(&unregistered) {
+                let mut events = Vec::new();
+                for minute in 0..56 {
+                    for event in plan.minute(minute) {
+                        if minute < 15 || rng.next_index(4) != 0 {
+                            events.push(event);
+                        }
+                    }
+                    if minute >= 15 && rng.next_index(3) == 0 {
+                        let sensor = match rng.next_index(4) {
+                            3 => SensorId::new(50),
+                            i => plan.sensors[i.min(2)],
+                        };
+                        let at = Timestamp::from_mins(minute) + TimeDelta::from_secs(40);
+                        events.push(Event::Sensor(SensorReading::new(sensor, at, true.into())));
+                    }
+                }
+                events.reverse(); // popped from the back in time order
+                streams.push((home, events));
+            }
+            // Interleave runs of one home's frames.
+            let mut frames: Vec<(HomeId, Event)> = Vec::new();
+            while streams.iter().any(|(_, events)| !events.is_empty()) {
+                let pick = rng.next_index(streams.len());
+                let (home, events) = &mut streams[pick];
+                let run = &events[events.len().saturating_sub(1 + rng.next_index(8))..];
+                if let (Some(last), Some(first)) = (run.first(), run.last()) {
+                    runs_crossing_windows +=
+                        usize::from(first.at().as_mins() < last.at().as_mins());
+                }
+                for _ in 0..run.len() {
+                    frames.extend(events.pop().map(|event| (*home, event)));
+                }
+            }
+            // Pack them into batches of 1 to 40 frames; one batch in five
+            // carries a corrupt frame that loses the rest of it.
+            let (mut batches, mut clean) = (Vec::new(), Vec::new());
+            let (mut kept, mut lost_batches, mut admitted) = (0, 0, 0);
+            let mut rest = &frames[..];
+            while !rest.is_empty() {
+                let (batch_frames, tail) = rest.split_at((1 + rng.next_index(40)).min(rest.len()));
+                rest = tail;
+                if let (Some(last), Some(next)) = (batch_frames.last(), tail.first()) {
+                    runs_split += usize::from(last.0 == next.0);
+                }
+                let corrupt_at =
+                    (rng.next_index(5) == 0).then(|| rng.next_index(batch_frames.len()));
+                let (mut batch, mut reference) = (BytesMut::new(), BytesMut::new());
+                for (i, (home, event)) in batch_frames.iter().enumerate() {
+                    if corrupt_at == Some(i) {
+                        let mut bad = BytesMut::new();
+                        encode_frame_into(*home, event, &mut bad);
+                        // An unknown version, an oversized body, or an
+                        // unknown event tag.
+                        match rng.next_index(3) {
+                            0 => bad[2] = 9,
+                            1 => bad[1] = 200,
+                            _ => bad[7] = 0x7F,
+                        }
+                        batch.put_slice(&bad);
+                        lost_batches += 1;
+                    }
+                    encode_frame_into(*home, event, &mut batch);
+                    if corrupt_at.is_some_and(|at| i >= at) {
+                        continue;
+                    }
+                    kept += 1;
+                    let at = event.at();
+                    if served.iter().any(|&(h, _)| h == *home) && at >= from && at < to {
+                        admitted += 1;
+                        encode_frame_into(*home, event, &mut reference);
+                    }
+                }
+                batches.push(batch);
+                clean.push(reference);
+            }
+
+            let mut by_batch = shard(registered(7), from, to);
+            let mut by_frame = shard(registered(7), from, to);
+            let mut reference = shard(registered(1000), from, to);
+            let (mut frames_decoded, mut decode_errors) = (0, 0);
+            for (batch, clean) in batches.iter().zip(&clean) {
+                by_batch.ingest_batch(batch);
+                for frame in decode_frames(batch) {
+                    match frame {
+                        Ok(frame) => {
+                            frames_decoded += 1;
+                            by_frame.ingest(frame);
+                        }
+                        Err(_) => decode_errors += 1,
+                    }
+                }
+                reference.ingest_batch(clean);
+            }
+            let (batch_alarms, batch_stats) = by_batch.finish();
+            let (frame_alarms, frame_stats) = by_frame.finish();
+            let (reference_alarms, reference_stats) = reference.finish();
+
+            assert_eq!(
+                (frames_decoded, decode_errors),
+                (kept, lost_batches),
+                "seed {seed}"
+            );
+            assert_eq!(
+                batch_stats,
+                ShardStats {
+                    frames: frames_decoded,
+                    decode_errors,
+                    ..frame_stats
+                },
+                "seed {seed}"
+            );
+            assert_eq!(
+                rendered(&batch_alarms),
+                rendered(&frame_alarms),
+                "seed {seed}"
+            );
+            let ids = |alarms: &[(HomeId, Vec<FaultReport>)]| -> Vec<HomeId> {
+                alarms.iter().map(|(home, _)| *home).collect()
+            };
+            assert_eq!(ids(&batch_alarms), [3, 7, 11, 20, 7]);
+            assert_eq!(ids(&frame_alarms), [3, 7, 11, 20, 7]);
+
+            assert_eq!(batch_stats.events, admitted, "seed {seed}");
+            assert_eq!(
+                batch_stats,
+                ShardStats {
+                    frames: kept,
+                    decode_errors: lost_batches,
+                    ..reference_stats
+                },
+                "seed {seed}"
+            );
+            assert_eq!(
+                rendered(&batch_alarms),
+                rendered(&reference_alarms),
+                "seed {seed}"
+            );
+            alarms_seen += batch_stats.alarms;
+        }
+        assert!(alarms_seen > 0, "the faults raise alarms");
+        assert!(runs_crossing_windows > 0 && runs_split > 0);
     }
 }
