@@ -220,13 +220,15 @@ impl<'m> Detector<'m> {
         let support = self.model.config().min_row_support();
         let mut cases = Vec::new();
 
-        // Case 1: G2G. Only meaningful when the previous window matched a
-        // group exactly; distances computed against a nearest-group stand-in
-        // would make most transitions look illegal.
-        if prev.exact
-            && transitions.g2g_row_support(prev.group) >= support.max(1)
-            && !transitions.g2g_observed(prev.group, group)
-        {
+        // Cases 1 and 2 are only meaningful when the previous window matched
+        // a group exactly (distances computed against a nearest-group
+        // stand-in would make most transitions look illegal), and both need
+        // the previous group's row to carry support.
+        let prev_row_supported =
+            prev.exact && transitions.g2g_row_support(prev.group) >= support.max(1);
+
+        // Case 1: G2G.
+        if prev_row_supported && !transitions.g2g_observed(prev.group, group) {
             cases.push(TransitionCase::G2G {
                 from: prev.group,
                 to: group,
@@ -235,7 +237,7 @@ impl<'m> Detector<'m> {
 
         // Case 2: G2A. Every actuator activation in this window must have
         // been seen following the previous group.
-        if prev.exact && transitions.g2g_row_support(prev.group) >= support.max(1) {
+        if prev_row_supported {
             for &actuator in &obs.activated_actuators {
                 if !transitions.g2a_observed(prev.group, actuator) {
                     cases.push(TransitionCase::G2A {

@@ -8,15 +8,16 @@
 //
 // lint-src: allow-file(hash-container) — the state-set index is an
 // exact-match lookup only; every enumeration of groups walks the Vec of
-// states in insertion order, never the map.
-
-use std::collections::HashMap;
+// states in insertion order, never the map. It hashes with the fixed
+// `FxHasher`: only training and model loading insert states, so no live
+// input can choose the keys.
 
 use serde::{Deserialize, Serialize};
 
 use dice_types::GroupId;
 
 use crate::bitset::BitSet;
+use crate::fxhash::FxHashMap;
 use crate::layout::BitLayout;
 
 /// A candidate group produced by the correlation check.
@@ -51,7 +52,7 @@ pub struct GroupTable {
     /// by invariant checks and stats on every load/verify — stays O(1).
     total: u64,
     #[serde(skip)]
-    index: HashMap<BitSet, GroupId>,
+    index: FxHashMap<BitSet, GroupId>,
 }
 
 impl GroupTable {
@@ -62,7 +63,7 @@ impl GroupTable {
             groups: Vec::new(),
             counts: Vec::new(),
             total: 0,
-            index: HashMap::new(),
+            index: FxHashMap::default(),
         }
     }
 
@@ -471,6 +472,61 @@ mod tests {
             merged.merge(&local);
         }
         assert_eq!(merged, serial);
+    }
+
+    /// A state of `width` bits: all zero, all one, one bit, or one of six
+    /// fixed patterns, so that states repeat within a run.
+    fn state(width: usize, kind: u8, pick: u64) -> BitSet {
+        match kind {
+            0 => BitSet::new(width),
+            1 => BitSet::from_indices(width, 0..width),
+            2 => BitSet::from_indices(width, [pick as usize % width]),
+            _ => {
+                let pattern = (pick % 6 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                BitSet::from_indices(
+                    width,
+                    (0..width)
+                        .filter(|&i| pattern.rotate_left((i / 64) as u32) >> (i % 64) & 1 == 1),
+                )
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn observe_and_lookup_match_an_ordered_reference(
+            width in 1usize..=270,
+            observed in proptest::collection::vec((0u8..4, 0u64..1024), 0..80),
+            probes in proptest::collection::vec((0u8..4, 0u64..1024), 8),
+        ) {
+            let mut table = GroupTable::new(width);
+            let mut reference: std::collections::BTreeMap<Vec<u64>, (GroupId, u64)> =
+                std::collections::BTreeMap::new();
+            for (kind, pick) in observed {
+                let s = state(width, kind, pick);
+                let next = GroupId::new(reference.len() as u32);
+                let entry = reference.entry(s.as_words().to_vec()).or_insert((next, 0));
+                entry.1 += 1;
+                assert_eq!(table.observe(&s), entry.0);
+            }
+            assert_eq!(table.len(), reference.len());
+            let mut rebuilt = table.clone();
+            rebuilt.rebuild_index();
+            for (words, &(id, count)) in &reference {
+                let s = BitSet::from_words(width, words.clone());
+                assert_eq!(table.lookup(&s), Some(id));
+                assert_eq!(rebuilt.lookup(&s), Some(id));
+                assert_eq!(table.state(id), &s);
+                assert_eq!(table.count(id), count);
+            }
+            for (kind, pick) in probes {
+                let s = state(width, kind, pick);
+                let expected = reference.get(s.as_words()).map(|&(id, _)| id);
+                assert_eq!(table.lookup(&s), expected);
+            }
+            // A state of another width never matches, even with equal words.
+            assert_eq!(table.lookup(&BitSet::new(width + 1)), None);
+        }
     }
 
     #[test]

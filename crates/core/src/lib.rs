@@ -68,6 +68,7 @@ mod engine;
 mod error;
 mod extract;
 pub mod fingerprint;
+mod fxhash;
 mod groups;
 mod identify;
 pub mod invariants;

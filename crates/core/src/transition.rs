@@ -10,13 +10,15 @@
 //! demand.
 //
 // lint-src: allow-file(hash-container) — the sparse count maps serve point
-// lookups; `entries()` sorts before yielding, so no hash order escapes.
-
-use std::collections::HashMap;
+// lookups; `entries()`, `row_totals()` and `successors()` sort before
+// yielding and merges only add, so no hash order escapes. They hash with the
+// fixed `FxHasher`: only training and model loading insert ids.
 
 use serde::{Deserialize, Serialize};
 
 use dice_types::{ActuatorId, GroupId};
+
+use crate::fxhash::FxHashMap;
 
 /// A sparse transition-count matrix over `u32`-indexed states.
 ///
@@ -25,8 +27,8 @@ use dice_types::{ActuatorId, GroupId};
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(from = "TransitionCountsRepr", into = "TransitionCountsRepr")]
 pub struct TransitionCounts {
-    counts: HashMap<(u32, u32), u64>,
-    row_totals: HashMap<u32, u64>,
+    counts: FxHashMap<(u32, u32), u64>,
+    row_totals: FxHashMap<u32, u64>,
 }
 
 impl TransitionCounts {
@@ -473,6 +475,111 @@ mod tests {
         assert_eq!(global.g2a().count(2, 7), 2);
         assert!(global.a2g_observed(ActuatorId::new(7), GroupId::new(5)));
         assert!(!global.g2g_observed(GroupId::new(0), GroupId::new(1)));
+    }
+
+    /// A `TransitionCounts` and its ordered reference: cell counts and row
+    /// totals in `BTreeMap`s.
+    #[derive(Default)]
+    struct Pair {
+        counts: TransitionCounts,
+        cells: std::collections::BTreeMap<(u32, u32), u64>,
+        rows: std::collections::BTreeMap<u32, u64>,
+    }
+
+    impl Pair {
+        fn record_n(&mut self, from: u32, to: u32, n: u64) {
+            if n == 1 {
+                self.counts.record(from, to);
+            } else {
+                self.counts.record_n(from, to, n);
+            }
+            if n > 0 {
+                *self.cells.entry((from, to)).or_insert(0) += n;
+                *self.rows.entry(from).or_insert(0) += n;
+            }
+        }
+
+        /// Merges `other` in through `merge`, or through `merge_mapped`
+        /// with two fixed id maps when `mapped`.
+        fn merge_from(&mut self, other: &Pair, mapped: bool) {
+            let map_from = |f: u32| if mapped { f.wrapping_mul(3) } else { f };
+            let map_to = |t: u32| if mapped { t ^ 5 } else { t };
+            if mapped {
+                self.counts.merge_mapped(&other.counts, map_from, map_to);
+            } else {
+                self.counts.merge(&other.counts);
+            }
+            for (&(from, to), &n) in &other.cells {
+                *self.cells.entry((map_from(from), map_to(to))).or_insert(0) += n;
+                *self.rows.entry(map_from(from)).or_insert(0) += n;
+            }
+        }
+
+        fn assert_agrees(&self, probes: &[u32]) {
+            let cells: Vec<(u32, u32, u64)> =
+                self.cells.iter().map(|(&(f, t), &n)| (f, t, n)).collect();
+            let rows: Vec<(u32, u64)> = self.rows.iter().map(|(&f, &n)| (f, n)).collect();
+            assert_eq!(self.counts.entries(), cells);
+            assert_eq!(self.counts.row_totals(), rows);
+            assert_eq!(self.counts.num_entries(), self.cells.len());
+            assert_eq!(self.counts.total(), self.rows.values().sum::<u64>());
+            let froms = self.rows.keys().copied().chain(probes.iter().copied());
+            for from in froms {
+                let row = self.rows.get(&from).copied().unwrap_or(0);
+                assert_eq!(self.counts.row_total(from), row);
+                let successors: Vec<u32> = self
+                    .cells
+                    .range((from, 0)..=(from, u32::MAX))
+                    .map(|(&(_, to), _)| to)
+                    .collect();
+                assert_eq!(self.counts.successors(from), successors);
+                for to in successors.iter().chain(probes) {
+                    let cell = self.cells.get(&(from, *to)).copied().unwrap_or(0);
+                    assert_eq!(self.counts.count(from, *to), cell);
+                    let prob = if row == 0 {
+                        0.0
+                    } else {
+                        cell as f64 / row as f64
+                    };
+                    assert_eq!(self.counts.prob(from, *to).to_bits(), prob.to_bits());
+                }
+            }
+        }
+    }
+
+    /// Ids from the edges of the `u32` range, a dense run, and anywhere.
+    fn id() -> impl proptest::prelude::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        (0u8..4, 0u32..12, any::<u32>()).prop_map(|(kind, dense, wide)| match kind {
+            0 => [0, u32::MAX, u32::MAX - 1][dense as usize % 3],
+            1 | 2 => dense,
+            _ => wide,
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn counts_match_an_ordered_reference(
+            ops in proptest::collection::vec((0u8..6, id(), id(), 0u64..4), 0..160),
+            probes in proptest::collection::vec(id(), 4),
+        ) {
+            // Ops 0–1 record into the main pair, 2–3 into a side pair; 4
+            // merges the side pair in, 5 merges it through id maps.
+            let mut main = Pair::default();
+            let mut side = Pair::default();
+            for (op, from, to, n) in ops {
+                match op {
+                    0 => main.record_n(from, to, 1),
+                    1 => main.record_n(from, to, n),
+                    2 => side.record_n(from, to, 1),
+                    3 => side.record_n(from, to, n),
+                    4 => main.merge_from(&side, false),
+                    _ => main.merge_from(&side, true),
+                }
+            }
+            main.assert_agrees(&probes);
+            side.assert_agrees(&probes);
+        }
     }
 
     #[test]

@@ -7,7 +7,13 @@
 //! The tier-1 test trains each dataset on 12 h; the ignored test repeats
 //! the check at the evaluation runner's full 300 h and also checks the
 //! runner's own chunked training (run it in release with `--ignored`).
+//!
+//! Both also pin the bytes themselves: one fingerprint line per dataset in
+//! `tests/golden/model_bytes_{12,300}h.txt`. The cross-check above cannot
+//! see a change that moves both trainers at once, such as a map whose
+//! iteration order leaks into the file.
 
+use dice_core::fingerprint::Fingerprint;
 use dice_core::{
     write_model, ContextExtractor, DiceModel, ModelBuilder, ParallelTrainer, ThresholdTrainer,
 };
@@ -22,9 +28,23 @@ fn model_bytes(model: &DiceModel) -> Vec<u8> {
     bytes
 }
 
+/// One golden line: the dataset, the model's byte length and the FNV-1a
+/// fingerprint of its bytes.
+fn golden_line(id: DatasetId, bytes: &[u8]) -> String {
+    let mut fingerprint = Fingerprint::new();
+    fingerprint.push_bytes(bytes);
+    format!(
+        "{} {} {:016x}\n",
+        id.name(),
+        bytes.len(),
+        fingerprint.finish()
+    )
+}
+
 /// Trains `id` on its first `hours` with the two-pass extractor and with
-/// the one-pass trainer at 1 and 3 chunks, and byte-compares the models.
-fn assert_one_pass_matches_two_pass(id: DatasetId, cfg: &RunnerConfig, hours: i64) {
+/// the one-pass trainer at 1 and 3 chunks, byte-compares the models and
+/// returns the reference's golden line.
+fn assert_one_pass_matches_two_pass(id: DatasetId, cfg: &RunnerConfig, hours: i64) -> String {
     let sim = Simulator::new(id.scenario(cfg.seed)).expect("catalog scenario is valid");
     let mut log = sim.log_between(Timestamp::ZERO, Timestamp::from_hours(hours));
     let reference = ContextExtractor::new(cfg.dice.clone())
@@ -42,14 +62,20 @@ fn assert_one_pass_matches_two_pass(id: DatasetId, cfg: &RunnerConfig, hours: i6
             id.name()
         );
     }
+    golden_line(id, &reference)
 }
 
 #[test]
 fn one_pass_training_matches_two_pass_on_every_catalog_dataset() {
     let cfg = RunnerConfig::default();
-    for id in DatasetId::all() {
-        assert_one_pass_matches_two_pass(id, &cfg, 12);
-    }
+    let lines: String = DatasetId::all()
+        .into_iter()
+        .map(|id| assert_one_pass_matches_two_pass(id, &cfg, 12))
+        .collect();
+    assert!(
+        lines == include_str!("golden/model_bytes_12h.txt"),
+        "12 h model bytes moved; they now read:\n{lines}"
+    );
 }
 
 #[test]
@@ -57,8 +83,9 @@ fn one_pass_training_matches_two_pass_on_every_catalog_dataset() {
 fn one_pass_training_matches_two_pass_at_the_full_precomputation_period() {
     let cfg = RunnerConfig::default();
     let hours = cfg.precompute.as_secs() / 3600;
+    let mut lines = String::new();
     for id in DatasetId::all() {
-        assert_one_pass_matches_two_pass(id, &cfg, hours);
+        lines.push_str(&assert_one_pass_matches_two_pass(id, &cfg, hours));
 
         // The runner simulates and reads each six-hour chunk once; its model
         // must equal a serial two-pass build over the same window tiling.
@@ -82,4 +109,8 @@ fn one_pass_training_matches_two_pass_at_the_full_precomputation_period() {
             id.name()
         );
     }
+    assert!(
+        lines == include_str!("golden/model_bytes_300h.txt"),
+        "300 h model bytes moved; they now read:\n{lines}"
+    );
 }
